@@ -1,11 +1,15 @@
 """Minimal action over arbitrary horizons by broken geodesics.
 
-A path is a chain of short-time orbit segments; the chain is relaxed by
-block-coordinate descent (each interior node solves a strictly convex
-one-node problem via Newton), with red-black node ordering so the two
-colors vectorize over batches and nodes.  The Lagrangian-side Tonelli
-minimizer is kept fully independent of this pipeline and serves as the
-designated brute-force oracle.
+A path is a chain of short-time orbit segments joined at interior nodes;
+its action is the sum of the segments' generating values, and the chain
+is critical exactly when the momenta agree at every node.  One solver
+relaxes a batch of chains: damped Newton on the chain action, with the
+tridiagonal Hessian assembled from each segment's monodromy blocks and an
+Armijo line search on the summed action.  Every evaluation is one
+warm-started ``generating_batch`` call that returns value, end momenta and
+monodromy together.  The Lagrangian-side Tonelli minimizer is kept fully
+independent of this pipeline and serves as the designated brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, MultistartExhausted
-from .flow import integrate_batch, resolve_sigma
-from .generating import _steps_for, generating_batch, shoot_batch
+from .flow import resolve_sigma
+from .generating import TARGET_STEP, generating_batch
 from .hamiltonian import HamiltonianModel, legendre_batch
 
 TOL_CRIT_BASE = 1e-6
@@ -66,163 +70,51 @@ def broken_action_value(model: HamiltonianModel, tau: float, t: float, q0, q1,
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
     nodes = np.asarray(nodes, float).reshape(-1, model.d)
-    pts = np.concatenate([q0[None], nodes, q1[None]])
-    n = len(pts) - 1
-    dt = (t - tau) / n
-    total = 0.0
-    from .generating import TARGET_STEP
-    st = step_target or TARGET_STEP
-    for i in range(n):
-        S, _, _, _, _ = generating_batch(model, tau + i * dt, tau + (i + 1) * dt,
-                                         pts[i], pts[i + 1], sigma_eff=sigma_eff,
-                                         step_target=st)
-        total += float(S)
-    return total
+    pts = np.concatenate([q0[None], nodes, q1[None]])[None]
+    return float(_segments(model, tau, t, pts, sigma_eff,
+                           step_target or TARGET_STEP)[0].sum())
 
 
-def _second_blocks(model, ta, tb, A, pa, step_target):
-    """Hessian blocks d11 S and d00 S of the segment starting at (A, pa)."""
-    d = model.d
-    n = _steps_for(tb - ta, step_target)
-    _, _, Mono, _, _ = integrate_batch(model, ta, tb, A, pa, n, want_monodromy=True)
-    dqQ = Mono[..., :d, :d]
-    dpQ = Mono[..., :d, d:]
-    dpP = Mono[..., d:, d:]
-    if d == 1:
-        b = dpQ[..., 0, 0]
-        b = np.where(np.abs(b) < 1e-14, 1e-14, b)
-        d11 = (dpP[..., 0, 0] / b)[..., None, None]
-        d00 = (dqQ[..., 0, 0] / b)[..., None, None]
-        return d11, d00
-    dpQ_inv = np.linalg.inv(dpQ)
-    d11 = dpP @ dpQ_inv
-    d00 = np.swapaxes(dqQ, -1, -2) @ np.linalg.inv(np.swapaxes(dpQ, -1, -2))
-    return d11, d00
+def _segments(model, tau, t, pts, sigma_eff, step_target, p_init=None,
+              want_monodromy=False):
+    """Value, end momenta and monodromy of every segment of a batch of chains.
 
-
-def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps,
-                 tol_crit, inner_iters=2):
-    """Block-coordinate descent on the chain; ``pts`` has endpoints included.
-
-    Shapes: ``pts`` is (B, n+1, d).  Returns updated pts and the final
-    momentum-jump magnitudes (B, n-1).
-    """
-    Bsz, n_plus, d = pts.shape
-    n = n_plus - 1
-    dt = (t - tau) / n
-    if n == 1:
-        return pts, np.zeros((Bsz, 0))
-
-    def update_color(color):
-        idx = np.arange(1 + color, n, 2)
-        if len(idx) == 0:
-            return
-        for _ in range(inner_iters):
-            prev = pts[:, idx - 1].reshape(-1, d)
-            cur = pts[:, idx].reshape(-1, d)
-            nxt = pts[:, idx + 1].reshape(-1, d)
-            pa, _ = shoot_batch(model, 0.0, dt, prev, cur, sigma_eff=sigma_eff,
-                                check_sigma=False, step_target=step_target)
-            pb, _ = shoot_batch(model, 0.0, dt, cur, nxt, sigma_eff=sigma_eff,
-                                check_sigma=False, step_target=step_target)
-            nseg = _steps_for(dt, step_target)
-            _, Pa_end, _, _, _ = integrate_batch(model, 0.0, dt, prev, pa, nseg)
-            grad = Pa_end - pb
-            d11, _ = _second_blocks(model, 0.0, dt, prev, pa, step_target)
-            _, d00b = _second_blocks(model, 0.0, dt, cur, pb, step_target)
-            hess = d11 + d00b
-            if d == 1:
-                hval = np.maximum(hess[..., 0, 0], 1e-8)
-                step = grad[..., 0] / hval
-                step = np.clip(step, -0.5 * np.abs(dt) * 10 - 0.5, 0.5 * np.abs(dt) * 10 + 0.5)
-                cur_new = cur[..., 0] - step
-                pts[:, idx, 0] = cur_new.reshape(Bsz, len(idx))
-            else:
-                w = np.linalg.eigvalsh(hess)
-                shift = np.maximum(1e-8 - w[..., 0], 0.0)
-                hess = hess + shift[..., None, None] * np.eye(d)
-                step = np.linalg.solve(hess, grad[..., None])[..., 0]
-                pts[:, idx, :] = (cur - step).reshape(Bsz, len(idx), d)
-
-    jumps = _chain_jumps(model, tau, t, pts, sigma_eff, step_target)[2]
-    if np.max(jumps, initial=0.0) <= tol_crit:
-        return pts, jumps
-    coord_sweeps = min(max_sweeps, 3)
-    for sweep in range(coord_sweeps):
-        if not model.autonomous:
-            # non-autonomous segments live in distinct time slots: plain loop
-            for k in range(1, n):
-                ta, tm, tb = tau + (k - 1) * dt, tau + k * dt, tau + (k + 1) * dt
-                for _ in range(inner_iters):
-                    pa, _ = shoot_batch(model, ta, tm, pts[:, k - 1], pts[:, k],
-                                        sigma_eff=sigma_eff, check_sigma=False,
-                                        step_target=step_target)
-                    pb, _ = shoot_batch(model, tm, tb, pts[:, k], pts[:, k + 1],
-                                        sigma_eff=sigma_eff, check_sigma=False,
-                                        step_target=step_target)
-                    nseg = _steps_for(dt, step_target)
-                    _, Pa_end, _, _, _ = integrate_batch(model, ta, tm, pts[:, k - 1], pa, nseg)
-                    grad = Pa_end - pb
-                    d11, _ = _second_blocks(model, ta, tm, pts[:, k - 1], pa, step_target)
-                    _, d00b = _second_blocks(model, tm, tb, pts[:, k], pb, step_target)
-                    hval = np.maximum((d11 + d00b)[..., 0, 0], 1e-8)
-                    pts[:, k, 0] -= grad[..., 0] / hval
-        else:
-            update_color(0)
-            update_color(1)
-        jumps = _chain_jumps(model, tau, t, pts, sigma_eff, step_target)[2]
-        if np.max(jumps, initial=0.0) <= tol_crit:
-            break
-    # quadratic tail: damped Newton on the whole chain (tridiagonal Hessian);
-    # coordinate sweeps alone contract too slowly on long chains
-    if np.max(jumps, initial=0.0) > tol_crit:
-        pts, jumps = _newton_chain(model, tau, t, pts, sigma_eff, step_target,
-                                   tol_crit, max_iter=max_sweeps)
-    return pts, jumps
-
-
-def _segment_full(model, tau, t, pts, sigma_eff, step_target):
-    """Per-segment momenta and monodromy blocks along the chain.
-
-    Returns ``(rho0, rho1, A, B, D)`` with shapes (Bsz, n, d...), where
-    A, B, D are the dqQ, dpQ, dpP blocks of each segment's differential.
+    ``pts`` is (B, n+1, d) with endpoints included and ``p_init`` (B, n, d)
+    optional initial momenta to warm-start the shooting.  Returns
+    ``(S, rho0, rho1, Mono)`` shaped (B, n), (B, n, d), (B, n, d) and
+    (B, n, 2d, 2d); ``Mono`` is None unless requested.
     """
     Bsz, n_plus, d = pts.shape
     n = n_plus - 1
     dt = (t - tau) / n
 
-    def one(ta, tb, a, b):
-        p0, _ = shoot_batch(model, ta, tb, a, b, sigma_eff=sigma_eff,
-                            check_sigma=False, step_target=step_target)
-        _, p1, Mono, _, _ = integrate_batch(model, ta, tb, a, p0,
-                                            _steps_for(tb - ta, step_target),
-                                            want_monodromy=True)
-        return p0, p1, Mono[..., :d, :d], Mono[..., :d, d:], Mono[..., d:, d:]
+    def solve(ta, tb, a, b, p0):
+        S, r0, r1, _, Mono = generating_batch(
+            model, ta, tb, a, b, sigma_eff=sigma_eff, check_sigma=False, p_init=p0,
+            want_monodromy=want_monodromy, step_target=step_target)
+        return S, r0, r1, Mono
 
     if model.autonomous:
-        a = pts[:, :-1].reshape(-1, d)
-        b = pts[:, 1:].reshape(-1, d)
-        p0, p1, Ab, Bb, Db = one(0.0, dt, a, b)
-        shp = (Bsz, n)
-        return (p0.reshape(shp + (d,)), p1.reshape(shp + (d,)),
-                Ab.reshape(shp + (d, d)), Bb.reshape(shp + (d, d)),
-                Db.reshape(shp + (d, d)))
-    p0 = np.empty((Bsz, n, d)); p1 = np.empty((Bsz, n, d))
-    Ab = np.empty((Bsz, n, d, d)); Bb = np.empty((Bsz, n, d, d)); Db = np.empty((Bsz, n, d, d))
-    for i in range(n):
-        out = one(tau + i * dt, tau + (i + 1) * dt, pts[:, i], pts[:, i + 1])
-        p0[:, i], p1[:, i], Ab[:, i], Bb[:, i], Db[:, i] = out
-    return p0, p1, Ab, Bb, Db
+        def flat(x):
+            return None if x is None else x.reshape((Bsz * n,) + x.shape[2:])
+        out = solve(0.0, dt, flat(pts[:, :-1]), flat(pts[:, 1:]), flat(p_init))
+        return tuple(None if x is None else x.reshape((Bsz, n) + x.shape[1:])
+                     for x in out)
+    # non-autonomous segments live in distinct time slots: one call per slot
+    outs = [solve(tau + i * dt, tau + (i + 1) * dt, pts[:, i], pts[:, i + 1],
+                  None if p_init is None else p_init[:, i]) for i in range(n)]
+    return tuple(None if col[0] is None else np.stack(col, axis=1)
+                 for col in zip(*outs))
 
 
 def _thomas_batch(diag, off, rhs):
     """Solve symmetric tridiagonal systems, vectorized over the batch axis.
 
     ``diag``: (B, m), ``off``: (B, m-1) couples j and j+1, ``rhs``: (B, m).
-    Returns None entries where a pivot is nonpositive (indefinite Hessian).
+    Also returns a mask that is False where a pivot is nonpositive
+    (indefinite Hessian).
     """
     B, m = diag.shape
-    c = np.zeros((B, max(m - 1, 0)))
     dvec = np.empty((B, m))
     x = np.empty((B, m))
     piv = diag[:, 0].copy()
@@ -231,7 +123,6 @@ def _thomas_batch(diag, off, rhs):
     pivs = [piv]
     for j in range(1, m):
         w = off[:, j - 1] / pivs[j - 1]
-        c[:, j - 1] = w
         piv = diag[:, j] - w * off[:, j - 1]
         ok &= piv > 1e-14
         pivs.append(piv)
@@ -242,120 +133,96 @@ def _thomas_batch(diag, off, rhs):
     return x, ok
 
 
-def _newton_chain(model, tau, t, pts, sigma_eff, step_target, tol_crit,
-                  max_iter=30):
-    """Damped Newton on the full chain (tridiagonal Hessian), d = 1 fast path."""
-    Bsz, n_plus, d = pts.shape
-    n = n_plus - 1
-    if n < 2:
-        return pts, np.zeros((Bsz, 0))
-    for _ in range(max_iter):
-        r0, r1, Ab, Bb, Db = _segment_full(model, tau, t, pts, sigma_eff, step_target)
-        g = r1[:, :-1] - r0[:, 1:]
-        gn = np.max(np.abs(g), axis=(1, 2))
-        if np.all(gn <= tol_crit):
-            break
-        if d == 1:
-            Bseg = Bb[..., 0, 0]
-            Bseg = np.where(np.abs(Bseg) < 1e-14, 1e-14, Bseg)
-            diag = Db[:, :-1, 0, 0] / Bseg[:, :-1] + Ab[:, 1:, 0, 0] / Bseg[:, 1:]
-            off = -1.0 / Bseg[:, 1:-1]
-            shift = np.zeros(Bsz)
-            for _reg in range(4):
-                delta, ok = _thomas_batch(diag + shift[:, None], off, g[..., 0])
-                if ok.all():
-                    break
-                shift = np.where(ok, shift, np.maximum(2 * shift, 1.0))
-            delta = delta[..., None]
-        else:
-            delta = np.empty_like(g)
-            for bi in range(Bsz):
-                m = n - 1
-                diag_b = [Db[bi, j] @ np.linalg.inv(Bb[bi, j])
-                          + np.swapaxes(Ab[bi, j + 1], -1, -2)
-                          @ np.linalg.inv(np.swapaxes(Bb[bi, j + 1], -1, -2))
-                          for j in range(m)]
-                off_b = [-np.linalg.inv(Bb[bi, j + 1]) for j in range(m - 1)]
-                Hfull = np.zeros((m * d, m * d))
-                for j in range(m):
-                    Hfull[j * d:(j + 1) * d, j * d:(j + 1) * d] = diag_b[j]
-                    if j < m - 1:
-                        Hfull[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = off_b[j]
-                        Hfull[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = off_b[j].T
-                w = np.linalg.eigvalsh((Hfull + Hfull.T) / 2).min()
-                if w < 1e-10:
-                    Hfull += (1e-10 - w) * np.eye(m * d)
-                delta[bi] = np.linalg.solve(Hfull, g[bi].ravel()).reshape(m, d)
-        lam = np.ones(Bsz)
-        active = gn > tol_crit
-        for _bt in range(10):
-            pts_try = pts.copy()
-            pts_try[:, 1:-1] -= (lam * active)[:, None, None] * delta
-            _, _, jt = _chain_jumps(model, tau, t, pts_try, sigma_eff, step_target)
-            gt = np.max(jt, axis=1)
-            ok = (gt <= (1 - 0.25 * lam) * gn) | ~active
+def _newton_direction(Mono, g):
+    """Newton step of the chain action from the segments' monodromy.
+
+    Segment j contributes ``d11 = dpP dpQ^-1`` to node j, ``d00 = dpQ^-1 dqQ``
+    to node j-1 and ``-dpQ^-1`` to the coupling between them.  Returns the
+    direction (B, n-1, d) and a mask of chains whose Hessian is positive
+    definite after regularization.
+    """
+    Bsz, m, d = g.shape
+    A = Mono[..., :d, :d]
+    Bm = Mono[..., :d, d:]
+    D = Mono[..., d:, d:]
+    if d == 1:
+        b = Bm[..., 0, 0]
+        b = np.where(np.abs(b) < 1e-14, 1e-14, b)
+        diag = D[:, :-1, 0, 0] / b[:, :-1] + A[:, 1:, 0, 0] / b[:, 1:]
+        off = -1.0 / b[:, 1:-1]
+        shift = np.zeros(Bsz)
+        for _reg in range(4):
+            delta, ok = _thomas_batch(diag + shift[:, None], off, g[..., 0])
             if ok.all():
                 break
-            lam = np.where(ok, lam, lam * 0.5)
-        improve = (gt < gn) & active
-        pts[improve] = pts_try[improve]
-        if not improve.any():
+            shift = np.where(ok, shift, np.maximum(2 * shift, 1.0))
+        return delta[..., None], ok
+    # d > 1: dense block-tridiagonal Hessian, lifted to positive definite
+    Binv = np.linalg.inv(Bm)
+    blocks = D[:, :-1] @ Binv[:, :-1] + Binv[:, 1:] @ A[:, 1:]
+    H = np.zeros((Bsz, m * d, m * d))
+    for j in range(m):
+        H[:, j * d:(j + 1) * d, j * d:(j + 1) * d] = blocks[:, j]
+        if j < m - 1:
+            H[:, j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = -Binv[:, j + 1]
+            H[:, (j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = \
+                -np.swapaxes(Binv[:, j + 1], -1, -2)
+    H = (H + np.swapaxes(H, -1, -2)) / 2
+    w = np.linalg.eigvalsh(H)[:, 0]
+    H += np.maximum(1e-10 - w, 0.0)[:, None, None] * np.eye(m * d)
+    delta = np.linalg.solve(H, g.reshape(Bsz, m * d, 1))
+    return delta.reshape(Bsz, m, d), np.ones(Bsz, bool)
+
+
+def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_crit):
+    """Damped Newton on the action of a batch of chains.
+
+    ``pts`` is (B, n+1, d) with endpoints included; it is updated in place.
+    Only chains whose largest momentum jump exceeds ``tol_crit`` are
+    iterated.  Where the regularized Hessian stays indefinite, or the Newton
+    direction is not a descent direction, the chain steps along the
+    gradient instead.  Steps are backtracked until the summed chain action
+    meets the Armijo condition; a chain whose line search fails is left
+    where it is.  Returns ``(pts, jumps, S, rho0, rho1)``: the momentum-jump
+    norms (B, n-1) and the per-segment values and momenta of the last
+    evaluation.
+    """
+    n = pts.shape[1] - 1
+    S, r0, r1, Mono = _segments(model, tau, t, pts, sigma_eff, step_target,
+                                want_monodromy=n > 1)
+    stalled = np.zeros(len(pts), bool)
+    for _ in range(max_sweeps):
+        g = r1[:, :-1] - r0[:, 1:]
+        gmax = np.linalg.norm(g, axis=-1).max(axis=1, initial=0.0)
+        act = np.flatnonzero((gmax > tol_crit) & ~stalled)
+        if len(act) == 0:
             break
-    _, _, jumps = _chain_jumps(model, tau, t, pts, sigma_eff, step_target)
-    return pts, jumps
-
-
-def _chain_jumps(model, tau, t, pts, sigma_eff, step_target):
-    """Segment momenta of the chain: (p_minus, p_plus, |jump|) at interior nodes."""
-    Bsz, n_plus, d = pts.shape
-    n = n_plus - 1
-    dt = (t - tau) / n
-    if model.autonomous:
-        a = pts[:, :-1].reshape(-1, d)
-        b = pts[:, 1:].reshape(-1, d)
-        p0, _ = shoot_batch(model, 0.0, dt, a, b, sigma_eff=sigma_eff,
-                            check_sigma=False, step_target=step_target)
-        _, p1, _, _, _ = integrate_batch(model, 0.0, dt, a, p0, _steps_for(dt, step_target))
-        p0 = p0.reshape(Bsz, n, d)
-        p1 = p1.reshape(Bsz, n, d)
-    else:
-        p0 = np.empty((Bsz, n, d))
-        p1 = np.empty((Bsz, n, d))
-        for i in range(n):
-            ta, tb = tau + i * dt, tau + (i + 1) * dt
-            pi, _ = shoot_batch(model, ta, tb, pts[:, i], pts[:, i + 1],
-                                sigma_eff=sigma_eff, check_sigma=False,
-                                step_target=step_target)
-            _, pe, _, _, _ = integrate_batch(model, ta, tb, pts[:, i], pi,
-                                             _steps_for(dt, step_target))
-            p0[:, i] = pi
-            p1[:, i] = pe
-    p_minus = p1[:, :-1]
-    p_plus = p0[:, 1:]
-    jumps = np.linalg.norm(p_minus - p_plus, axis=-1)
-    return p_minus, p_plus, jumps
-
-
-def _chain_value(model, tau, t, pts, sigma_eff, step_target):
-    Bsz, n_plus, d = pts.shape
-    n = n_plus - 1
-    dt = (t - tau) / n
-    if model.autonomous:
-        a = pts[:, :-1].reshape(-1, d)
-        b = pts[:, 1:].reshape(-1, d)
-        S, r0, _, _, _ = generating_batch(model, 0.0, dt, a, b, sigma_eff=sigma_eff,
-                                          check_sigma=False, step_target=step_target)
-        return S.reshape(Bsz, n).sum(axis=1), r0.reshape(Bsz, n, d)[:, 0]
-    total = np.zeros(Bsz)
-    rho0 = None
-    for i in range(n):
-        S, r0, _, _, _ = generating_batch(model, tau + i * dt, tau + (i + 1) * dt,
-                                          pts[:, i], pts[:, i + 1], sigma_eff=sigma_eff,
-                                          check_sigma=False, step_target=step_target)
-        total += S
-        if i == 0:
-            rho0 = r0
-    return total, rho0
+        ga = g[act]
+        delta, ok = _newton_direction(Mono[act], ga)
+        slope = np.sum(ga * delta, axis=(1, 2))
+        ascent = ~ok | ~(slope > 0)
+        delta[ascent] = ga[ascent]
+        slope[ascent] = np.sum(ga[ascent] ** 2, axis=(1, 2))
+        S_act = S[act].sum(axis=1)
+        lam = np.ones(len(act))
+        todo = np.ones(len(act), bool)
+        for _bt in range(10):
+            k = np.flatnonzero(todo)
+            trial = pts[act[k]]
+            trial[:, 1:-1] -= lam[k, None, None] * delta[k]
+            St, r0t, r1t, Mt = _segments(model, tau, t, trial, sigma_eff, step_target,
+                                         p_init=r0[act[k]], want_monodromy=True)
+            good = St.sum(axis=1) <= S_act[k] - 1e-4 * lam[k] * slope[k]
+            i = act[k[good]]
+            pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[good], St[good], r0t[good],
+                                                  r1t[good], Mt[good])
+            todo[k[good]] = False
+            if not todo.any():
+                break
+            lam[todo] *= 0.5
+        stalled[act[todo]] = True
+    jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
+    return pts, jumps, S, r0, r1
 
 
 def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
@@ -379,9 +246,9 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     if tol_crit is None:
         scale = 1.0 + np.max(np.linalg.norm(Q1 - Q0, axis=1)) / max(t - tau, 1e-12)
         tol_crit = TOL_CRIT_BASE * scale
-    pts, jumps = _relax_chain(model, tau, t, pts, sig, step_target, max_sweeps, tol_crit)
-    values, rho0 = _chain_value(model, tau, t, pts, sig, step_target)
-    return values, pts, jumps, rho0
+    pts, jumps, S, rho0, _ = _relax_chain(model, tau, t, pts, sig, step_target,
+                                          max_sweeps, tol_crit)
+    return S.sum(axis=1), pts, jumps, rho0[:, 0]
 
 
 def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
@@ -431,9 +298,10 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
 
     scale = 1.0 + float(np.linalg.norm(q1 - q0)) / max(t - tau, 1e-12)
     tol_crit = TOL_CRIT_BASE * scale
-    pts, jumps = _relax_chain(model, tau, t, pts, sig, step_target, max_sweeps, tol_crit)
-    values, rho0s = _chain_value(model, tau, t, pts, sig, step_target)
-    ok = (jumps.max(axis=1, initial=0.0) <= tol_crit) if n > 1 else np.ones(len(pts), bool)
+    pts, jumps, S, rho0, rho1 = _relax_chain(model, tau, t, pts, sig, step_target,
+                                             max_sweeps, tol_crit)
+    values = S.sum(axis=1)
+    ok = jumps.max(axis=1, initial=0.0) <= tol_crit
     tol_A = TOL_A_BASE * (1.0 + float(np.abs(values).max()))
     if not ok.any():
         if values.max() - values.min() > tol_A:
@@ -443,11 +311,9 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
         ok = np.ones(len(pts), bool)
     cand = np.where(ok, values, np.inf)
     best = int(np.argmin(cand))
-    p_minus, p_plus, jump_best = _chain_jumps(model, tau, t, pts[best][None],
-                                              sig, step_target)
     path = BrokenPath(tau=tau, t=t, q0=q0, q1=q1, nodes=pts[best, 1:-1].copy(), n=n,
-                      value=float(values[best]), momentum_jumps=jump_best[0],
-                      rho0=rho0s[best], p_minus=p_minus[0], p_plus=p_plus[0])
+                      value=float(values[best]), momentum_jumps=jumps[best],
+                      rho0=rho0[best, 0], p_minus=rho1[best, :-1], p_plus=rho0[best, 1:])
     return float(values[best]), path
 
 

@@ -45,7 +45,6 @@ class RunConfig:
     out_dir: str
     grid_n: int = 128
     seed: int = 0
-    jobs: int = 1
     sigma_eff: float | None = None
     tolerances: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
@@ -296,7 +295,6 @@ def _write_meta(config, raw_desc, sigma_meta, files):
         "sigma_policy": sigma_meta,
         "tolerances": config.tolerances,
         "seed": config.seed,
-        "jobs": config.jobs,
         "grid_n": config.grid_n,
         "outputs": sorted(os.path.basename(f) for f in files),
     }
@@ -318,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="hjkam-out", help="output directory")
         p.add_argument("--grid", type=int, default=128)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("HJKAM_JOBS", "1")))
         p.add_argument("--sigma-eff", type=float, default=None,
                        help="working twist window (certified by a scan)")
         p.add_argument("--tol", action="append", default=[],
@@ -399,12 +395,12 @@ def config_from_args(args) -> RunConfig:
             tolerances[name] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
-    skip = {"command", "model", "out", "grid", "seed", "jobs", "sigma_eff", "tol"}
+    skip = {"command", "model", "out", "grid", "seed", "sigma_eff", "tol"}
     options = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     if "criteria" in options:
         options["criteria"] = [int(x) for x in str(options["criteria"]).split(",")]
     return RunConfig(command=args.command, model_source=args.model, out_dir=args.out,
-                     grid_n=args.grid, seed=args.seed, jobs=args.jobs,
+                     grid_n=args.grid, seed=args.seed,
                      sigma_eff=args.sigma_eff, tolerances=tolerances,
                      options=options)
 

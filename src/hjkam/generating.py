@@ -202,30 +202,21 @@ def generating_S(model: HamiltonianModel, tau: float, t: float, q0, q1,
 
 
 def second_diff_probe(model: HamiltonianModel, tau: float, t: float, q0, q1,
-                      sigma_eff=None, h: float = 1e-5):
-    """Central-difference Hessian blocks ``(d00 S, d11 S, d01 S)``.
+                      sigma_eff=None):
+    """Hessian blocks ``(d00 S, d11 S, d01 S)`` from the segment's monodromy.
 
-    Differences are taken on the analytic first derivatives (the momenta),
-    which is the same Hessian at better conditioning than differencing S.
+    With ``dqQ, dpQ, dpP`` the blocks of the flow's differential at ``rho0``:
+    ``d00 = dpQ^-1 dqQ``, ``d11 = dpP dpQ^-1`` and ``d01 = -dpQ^-1``, where
+    ``d01[j, i] = d^2 S / dq0_j dq1_i``.
     """
     d = model.d
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
-    E = np.eye(d)
-
-    def rho_pair(a, b):
-        _, r0, r1, _, _ = generating_batch(model, tau, t, a, b, sigma_eff=sigma_eff)
-        return r0, r1
-
-    d11 = np.empty((d, d))
-    d01 = np.empty((d, d))
-    d00 = np.empty((d, d))
-    for j in range(d):
-        rp = rho_pair(np.broadcast_to(q0, (2, d)), np.stack([q1 + h * E[j], q1 - h * E[j]]))
-        d11[:, j] = (rp[1][0] - rp[1][1]) / (2 * h)
-        rm = rho_pair(np.stack([q0 + h * E[j], q0 - h * E[j]]), np.broadcast_to(q1, (2, d)))
-        d00[:, j] = -(rm[0][0] - rm[0][1]) / (2 * h)
-        d01[j, :] = (rm[1][0] - rm[1][1]) / (2 * h)
+    *_, Mono = generating_batch(model, tau, t, q0, q1, sigma_eff=sigma_eff,
+                                want_monodromy=True)
+    dqQ, dpQ, dpP = Mono[:d, :d], Mono[:d, d:], Mono[d:, d:]
+    dpQ_inv = np.linalg.inv(dpQ)
+    d00, d11, d01 = dpQ_inv @ dqQ, dpP @ dpQ_inv, -dpQ_inv
     if d == 1:
         return float(d00[0, 0]), float(d11[0, 0]), float(d01[0, 0])
     return d00, d11, d01

@@ -11,8 +11,9 @@ finite differences with step ``h_fd``.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +24,10 @@ DEFAULT_H_FD = 1e-5
 TOL_NEWTON = 1e-10
 MAX_NEWTON_ITER = 50
 TOL_HYP = 1e-6
+
+# identity tokens for custom models: unlike id(), never reused after
+# garbage collection, so a new model cannot inherit another's cache entries
+_MODEL_TOKENS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,12 @@ class HamiltonianModel:
     # optional fused callables for the integrator hot path
     rhs: Optional[Callable] = None
     action_rate: Optional[Callable] = None
+    token: int = field(default_factory=lambda: next(_MODEL_TOKENS), init=False,
+                       compare=False, repr=False)
 
     def cache_key(self) -> tuple:
         if self.family == "custom":
-            return ("custom", id(self))
+            return ("custom", self.token)
         return (self.family, self.d, self.params)
 
     def __repr__(self):
@@ -152,7 +159,7 @@ def quadratic_model(a: float = 1.0, d: int = 1) -> HamiltonianModel:
 def free_model(d: int = 1) -> HamiltonianModel:
     """``|p|^2 / 2``."""
     model = quadratic_model(1.0, d)
-    return HamiltonianModel(**{**model.__dict__, "family": "free"})
+    return replace(model, family="free")
 
 
 class TrigPolynomial:
@@ -325,12 +332,8 @@ def model_from_dict(desc: dict) -> HamiltonianModel:
     else:
         raise ConfigError(f"unknown model family {family!r}")
     if m is not None or M is not None:
-        cfg = dict(model.__dict__)
-        if m is not None:
-            cfg["m"] = float(m)
-        if M is not None:
-            cfg["M"] = float(M)
-        model = HamiltonianModel(**cfg)
+        model = replace(model, m=model.m if m is None else float(m),
+                        M=model.M if M is None else float(M))
     if "periodic" in desc and bool(desc["periodic"]) != model.periodic:
         raise ConfigError(f"family {family!r} has periodic={model.periodic}, description disagrees")
     return model

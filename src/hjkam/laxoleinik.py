@@ -162,6 +162,8 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
                 vals = np.where(better, v2, vals)
                 pts[better] = p2[better]
         K = vals
+    # callers get views of the cached array: keep them from editing it
+    K.flags.writeable = False
     if len(_KERNEL_CACHE) >= _CACHE_LIMIT:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     _KERNEL_CACHE[key] = K

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_FREE, SIGMA_PEND
-from hjkam.action import (action_bounds, broken_action_value, lagrangian_action,
-                          minimal_action, reconstruct_trajectory, tonelli_oracle,
-                          triangle_check)
+from hjkam.action import (TOL_CRIT_BASE, action_bounds, broken_action_value,
+                          lagrangian_action, minimal_action, minimal_action_batch,
+                          reconstruct_trajectory, tonelli_oracle, triangle_check)
 from hjkam.errors import MultistartExhausted
 from hjkam.generating import generating_S
+from hjkam.hamiltonian import free_model
 
 
 def test_broken_value_examples(free, pendulum):
@@ -110,7 +112,6 @@ def test_semiconcavity_of_A(pendulum):
     # (m, M)-scaled envelope C_sc (1 + 1/t)
     m, M = 1.0, 4 * np.pi ** 2
     C_sc = 3.0 * 2.0 * (1 + 2 * M * SIGMA_PEND) / (m * min(1.0, SIGMA_PEND))
-    from hjkam.action import minimal_action_batch
     for t in (0.3, 0.6):
         grid = np.linspace(0.0, 1.0, 65)[:, None]
         vals = minimal_action_batch(pendulum, 0.0, t, np.full((65, 1), 0.2), grid,
@@ -155,3 +156,44 @@ def test_minimizer_csv(tmp_path, pendulum):
     lines = f.read_text().strip().split("\n")
     assert lines[0] == "t_i,theta_i,p_minus,p_plus"
     assert len(lines) == path.n
+
+
+def test_chain_escapes_saddle_start(pendulum):
+    # resting at the well bottom is a saddle of the chain action; a start
+    # just off it must still reach the minimizer, not stall beside it
+    k = np.arange(1, 20)
+    init = (0.5 + 1e-2 * np.sin(np.pi * k / 20))[None, :, None]
+    vals, _, jumps, _ = minimal_action_batch(pendulum, 0.0, 2.0, [[0.5]], [[0.5]],
+                                             sigma_eff=SIGMA_PEND, n=20,
+                                             init_nodes=init, step_target=2e-3,
+                                             max_sweeps=25)
+    assert np.max(jumps) <= 1e-6
+    T = tonelli_oracle(pendulum, 0.0, 2.0, [0.5], [0.5], n_segments=200, restarts=2)
+    assert abs(vals[0] - T) <= 2e-3
+
+
+def test_free_chain_d2_from_perturbed_nodes():
+    # d = 2 takes the dense block-Hessian path; a perturbed start makes it
+    # iterate (a straight-line start is already critical)
+    model = free_model(2)
+    q0, q1 = np.array([[0.1, 0.2]]), np.array([[0.6, -0.3]])
+    lam = np.arange(1, 4)[:, None] / 4
+    init = q0 + lam * (q1 - q0) + 0.05 * np.array([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.3]])
+    vals, _, jumps, _ = minimal_action_batch(model, 0.0, 1.0, q0, q1, sigma_eff=SIGMA_FREE,
+                                             n=4, init_nodes=init[None])
+    assert abs(vals[0] - np.sum((q1 - q0) ** 2) / 2.0) <= 1e-8
+    assert np.max(jumps) <= 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(q0=st.floats(0.0, 1.0, exclude_max=True), q1=st.floats(0.0, 1.0, exclude_max=True),
+       t=st.floats(0.3, 2.0), amp=st.floats(-0.3, 0.3))
+def test_free_chain_value_property(q0, q1, t, amp):
+    model = free_model(1)
+    n = 8
+    lam = np.arange(1, n) / n
+    init = (q0 + lam * (q1 - q0) + amp * np.sin(np.pi * lam))[None, :, None]
+    vals, _, jumps, _ = minimal_action_batch(model, 0.0, t, [[q0]], [[q1]],
+                                             sigma_eff=SIGMA_FREE, n=n, init_nodes=init)
+    assert abs(vals[0] - (q1 - q0) ** 2 / (2 * t)) <= 1e-8
+    assert np.max(jumps) <= TOL_CRIT_BASE * (1 + abs(q1 - q0) / t)

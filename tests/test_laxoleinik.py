@@ -192,3 +192,34 @@ def test_search_radius_exceeded(pendulum, monkeypatch):
     u = GridFunction.from_callable(lambda q: 10.0 * np.cos(2 * np.pi * q), n)
     with pytest.raises(SearchRadiusExceeded):
         lx.apply_T(pendulum, u, 0.0, 0.2, sigma_eff=0.2)
+
+
+def _custom_kinetic(a):
+    from hjkam.hamiltonian import custom_model
+    return custom_model(lambda t, q, p: 0.5 * a * np.sum(p * p, -1), d=1, m=a, M=a,
+                        grad=lambda t, q, p: (np.zeros_like(p), a * p),
+                        hessian=lambda t, q, p: (np.zeros(p.shape + (1,)),) * 2
+                        + (np.full(p.shape + (1,), a),), periodic=True)
+
+
+def test_kernel_cache_not_aliased_across_custom_models(monkeypatch):
+    # a new custom model must not inherit the cache entry of a dropped one.
+    # CPython hands freed addresses out again, so id() can repeat; pinning
+    # id() makes that reuse certain instead of allocator-dependent
+    import hjkam.hamiltonian as hm
+    from hjkam.laxoleinik import action_kernel
+    monkeypatch.setattr(hm, "id", lambda obj: 0, raising=False)
+    first = _custom_kinetic(1.0)
+    action_kernel(first, 0.0, 0.1, 8, 2, sigma_eff=0.25)
+    del first
+    K = action_kernel(_custom_kinetic(2.0), 0.0, 0.1, 8, 2, sigma_eff=0.25)
+    dq = np.arange(-2, 3) / 8
+    assert np.allclose(K, dq ** 2 / (2 * 2.0 * 0.1), atol=1e-12)
+
+
+def test_cached_kernel_is_read_only(free):
+    from hjkam.laxoleinik import action_kernel
+    for _ in range(2):  # the fresh build and the cache hit
+        K = action_kernel(free, 0.0, 0.1, 16, 3, sigma_eff=SIGMA_FREE)
+        with pytest.raises(ValueError):
+            K[0, 0] = 1.0
