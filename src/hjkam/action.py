@@ -22,12 +22,11 @@ from scipy.optimize import minimize
 
 from .errors import ConfigError, MultistartExhausted
 from .flow import resolve_sigma
-from .generating import TARGET_STEP, generating_batch
+from .generating import KERNEL_STEP, TARGET_STEP, generating_batch
 from .hamiltonian import HamiltonianModel, legendre_batch
 
 TOL_CRIT_BASE = 1e-6
 TOL_A_BASE = 1e-6
-KERNEL_STEP = 5e-3
 
 
 @dataclass
@@ -309,8 +308,11 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
                 f"restarts disagree by {values.max() - values.min():.3e} and none "
                 f"meets the jump criterion (worst jump {jumps.max():.3e})")
         ok = np.ones(len(pts), bool)
+    # mirror-image minimizers tie up to solver noise: among the starts within
+    # a relative 1e-9 of the least value, the first start decides
     cand = np.where(ok, values, np.inf)
-    best = int(np.argmin(cand))
+    low = cand.min()
+    best = int(np.flatnonzero(cand <= low + 1e-9 * (1.0 + abs(low)))[0])
     path = BrokenPath(tau=tau, t=t, q0=q0, q1=q1, nodes=pts[best, 1:-1].copy(), n=n,
                       value=float(values[best]), momentum_jumps=jumps[best],
                       rho0=rho0[best, 0], p_minus=rho1[best, :-1], p_plus=rho0[best, 1:])

@@ -95,6 +95,7 @@ def _variational_matrix(model, t, Q, P):
 
 
 def _stage(model, t, Q, P, Mono, want_action):
+    Hp = None
     if model.rhs is not None:
         dQ, dP = model.rhs(t, Q, P)
     else:
@@ -109,7 +110,8 @@ def _stage(model, t, Q, P, Mono, want_action):
         if model.action_rate is not None:
             dW = model.action_rate(t, Q, P)
         else:
-            Hq, Hp = model.grad(t, Q, P)
+            if Hp is None:
+                Hp = model.grad(t, Q, P)[1]
             dW = np.sum(P * Hp, axis=-1) - model.value(t, Q, P)
     return dQ, dP, dM, dW
 

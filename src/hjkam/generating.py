@@ -21,6 +21,8 @@ from .flow import integrate_batch, resolve_sigma
 from .hamiltonian import HamiltonianModel, legendre_batch
 
 TARGET_STEP = 2e-3
+# coarser step of the tabulated grid kernels and their batched pair actions
+KERNEL_STEP = 5e-3
 MAX_SHOOT_ITER = 50
 
 

@@ -2,9 +2,13 @@
 
 The discrete operators take the infimum (supremum) over grid nodes only,
 which keeps monotonicity and translation invariance exact at first-order
-accuracy in the mesh.  The action kernel ``A_tau^t(theta, theta + dd/n)``
-is tabulated once per (model, horizon, grid, radius) and cached; for
-q-homogeneous families a single displacement row suffices.
+accuracy in the mesh.  Every pair action on the grid comes from one
+primitive, ``_pair_actions``: the generating function inside the twist
+window, a relaxed broken geodesic beyond it.  The action kernel
+``A_tau^t(theta, theta + dd/n)`` tabulates it once per (model, horizon,
+grid, radius) and is cached; for q-homogeneous families a single
+displacement row suffices.  ``T`` and its dual share one min-plus gather
+with a boundary check that doubles the search radius.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .action import default_segments, minimal_action_batch
+from .action import minimal_action_batch
 from .errors import ConfigError, SearchRadiusExceeded
 from .flow import resolve_sigma
-from .generating import generating_batch
+from .generating import KERNEL_STEP, generating_batch
 from .hamiltonian import HamiltonianModel
 
-KERNEL_STEP = 5e-3
 _KERNEL_CACHE: dict = {}
 _CACHE_LIMIT = 32
 
@@ -116,6 +119,19 @@ def _kernel_key(model, tau, t, n, sigma):
     return (model.cache_key(), slot, round(t - tau, 12), n, round(sigma, 12))
 
 
+def _pair_actions(model, tau, t, Q0, Q1, sigma):
+    """``A_tau^t(Q0, Q1)`` for a batch of pairs (rows of ``Q0``, ``Q1``).
+
+    Inside the twist window ``sigma`` this is the generating function;
+    beyond it, the broken geodesic relaxed from the straight-line chain.
+    """
+    if t - tau <= sigma * (1 + 1e-12):
+        return generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
+                                check_sigma=False, step_target=KERNEL_STEP)[0]
+    return minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
+                                step_target=KERNEL_STEP)[0]
+
+
 def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
                   D: int, sigma_eff=None) -> np.ndarray:
     """Tabulate ``A_tau^t(x_i, x_i + dd/n)`` for ``dd in [-D, D]``.
@@ -136,32 +152,7 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     dds = np.arange(-D, D + 1)
     Q0 = np.repeat(x, len(dds))[:, None]
     Q1 = Q0 + np.tile(dds / n, rows)[:, None]
-    dt = t - tau
-    if dt <= sigma * (1 + 1e-12):
-        S, _, _, _, _ = generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
-                                         check_sigma=False, step_target=KERNEL_STEP)
-        K = S.reshape(rows, len(dds))
-    else:
-        nseg = default_segments(tau, t, sigma)
-        vals, pts, _, _ = minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
-                                               n=nseg, step_target=KERNEL_STEP)
-        # continuation across neighboring displacement targets: seed each
-        # problem with its neighbors' relaxed interior nodes, keep the best
-        pts = pts.reshape(rows, len(dds), nseg + 1, 1)
-        vals = vals.reshape(rows, len(dds))
-        if nseg > 1:
-            for shift in (1, -1):
-                init = np.roll(pts, shift, axis=1)[..., 1:-1, :].reshape(-1, nseg - 1, 1)
-                v2, p2, _, _ = minimal_action_batch(model, tau, t, Q0, Q1,
-                                                    sigma_eff=sigma, n=nseg,
-                                                    init_nodes=init,
-                                                    step_target=KERNEL_STEP)
-                v2 = v2.reshape(rows, len(dds))
-                p2 = p2.reshape(rows, len(dds), nseg + 1, 1)
-                better = v2 < vals - 1e-12
-                vals = np.where(better, v2, vals)
-                pts[better] = p2[better]
-        K = vals
+    K = _pair_actions(model, tau, t, Q0, Q1, sigma).reshape(rows, len(dds))
     # callers get views of the cached array: keep them from editing it
     K.flags.writeable = False
     if len(_KERNEL_CACHE) >= _CACHE_LIMIT:
@@ -181,28 +172,23 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     if not t > tau:
         raise ConfigError("need t > tau")
     n = u.n_per_dim
-    vals = u.values
+    # one gather for both: forward takes inf_theta u(theta) + A(theta, q) over
+    # theta = q - dd/n with the kernel row at theta; dual takes
+    # sup_theta u(theta) - A(q, theta) over theta = q + dd/n, row at q
+    shift = 1 if dual else -1
+    jj = np.arange(n)
     R = search_radius(model, t - tau, u.osc(), n)
     D = _quantize(int(np.ceil(R * n)))
     for attempt in range(2):
         K = action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
         dds = np.arange(-D, D + 1)
-        jj = np.arange(n)
-        if dual:
-            # sup_theta u(theta) - A(q, theta);  theta = q + dd/n
-            I = (jj[None, :] + dds[:, None]) % n
-            rowidx = jj[None, :] if K.shape[0] > 1 else np.zeros((1, n), int)
-            cand = vals[I] - K[rowidx, np.arange(2 * D + 1)[:, None]]
-            best = np.argmax(cand, axis=0)
-        else:
-            # inf_theta u(theta) + A(theta, q);  theta = q - dd/n
-            I = (jj[None, :] - dds[:, None]) % n
-            rowidx = I if K.shape[0] > 1 else np.zeros((2 * D + 1, n), int)
-            cand = vals[I] + K[rowidx, np.arange(2 * D + 1)[:, None]]
-            best = np.argmin(cand, axis=0)
-        out = cand[best, jj]
+        I = (jj[None, :] + shift * dds[:, None]) % n
+        rowidx = 0 if len(K) == 1 else (jj[None, :] if dual else I)
+        cand = (np.subtract if dual else np.add)(
+            u.values[I], K[rowidx, np.arange(2 * D + 1)[:, None]])
+        best = (np.argmax if dual else np.argmin)(cand, axis=0)
         if not np.any(np.abs(dds[best]) >= D):
-            return GridFunction(1, n, out)
+            return GridFunction(1, n, cand[best, jj])
         D = _quantize(2 * D)
     raise SearchRadiusExceeded("discrete infimum still attained on the doubled "
                                f"search boundary (D = {D})")

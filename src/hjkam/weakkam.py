@@ -1,9 +1,12 @@
 """Critical value, weak KAM solutions, Mane potential, and Aubry sets.
 
 The periodic critical value comes from the linear drift of the evolved
-zero function; weak KAM solutions from the monotone fixed-point iteration
-seeded by a certified sub-solution.  The Mane potential scans horizons on
-a log grid, and invariant sets prune backward-flowed graph seeds against
+zero function; weak KAM solutions and the Aubry mask from the monotone
+fixed-point iteration, both seeded by the one certified sub-solution of
+``_subsolution_seed``.  Pair actions come from the grid layer's
+``_pair_actions`` and every operator step from ``apply_T``.  The Mane
+potential scans horizons on a log grid and continues past the twist window
+by ``apply_T``; invariant sets prune backward-flowed graph seeds against
 the graph neighborhood.
 """
 
@@ -14,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .action import minimal_action, minimal_action_batch, reconstruct_trajectory
+from .action import minimal_action, reconstruct_trajectory
 from .errors import ConfigError, LevelBelowCritical, NonConvergence
 from .flow import Trajectory, integrate_batch, resolve_sigma
-from .generating import generating_batch
 from .hamiltonian import HamiltonianModel, check_hypotheses
-from .laxoleinik import GridFunction, apply_T, regularize_R, semiconcavity_constant
+from .laxoleinik import (GridFunction, _pair_actions, apply_T, regularize_R,
+                         semiconcavity_constant)
 
 TOL_ALPHA = 1e-2
 TOL_WK = 5e-3
@@ -98,21 +101,23 @@ def critical_value(model: HamiltonianModel, grid_n: int = 128, t_step: float = 0
     return result
 
 
-def _torus_pair_actions(model, t, Q0, Q1, sigma_eff, wraps=(-1.0, 0.0, 1.0)):
+def _torus_pair_actions(model, t, Q0, Q1, sigma_eff):
     """A^t between torus points: minimum over winding representatives."""
     sig = resolve_sigma(model, sigma_eff)
     Q0 = np.asarray(Q0, float).reshape(-1, 1)
     Q1 = np.asarray(Q1, float).reshape(-1, 1)
-    best = np.full(len(Q0), np.inf)
-    for w in wraps:
-        target = Q1 + w
-        if t <= sig * (1 + 1e-12):
-            S = generating_batch(model, 0.0, t, Q0, target, sigma_eff=sig,
-                                 check_sigma=False, step_target=5e-3)[0]
-        else:
-            S = minimal_action_batch(model, 0.0, t, Q0, target, sigma_eff=sig)[0]
-        best = np.minimum(best, np.asarray(S))
-    return best
+    return np.min([_pair_actions(model, 0.0, t, Q0, Q1 + w, sig)
+                   for w in (-1.0, 0.0, 1.0)], axis=0)
+
+
+def _slopes(u: GridFunction):
+    """Forward, backward and centred differences of ``u``, and the mask of
+    nodes where the one-sided ones agree (nodes off the kinks)."""
+    n = u.n_per_dim
+    du_f = (np.roll(u.values, -1) - u.values) * n
+    du_b = (u.values - np.roll(u.values, 1)) * n
+    consistent = np.abs(du_f - du_b) <= 0.1 * (1.0 + u.lip_estimate)
+    return du_f, du_b, (du_f + du_b) / 2, consistent
 
 
 def is_subsolution(model: HamiltonianModel, u: GridFunction, a: float,
@@ -136,16 +141,25 @@ def is_subsolution(model: HamiltonianModel, u: GridFunction, a: float,
         act = _torus_pair_actions(model, float(t), i / n, j / n, sig)
         gap = u.values[j] - u.values[i] - act - a * t
         worst = max(worst, float(gap.max()))
-    du_f = (np.roll(u.values, -1) - u.values) * n
-    du_b = (u.values - np.roll(u.values, 1)) * n
-    du_c = (du_f + du_b) / 2
-    lip = u.lip_estimate
-    consistent = np.abs(du_f - du_b) <= 0.1 * (1.0 + lip)
+    _, _, du_c, consistent = _slopes(u)
     if consistent.any():
         qs = u.nodes[consistent][:, None]
         Hvals = model.value(0.0, qs, du_c[consistent][:, None])
         worst = max(worst, float((Hvals - a).max()))
     return worst <= slack, worst
+
+
+def _subsolution_seed(model, alpha, grid_n, sigma_eff):
+    """Certified sub-solution at level ``alpha``: the zero function when it
+    certifies, else the regularized Mane potential just above the level."""
+    zero = GridFunction(1, grid_n, np.zeros(grid_n))
+    ok, _ = is_subsolution(model, zero, alpha + 1e-6, n_pairs=64, slack=1e-9,
+                           sigma_eff=sigma_eff)
+    if ok:
+        return zero
+    u0 = mane_potential(model, alpha + 1e-3, 0.0, grid_n, sigma_eff=sigma_eff).phi
+    return regularize_R(model, u0, 0.0, min(0.5, 2 * resolve_sigma(model, sigma_eff)),
+                        sigma_eff=sigma_eff)
 
 
 def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
@@ -166,18 +180,7 @@ def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
         alpha = critical_value(model, grid_n=grid_n,
                                t_step=min(max(t_step, 0.1), sig),
                                sigma_eff=sigma_eff).alpha
-    if u0 is None:
-        zero = GridFunction(1, grid_n, np.zeros(grid_n))
-        ok, _ = is_subsolution(model, zero, alpha + 1e-6, n_pairs=64, slack=1e-9,
-                               sigma_eff=sigma_eff)
-        if ok:
-            u0 = zero
-        else:
-            u0 = mane_potential(model, alpha + 1e-3, 0.0, grid_n,
-                                sigma_eff=sigma_eff).phi
-            u0 = regularize_R(model, u0, 0.0, min(0.5, 2 * resolve_sigma(model, sigma_eff)),
-                              sigma_eff=sigma_eff)
-    u = u0
+    u = _subsolution_seed(model, alpha, grid_n, sigma_eff) if u0 is None else u0
     history = []
     defects = []
     k_max = int(np.ceil(t_max / t_step - 1e-9))
@@ -196,8 +199,7 @@ def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
             recent = defects[-5:]
             if max(recent) - min(recent) < 0.01 * defect:
                 break
-    final = apply_T(model, u, 0.0, t_step, sigma_eff=sigma_eff)
-    residual = float(np.max(np.abs(final.values + t_step * alpha - u.values)))
+    residual = fixed_point_residual(model, u, alpha, t_step, sigma_eff=sigma_eff)
     u_norm = GridFunction(1, grid_n, u.values - u.values.min())
     result = WeakKamResult(alpha=alpha, u=u_norm, residual=residual, t_probe=t_step,
                            history=history, converged=converged and residual <= tol_wk,
@@ -232,35 +234,17 @@ def _action_rows_from_base(model, q_base, grid_n, t_short, n_long, delta,
     """Rows ``A^t(q_base, x_j)`` (torus minimum over windings).
 
     Short horizons are evaluated directly by batched shooting; horizons
-    past the twist window are chained by min-plus composition with the
-    one cached short-time kernel (the discrete concatenation identity).
+    past the twist window continue the last row by ``apply_T`` over
+    ``delta`` (the discrete concatenation identity).
     """
-    from .laxoleinik import action_kernel, search_radius, _quantize
     targets = np.arange(grid_n) / grid_n
     base = np.full(grid_n, float(q_base))
-    rows = []
-    ts = []
-    for t in t_short:
-        rows.append(_torus_pair_actions(model, float(t), base, targets, sigma_eff))
-        ts.append(float(t))
-    sig = resolve_sigma(model, sigma_eff)
-    if n_long > 0:
-        osc = float(rows[-1].max() - rows[-1].min()) + 2.0
-        R = search_radius(model, delta, osc, grid_n)
-        D = _quantize(int(np.ceil(R * grid_n)))
-        K = action_kernel(model, 0.0, delta, grid_n, D, sigma_eff=sig)
-        dds = np.arange(-D, D + 1)
-        jj = np.arange(grid_n)
-        I = (jj[None, :] - dds[:, None]) % grid_n
-        rowidx = I if K.shape[0] > 1 else np.zeros_like(I)
-        Kcols = K[rowidx, np.arange(2 * D + 1)[:, None]]
-        cur = rows[-1]
-        t_cur = ts[-1]
-        for _ in range(n_long):
-            cur = np.min(cur[I] + Kcols, axis=0)
-            t_cur += delta
-            rows.append(cur)
-            ts.append(t_cur)
+    ts = [float(t) for t in t_short]
+    rows = [_torus_pair_actions(model, t, base, targets, sigma_eff) for t in ts]
+    for _ in range(n_long):
+        rows.append(apply_T(model, GridFunction(1, grid_n, rows[-1]), 0.0, delta,
+                            sigma_eff=sigma_eff).values)
+        ts.append(ts[-1] + delta)
     return np.asarray(ts), np.stack(rows)
 
 
@@ -445,15 +429,7 @@ def aubry_set(model: HamiltonianModel, grid_n: int = 128,
     if alpha is None:
         alpha = critical_value(model, grid_n=grid_n, t_step=min(0.2, sig),
                                sigma_eff=sigma_eff).alpha
-    zero = GridFunction(1, grid_n, np.zeros(grid_n))
-    ok, _ = is_subsolution(model, zero, alpha + 1e-6, n_pairs=64, slack=1e-9,
-                           sigma_eff=sigma_eff)
-    if ok:
-        u0 = zero
-    else:
-        u0 = mane_potential(model, alpha + 1e-3, 0.0, grid_n, sigma_eff=sigma_eff).phi
-        u0 = regularize_R(model, u0, 0.0, min(0.5, 2 * resolve_sigma(model, sigma_eff)),
-                          sigma_eff=sigma_eff)
+    u0 = _subsolution_seed(model, alpha, grid_n, sigma_eff)
     try:
         res = weak_kam_solve(model, grid_n=grid_n, alpha=alpha, t_step=t_step,
                              sigma_eff=sigma_eff, u0=u0)
@@ -503,12 +479,9 @@ def invariant_set(model: HamiltonianModel, u: GridFunction, t_step: float = 0.2,
     """
     _require_torus(model)
     n = u.n_per_dim
-    du_f = (np.roll(u.values, -1) - u.values) * n
-    du_b = (u.values - np.roll(u.values, 1)) * n
-    du = (du_f + du_b) / 2
     # seeds only where the one-sided slopes agree; at kinks the closure of
     # the graph contains both one-sided limits, so keep those as reference
-    consistent = np.abs(du_f - du_b) <= 0.1 * (1.0 + u.lip_estimate)
+    du_f, du_b, du, consistent = _slopes(u)
     seeds = np.stack([u.nodes[consistent], du[consistent]], axis=1)
     kinks = ~consistent
     graph = np.concatenate([

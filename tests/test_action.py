@@ -197,3 +197,23 @@ def test_free_chain_value_property(q0, q1, t, amp):
                                              sigma_eff=SIGMA_FREE, n=n, init_nodes=init)
     assert abs(vals[0] - (q1 - q0) ** 2 / (2 * t)) <= 1e-8
     assert np.max(jumps) <= TOL_CRIT_BASE * (1 + abs(q1 - q0) / t)
+
+
+def test_near_tied_minimizers_pick_first_start(pendulum, monkeypatch):
+    # mirror-image minimizers tie up to solver noise; the reported chain must
+    # not depend on which of them the noise favours
+    import hjkam.action as act
+
+    def relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_crit):
+        B, n1, d = pts.shape
+        S = np.ones((B, n1 - 1))
+        S[0, 0] += 1e-11   # the straight start, above start 1 by noise only
+        S[2:, 0] += 1.0
+        r = np.zeros((B, n1 - 1, d))
+        return pts, np.zeros((B, n1 - 2)), S, r, r
+
+    monkeypatch.setattr(act, "_relax_chain", relax)
+    value, path = act.minimal_action(pendulum, 0.0, 0.4, [0.1], [0.5],
+                                     sigma_eff=SIGMA_PEND)
+    assert abs(value - (4.0 + 1e-11)) < 1e-14
+    assert np.allclose(path.nodes[:, 0], [0.2, 0.3, 0.4])

@@ -129,3 +129,20 @@ def test_trajectory_csv(tmp_path, pendulum):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,q_0,p_0,H"
     assert len(lines) == len(traj.times) + 1
+
+
+def test_stage_evaluates_grad_once_with_action():
+    # a custom model without rhs/action_rate: one grad call per RK4 stage
+    from hjkam.flow import integrate_batch
+    calls = []
+
+    def grad(t, q, p):
+        calls.append(1)
+        return np.zeros_like(q), p
+
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), d=1, m=1, M=1,
+                         grad=grad, periodic=True)
+    Q, P, _, W, _ = integrate_batch(model, 0.0, 1.0, np.zeros((3, 1)),
+                                    np.ones((3, 1)), 10, want_action=True)
+    assert len(calls) == 4 * 10
+    assert np.allclose(Q[:, 0], 1.0) and np.allclose(W, 0.5)

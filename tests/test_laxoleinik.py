@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_FREE, SIGMA_PEND
 from hjkam.errors import ConfigError
@@ -223,3 +224,53 @@ def test_cached_kernel_is_read_only(free):
         K = action_kernel(free, 0.0, 0.1, 16, 3, sigma_eff=SIGMA_FREE)
         with pytest.raises(ValueError):
             K[0, 0] = 1.0
+
+
+# operator laws on random grid functions; kernels at n <= 32 stay cached
+# across examples, so the examples cost only the min-plus gather
+_law_settings = settings(max_examples=25, deadline=None)
+_law_args = dict(n=st.sampled_from([8, 16, 32]), data=st.data(),
+                 name=st.sampled_from(["free", "pendulum"]))
+
+
+def _draw_values(data, n, lo=-1.0, hi=1.0):
+    return np.asarray(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+
+@_law_settings
+@given(**_law_args)
+def test_operators_monotone_property(free, pendulum, n, data, name):
+    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
+    u = GridFunction(1, n, _draw_values(data, n))
+    v = GridFunction(1, n, u.values + _draw_values(data, n, 0.0, 0.5))
+    for op in (apply_T, apply_T_dual):
+        assert np.all(op(model, v, 0.0, 0.1, sigma_eff=sig).values
+                      >= op(model, u, 0.0, 0.1, sigma_eff=sig).values)
+
+
+@_law_settings
+@given(c=st.floats(-10, 10), **_law_args)
+def test_operators_commute_with_constants_property(free, pendulum, n, data, name, c):
+    # exact up to the rounding of one addition per candidate
+    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
+    u = GridFunction(1, n, _draw_values(data, n))
+    for op in (apply_T, apply_T_dual):
+        a = op(model, u.shifted(c), 0.0, 0.1, sigma_eff=sig).values
+        b = op(model, u, 0.0, 0.1, sigma_eff=sig).values
+        ulp = np.finfo(float).eps * (1.0 + abs(c) + np.abs(b).max())
+        assert np.max(np.abs(a - (b + c))) <= 4 * ulp
+
+
+@_law_settings
+@given(**_law_args)
+def test_dual_pair_inequalities_property(free, pendulum, n, data, name):
+    # Ť T u <= u <= T Ť u on the grid: q itself is a candidate of the inner
+    # operator at every node the outer one visits
+    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
+    u = GridFunction(1, n, _draw_values(data, n))
+    td = apply_T_dual(model, apply_T(model, u, 0.0, 0.1, sigma_eff=sig),
+                      0.0, 0.1, sigma_eff=sig)
+    dt = apply_T(model, apply_T_dual(model, u, 0.0, 0.1, sigma_eff=sig),
+                 0.0, 0.1, sigma_eff=sig)
+    assert np.max(td.values - u.values) <= 1e-12
+    assert np.min(dt.values - u.values) >= -1e-12

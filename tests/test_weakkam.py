@@ -221,3 +221,21 @@ def test_calibration_on_aubry_nodes(pendulum):
     for i in res.marked_nodes():
         assert abs(fwd.values[i] - u.values[i]) <= 5e-3
         assert abs(bwd.values[i] - u.values[i]) <= 5e-3
+
+
+def test_mane_long_rows_check_search_radius(pendulum, monkeypatch):
+    # past the twist window the rows continue by apply_T, whose boundary
+    # check doubles a search radius that is too small or reports it; a
+    # shrunk radius never truncates the minimizer's travel silently
+    import hjkam.laxoleinik as lx
+    from hjkam.errors import SearchRadiusExceeded
+    n = 128
+    ref = mane_potential(pendulum, 1.0, 0.0, grid_n=n, t_max=2.0,
+                         sigma_eff=SIGMA_PEND).phi.values
+    monkeypatch.setattr(lx, "search_radius", lambda model, dt, osc, n: 4.0 / n)
+    try:
+        phi = mane_potential(pendulum, 1.0, 0.0, grid_n=n, t_max=2.0,
+                             sigma_eff=SIGMA_PEND).phi.values
+    except SearchRadiusExceeded:
+        return
+    assert np.max(np.abs(phi - ref)) <= 1e-9
