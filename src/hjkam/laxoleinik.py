@@ -6,9 +6,14 @@ accuracy in the mesh.  Every pair action on the grid comes from one
 primitive, ``_pair_actions``: the generating function inside the twist
 window, a relaxed broken geodesic beyond it.  The action kernel
 ``A_tau^t(theta, theta + dd/n)`` tabulates it once per (model, horizon,
-grid, radius) and is cached; for q-homogeneous families a single
-displacement row suffices.  ``T`` and its dual share one min-plus gather
-with a boundary check that doubles the search radius.
+grid, radius) and is cached; a wider request solves only the new
+displacement columns and splices them around the cached block.  For
+q-homogeneous families a single displacement row suffices.  ``T`` and its
+dual share one min-plus gather.  Its window is the smaller of two radii:
+``search_radius`` from the a-priori action bounds, and ``velocity_radius``,
+the distance a minimizer can travel when its start momentum is bounded by
+the operand's Lipschitz constant.  A boundary check doubles the window
+whenever the discrete argmin reaches its edge.
 """
 
 from __future__ import annotations
@@ -106,8 +111,40 @@ def second_difference_bound(u: GridFunction) -> float:
 
 
 def search_radius(model: HamiltonianModel, dt: float, osc: float, n: int) -> float:
-    """Kernel search radius from the a-priori action bounds."""
+    """Kernel search radius from the a-priori action bounds.
+
+    It holds for any operand, but it bounds the potential by the Hessian
+    constant ``M``, so it is far wider than the minimizer's travel; the
+    operators take the smaller of it and ``velocity_radius``.
+    """
     return float(np.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n)
+
+
+def _grad_sups(model, times, band):
+    """``sup |H_q|`` and ``sup |H_p|`` sampled on ``[0, 1) x [-band, band]``."""
+    Q, P = np.meshgrid(np.arange(64) / 64, np.linspace(-band, band, 17), indexing="ij")
+    Hq, Hp = zip(*(model.grad(s, Q[..., None], P[..., None]) for s in times))
+    return float(np.max(np.abs(Hq))), float(np.max(np.abs(Hp)))
+
+
+def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
+                    n: int) -> float:
+    """How far the grid argmin of ``T_tau^t`` can sit from its target node.
+
+    At the argmin the one-sided differences of the action in the free
+    endpoint are bounded by ``lip``, the operand's Lipschitz constant, so
+    the minimizer starts with momentum in ``|p| <= lip`` and keeps it in
+    ``|p| <= lip + dt sup|H_q|``; it travels at most ``dt sup|H_p|`` over
+    that band.  Two cells are added: the argmin sits within one cell of
+    that start, and one cell is margin.  The sups are sampled from
+    ``model.grad`` (at the slot's times when ``H`` depends on time); the
+    operators' boundary check backs the sampling.
+    """
+    dt = t - tau
+    times = [tau] if model.autonomous else np.linspace(tau, t, 5)
+    gq, _ = _grad_sups(model, times, lip)
+    _, gp = _grad_sups(model, times, lip + dt * gq)
+    return dt * gp + 2.0 / n
 
 
 def clear_kernel_cache():
@@ -137,25 +174,31 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     """Tabulate ``A_tau^t(x_i, x_i + dd/n)`` for ``dd in [-D, D]``.
 
     Returns shape ``(rows, 2 D + 1)`` with ``rows = 1`` for q-homogeneous
-    models.  Cached; a cached kernel is grown when a wider radius is asked.
+    models.  Cached; when a wider radius is asked, only the displacements
+    ``Dc < |dd| <= D`` beyond the cached ``Dc`` are solved, in one batch,
+    and the cached columns are kept as they are.  The shooting Newton
+    shares its Jacobian refreshes across a batch, so a grown kernel can
+    differ from a fresh build within the shooting tolerance.
     """
     if model.d != 1:
         raise ConfigError("grid operators are implemented for d = 1")
     sigma = resolve_sigma(model, sigma_eff)
     key = _kernel_key(model, tau, t, n, sigma)
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None and cached.shape[1] >= 2 * D + 1:
-        Dc = (cached.shape[1] - 1) // 2
-        return cached[:, Dc - D:Dc + D + 1]
     rows = 1 if model.q_homogeneous else n
+    cached = _KERNEL_CACHE.get(key, np.empty((rows, 0)))
+    Dc = (cached.shape[1] - 1) // 2
+    if Dc >= D:
+        return cached[:, Dc - D:Dc + D + 1]
     x = np.zeros(1) if rows == 1 else np.arange(n) / n
-    dds = np.arange(-D, D + 1)
+    dds = np.setdiff1d(np.arange(-D, D + 1), np.arange(-Dc, Dc + 1))
     Q0 = np.repeat(x, len(dds))[:, None]
     Q1 = Q0 + np.tile(dds / n, rows)[:, None]
-    K = _pair_actions(model, tau, t, Q0, Q1, sigma).reshape(rows, len(dds))
+    new = _pair_actions(model, tau, t, Q0, Q1, sigma).reshape(rows, len(dds))
+    half = len(dds) // 2
+    K = np.concatenate([new[:, :half], cached, new[:, half:]], axis=1)
     # callers get views of the cached array: keep them from editing it
     K.flags.writeable = False
-    if len(_KERNEL_CACHE) >= _CACHE_LIMIT:
+    if key not in _KERNEL_CACHE and len(_KERNEL_CACHE) >= _CACHE_LIMIT:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     _KERNEL_CACHE[key] = K
     return K
@@ -177,7 +220,8 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     # sup_theta u(theta) - A(q, theta) over theta = q + dd/n, row at q
     shift = 1 if dual else -1
     jj = np.arange(n)
-    R = search_radius(model, t - tau, u.osc(), n)
+    R = min(search_radius(model, t - tau, u.osc(), n),
+            velocity_radius(model, tau, t, u.lip_estimate, n))
     D = _quantize(int(np.ceil(R * n)))
     for attempt in range(2):
         K = action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)

@@ -313,7 +313,7 @@ def mane_pair(model: HamiltonianModel, a: float, q0: float, q1: float,
               grid_n: int = 128, t_max: float = 6.0, sigma_eff=None) -> float:
     """Mane potential between torus points (fields cached per base point)."""
     key = (model.cache_key(), round(a, 12), round(float(q0) % 1.0, 12), grid_n,
-           round(resolve_sigma(model, sigma_eff), 12))
+           round(t_max, 12), round(resolve_sigma(model, sigma_eff), 12))
     field = _MANE_FIELD_CACHE.get(key)
     if field is None:
         field = mane_potential(model, a, float(q0) % 1.0, grid_n, t_max=t_max,

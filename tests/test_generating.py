@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_FREE, SIGMA_PEND
 from hjkam.errors import SigmaExceeded
@@ -78,6 +79,27 @@ def test_derivative_identities(case, free, pendulum, forced):
                - generating_batch(model, tau, t, q0 - h, q1, sigma_eff=sigma)[0]) / (2 * h)
         assert abs(np.ravel(fd1)[0] - np.ravel(r1)[0]) < 1e-5
         assert abs(np.ravel(fd0)[0] + np.ravel(r0)[0]) < 1e-5
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["free", "pendulum", "forced"]),
+       tau=st.floats(0.0, 1.0), frac=st.floats(0.1, 1.0),
+       q0=st.floats(-1.0, 1.0), dq=st.floats(-0.4, 0.4))
+def test_derivative_identities_property(free, pendulum, forced, case, tau, frac, q0, dq):
+    # dS/dq1 = rho1 and dS/dq0 = -rho0 on random pairs inside the twist window
+    model, sigma = {"free": (free, SIGMA_FREE), "pendulum": (pendulum, SIGMA_PEND),
+                    "forced": (forced, SIGMA_PEND)}[case]
+    tau = tau if not model.autonomous else 0.0
+    t, q0, q1, h = tau + frac * sigma, np.array([q0]), np.array([q0 + dq]), 1e-6
+
+    def S(a, b):
+        return generating_batch(model, tau, t, a, b, sigma_eff=sigma)[0]
+
+    _, r0, r1, _, _ = generating_batch(model, tau, t, q0, q1, sigma_eff=sigma)
+    fd1 = (S(q0, q1 + h) - S(q0, q1 - h)) / (2 * h)
+    fd0 = (S(q0 + h, q1) - S(q0 - h, q1)) / (2 * h)
+    assert abs(np.ravel(fd1)[0] - np.ravel(r1)[0]) < 1e-5
+    assert abs(np.ravel(fd0)[0] + np.ravel(r0)[0]) < 1e-5
 
 
 def test_time_derivative_is_minus_H(pendulum):

@@ -274,3 +274,84 @@ def test_dual_pair_inequalities_property(free, pendulum, n, data, name):
                  0.0, 0.1, sigma_eff=sig)
     assert np.max(td.values - u.values) <= 1e-12
     assert np.min(dt.values - u.values) >= -1e-12
+
+
+def _trig_operand(data, n):
+    # one mode k, phase and amplitude drawn so that Lip u spans 0 to 8
+    k = data.draw(st.integers(1, 3))
+    lip = data.draw(st.floats(0.0, 8.0))
+    phase = data.draw(st.floats(0.0, 1.0))
+    q = np.arange(n) / n
+    return lip / (2 * np.pi * k) * np.cos(2 * np.pi * (k * q + phase))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([16, 32, 64]), t=st.sampled_from([0.1, 0.2]),
+       name=st.sampled_from(["free", "pendulum"]), rough=st.booleans(), data=st.data())
+def test_velocity_radius_matches_wide_window(free, pendulum, n, t, name, rough, data):
+    # the right-sized window finds the same discrete extremum as the window
+    # of search_radius alone, bit for bit
+    import hjkam.laxoleinik as lx
+    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
+    u = GridFunction(1, n, _draw_values(data, n) if rough else _trig_operand(data, n))
+    for op in (apply_T, apply_T_dual):
+        sized = op(model, u, 0.0, t, sigma_eff=sig).values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: np.inf)
+            wide = op(model, u, 0.0, t, sigma_eff=sig).values
+        assert np.array_equal(sized, wide)
+
+
+def test_velocity_radius_narrows_window(pendulum):
+    from hjkam.laxoleinik import search_radius, velocity_radius
+    n, t = 256, 0.2
+    u = grid_cos(n)
+    vel = velocity_radius(pendulum, 0.0, t, u.lip_estimate, n)
+    # pendulum: sup|H_q| = 2 pi and H_p = p on the band |p| <= Lip u + 2 pi t
+    assert vel == pytest.approx(t * (u.lip_estimate + 2 * np.pi * t) + 2.0 / n, rel=1e-12)
+    assert vel < search_radius(pendulum, t, u.osc(), n) / 2
+
+
+@pytest.mark.parametrize("t, tol", [(0.1, 1e-7), (0.3, 1e-9)])
+def test_kernel_grows_by_new_columns(pendulum, monkeypatch, t, tol):
+    # growing from D = 8 to D = 24 solves only the 2 * 16 new columns.  The
+    # new pairs are shot in their own batch, and the batch-wide Jacobian
+    # refresh of the shooting Newton lets batch mates move an entry within
+    # the shooting tolerance: measured 1.9e-8 at t = 0.1 (generating
+    # function) and 2.5e-12 at t = 0.3 (relaxed chains, past sigma = 0.2)
+    import hjkam.laxoleinik as lx
+    n = 16
+    solved = []
+    pair_actions = lx._pair_actions
+
+    def counting(*args):  # (model, tau, t, Q0, Q1, sigma)
+        solved.append(len(args[3]))
+        return pair_actions(*args)
+
+    monkeypatch.setattr(lx, "_pair_actions", counting)
+    lx.clear_kernel_cache()
+    small = lx.action_kernel(pendulum, 0.0, t, n, 8, sigma_eff=SIGMA_PEND).copy()
+    grown = lx.action_kernel(pendulum, 0.0, t, n, 24, sigma_eff=SIGMA_PEND)
+    assert solved == [17 * n, 2 * 16 * n]
+    assert np.array_equal(grown[:, 16:33], small)
+    lx.action_kernel(pendulum, 0.0, t, n, 20, sigma_eff=SIGMA_PEND)
+    assert solved == [17 * n, 2 * 16 * n]  # a narrower request is a hit
+    with pytest.raises(ValueError):
+        grown[0, 0] = 1.0
+    lx.clear_kernel_cache()
+    fresh = lx.action_kernel(pendulum, 0.0, t, n, 24, sigma_eff=SIGMA_PEND)
+    assert np.max(np.abs(grown - fresh)) <= tol
+
+
+@pytest.mark.parametrize("t", [0.1, 0.2])
+@pytest.mark.parametrize("name", ["free", "quad2", "pendulum", "shifted_pendulum"])
+def test_kernel_reversible(request, name, t):
+    # autonomous and even in p: A(x, x + d) = A(x + d, x)
+    from hjkam.laxoleinik import action_kernel
+    n, D = 64, 16
+    model = request.getfixturevalue(name)
+    K = action_kernel(model, 0.0, t, n, D, sigma_eff=SIGMA_PEND)
+    dd = np.arange(-D, D + 1)
+    i = np.arange(len(K))[:, None]
+    back = K[(i + dd) % len(K), D - dd]
+    assert np.max(np.abs(K[i, D + dd] - back)) <= 1e-8

@@ -210,6 +210,17 @@ def test_invariant_sets(free, pendulum):
         assert np.min(np.sqrt(dq ** 2 + (pts[:, 1] - du[i]) ** 2)) <= inv.tol_graph
 
 
+def test_mane_pair_cache_keys_on_t_max(pendulum):
+    # a field scanned to t_max = 6 must not answer for a scan cut at 0.3,
+    # where the potential still descends and the level reads sub-critical
+    import hjkam.weakkam as wk
+    wk._MANE_FIELD_CACHE.clear()
+    args = (pendulum, 1.0, 0.0, 0.5)
+    assert mane_pair(*args, grid_n=32, t_max=6.0, sigma_eff=SIGMA_PEND) > 0.5
+    with pytest.raises(LevelBelowCritical):
+        mane_pair(*args, grid_n=32, t_max=0.3, sigma_eff=SIGMA_PEND)
+
+
 def test_calibration_on_aubry_nodes(pendulum):
     # T^t u + t alpha = u = dual - t alpha on the marked set
     from hjkam.laxoleinik import apply_T, apply_T_dual
