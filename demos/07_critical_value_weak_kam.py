@@ -1,9 +1,11 @@
 """Critical value and weak KAM solutions for mechanical models.
 
-Evolving the zero function drifts linearly at rate -alpha; for mechanical
-Hamiltonians alpha equals max V.  The monotone fixed-point iteration then
-produces the weak KAM solution, which for the pendulum matches the
-quadrature of u' = sqrt(2 (alpha - V)) glued at its single downward kink.
+On the grid the Lax-Oleinik operator is min-plus linear, so iterating it
+from zero makes the increment T^t v - v constant after a few steps: that
+constant is -alpha t, and for mechanical Hamiltonians alpha equals max V.
+The same iteration of T^t u + t alpha from a sub-solution seed stops at a
+min-plus eigenvector, the weak KAM solution, which for the pendulum matches
+the quadrature of u' = sqrt(2 (alpha - V)) glued at its single downward kink.
 """
 
 import numpy as np

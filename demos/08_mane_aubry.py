@@ -2,8 +2,8 @@
 
 At the critical level the pendulum's Mane potential from the hilltop is
 the weak KAM solution; calibrated orbits ride the separatrix H = 1, the
-Aubry mask pins the hyperbolic point, and backward-pruned graph seeds
-collapse onto it.
+Aubry mask (the critical graph of the grid operator) is the hyperbolic
+point alone, and backward-pruned graph seeds collapse onto it.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ print(f"max |H - 1| along the orbit: {np.max(np.abs(traj.energy - 1.0)):.2e}")
 print("\n== Aubry set and invariant set ==")
 res = aubry_set(model, grid_n=128, sigma_eff=SIGMA)
 print(f"alpha = {res.alpha:.8f}; marked nodes {list(res.marked_nodes())} "
-      f"(the hilltop q = 0, within one cell)")
+      f"(the hilltop q = 0: its self-loop is the only critical cycle)")
 wk = weak_kam_solve(model, grid_n=128, alpha=res.alpha, t_step=0.1, sigma_eff=SIGMA)
 inv = invariant_set(model, wk.u, t_step=0.2, n_steps=40)
 print(f"graph seeds surviving backward pruning: {len(inv.points)}; "

@@ -243,7 +243,8 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     if init_nodes is not None and n > 1:
         pts[:, 1:-1, :] = init_nodes
     if tol_crit is None:
-        scale = 1.0 + np.max(np.linalg.norm(Q1 - Q0, axis=1)) / max(t - tau, 1e-12)
+        # per chain, so that a chain's result does not depend on its batch
+        scale = 1.0 + np.linalg.norm(Q1 - Q0, axis=1) / max(t - tau, 1e-12)
         tol_crit = TOL_CRIT_BASE * scale
     pts, jumps, S, rho0, _ = _relax_chain(model, tau, t, pts, sig, step_target,
                                           max_sweeps, tol_crit)

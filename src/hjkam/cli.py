@@ -242,16 +242,14 @@ def dispatch(config: RunConfig) -> int:
         log_lines.append(f"phi range [{res.phi.values.min():.6g}, "
                          f"{res.phi.values.max():.6g}]")
     elif config.command == "aubry":
-        res = aubry_set(model, grid_n=config.grid_n, eps=opts.get("eps"),
-                        sigma_eff=sigma)
+        res = aubry_set(model, grid_n=config.grid_n, sigma_eff=sigma)
         rows = ["node,q"]
         for i in res.marked_nodes():
             rows.append(f"{i},{i / config.grid_n:.17g}")
         with open(out("aubry_mask.csv"), "w", newline="") as fh:
             fh.write("\n".join(rows) + "\n")
         files.append(out("aubry_mask.csv"))
-        summary.update({"alpha": res.alpha, "eps": res.eps,
-                        "marked": res.marked_nodes()})
+        summary.update({"alpha": res.alpha, "marked": res.marked_nodes()})
         log_lines.append(f"alpha={res.alpha:.8g} marked={len(res.marked_nodes())}")
     elif config.command == "calibrate":
         traj = calibrated_curve(model, float(opts["a"]), float(opts["q0"]),
@@ -371,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=6.0)
 
     p = sub.add_parser("aubry"); common(p)
-    p.add_argument("--eps", type=float, default=None)
 
     p = sub.add_parser("calibrate"); common(p)
     p.add_argument("--a", type=float, required=True)

@@ -61,7 +61,9 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
     Residual evaluations integrate the state only; the ``dQ/dp`` Jacobian
     block is refreshed every few accepted steps (it varies slowly in p
     within the twist window).  A warm Jacobian from a coarser grid can be
-    passed in via ``J``.
+    passed in via ``J``.  Each row keeps its own refresh count and stall
+    test, and only rows still above ``tol`` are refreshed, so a row's
+    result does not depend on the other rows of its batch.
     """
     if J is None:
         Q, J = _jacobian(model, tau, t, Q0, p, n_steps)
@@ -69,7 +71,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
         Q = integrate_batch(model, tau, t, Q0, p, n_steps)[0]
     F = Q - Q1
     res = np.linalg.norm(F, axis=-1)
-    since_refresh = 0
+    since_refresh = np.zeros(res.shape, int)
     for _ in range(max_iter):
         active = res > tol
         if not active.any():
@@ -90,10 +92,11 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
         F = np.where(accept[..., None], Ft, F)
         res = np.where(accept, rt, res)
         since_refresh += 1
-        stalled = (active & ~accept).any()
-        if (res > tol).any() and (stalled or since_refresh >= refresh_every):
-            _, J = _jacobian(model, tau, t, Q0, p, n_steps)
-            since_refresh = 0
+        stale = (res > tol) & ((active & ~accept) | (since_refresh >= refresh_every))
+        if stale.any():
+            J = J.copy()
+            J[stale] = _jacobian(model, tau, t, Q0[stale], p[stale], n_steps)[1]
+            since_refresh[stale] = 0
     return p, res, J
 
 

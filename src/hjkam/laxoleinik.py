@@ -176,9 +176,7 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     Returns shape ``(rows, 2 D + 1)`` with ``rows = 1`` for q-homogeneous
     models.  Cached; when a wider radius is asked, only the displacements
     ``Dc < |dd| <= D`` beyond the cached ``Dc`` are solved, in one batch,
-    and the cached columns are kept as they are.  The shooting Newton
-    shares its Jacobian refreshes across a batch, so a grown kernel can
-    differ from a fresh build within the shooting tolerance.
+    and the cached columns are kept as they are.
     """
     if model.d != 1:
         raise ConfigError("grid operators are implemented for d = 1")
@@ -210,6 +208,7 @@ def _quantize(D: int) -> int:
 
 
 def _min_plus(model, u, tau, t, sigma_eff, dual):
+    """Image of ``u`` and, per node, the node theta that attains it."""
     if not model.periodic:
         raise ConfigError("Lax-Oleinik operators need a periodic model")
     if not t > tau:
@@ -232,7 +231,7 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
             u.values[I], K[rowidx, np.arange(2 * D + 1)[:, None]])
         best = (np.argmax if dual else np.argmin)(cand, axis=0)
         if not np.any(np.abs(dds[best]) >= D):
-            return GridFunction(1, n, cand[best, jj])
+            return GridFunction(1, n, cand[best, jj]), I[best, jj]
         D = _quantize(2 * D)
     raise SearchRadiusExceeded("discrete infimum still attained on the doubled "
                                f"search boundary (D = {D})")
@@ -241,13 +240,13 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
 def apply_T(model: HamiltonianModel, u: GridFunction, tau: float, t: float,
             sigma_eff=None) -> GridFunction:
     """Forward Lax-Oleinik operator: ``inf_theta u(theta) + A_tau^t(theta, q)``."""
-    return _min_plus(model, u, tau, t, sigma_eff, dual=False)
+    return _min_plus(model, u, tau, t, sigma_eff, dual=False)[0]
 
 
 def apply_T_dual(model: HamiltonianModel, u: GridFunction, tau: float, t: float,
                  sigma_eff=None) -> GridFunction:
     """Backward operator: ``sup_theta u(theta) - A_tau^t(q, theta)``."""
-    return _min_plus(model, u, tau, t, sigma_eff, dual=True)
+    return _min_plus(model, u, tau, t, sigma_eff, dual=True)[0]
 
 
 def default_delta(model: HamiltonianModel, u: GridFunction, t: float,

@@ -1,18 +1,24 @@
 """Critical value, weak KAM solutions, Mane potential, and Aubry sets.
 
-The periodic critical value comes from the linear drift of the evolved
-zero function; weak KAM solutions and the Aubry mask from the monotone
-fixed-point iteration, both seeded by the one certified sub-solution of
-``_subsolution_seed``.  Pair actions come from the grid layer's
-``_pair_actions`` and every operator step from ``apply_T``.  The Mane
-potential scans horizons on a log grid and continues past the twist window
-by ``apply_T``; invariant sets prune backward-flowed graph seeds against
-the graph neighborhood.
+On the grid ``T^t`` is min-plus linear in its action kernel K, so iterating
+it from any start makes the increment ``T^t v - v`` constant after finitely
+many steps: the constant is the min-plus eigenvalue of K (its minimum cycle
+mean, which is ``-alpha t``) and v is an eigenvector, a discrete weak KAM
+solution.  One loop, ``_eigen_iterate``, runs that iteration for the
+critical value (from zero), for weak KAM solutions (from a certified
+sub-solution seed or a given operand) and for the Aubry mask, which marks
+the critical graph: the nodes on cycles of the converged argmin map.  With
+several static classes the eigenvector is not unique; the one returned is
+the one the iteration reaches from its start.  Pair actions come from the
+grid layer's ``_pair_actions`` and every operator step from ``apply_T``.
+The Mane potential scans horizons on a log grid and continues past the
+twist window by ``apply_T``; invariant sets prune backward-flowed graph
+seeds against the graph neighborhood.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,8 +27,7 @@ from .action import minimal_action, reconstruct_trajectory
 from .errors import ConfigError, LevelBelowCritical, NonConvergence
 from .flow import Trajectory, integrate_batch, resolve_sigma
 from .hamiltonian import HamiltonianModel, check_hypotheses
-from .laxoleinik import (GridFunction, _pair_actions, apply_T, regularize_R,
-                         semiconcavity_constant)
+from .laxoleinik import GridFunction, _min_plus, _pair_actions, apply_T, regularize_R
 
 TOL_ALPHA = 1e-2
 TOL_WK = 5e-3
@@ -31,7 +36,7 @@ TOL_ITER = 1e-9
 
 @dataclass
 class WeakKamResult:
-    """Critical-value estimate and (optionally) a weak KAM fixed point."""
+    """Critical value with the weak KAM fixed point that produced it."""
 
     alpha: float
     u: Optional[GridFunction]
@@ -39,7 +44,6 @@ class WeakKamResult:
     t_probe: Optional[float]
     history: list
     converged: bool = True
-    step_defects: list = field(default_factory=list)
     u_raw: Optional[GridFunction] = None
 
     def to_dict(self) -> dict:
@@ -59,41 +63,47 @@ def _require_torus(model):
         raise ConfigError("weak KAM grid computations are implemented for d = 1")
 
 
+def _eigen_iterate(model, v, t, shift, t_max, sigma_eff, tol):
+    """Iterate ``v <- T^t v + shift`` until the increment is constant.
+
+    Returns the last iterate, the last increment, the ``(time, max, min)``
+    history and whether ``ptp(increment) <= tol`` was reached within
+    ``t_max``.
+    """
+    history = []
+    for k in range(1, int(np.ceil(t_max / t - 1e-9)) + 1):
+        nxt = apply_T(model, v, 0.0, t, sigma_eff=sigma_eff).shifted(shift)
+        inc = nxt.values - v.values
+        v = nxt
+        history.append((k * t, float(v.values.max()), float(v.values.min())))
+        if np.ptp(inc) <= tol:
+            return v, inc, history, True
+    return v, inc, history, False
+
+
 def critical_value(model: HamiltonianModel, grid_n: int = 128, t_step: float = 0.2,
                    t_max: float = 8.0, sigma_eff=None,
                    tol_alpha: float = TOL_ALPHA) -> WeakKamResult:
-    """Estimate the periodic critical value from the drift of ``T^t 0``.
+    """Periodic critical value: the min-plus eigenvalue of ``T^t`` on the grid.
 
-    Fits ``max_q T^t 0 = c - alpha t`` over the recorded tail and
-    cross-checks against the minimum; the two drifts must agree within
-    ``tol_alpha`` and honor the sandwich at the largest horizon.
+    Iterates ``T^t`` from zero until the increment ``T^t v - v`` is constant
+    and reads ``alpha = -mean(increment) / t``, which is ``-lambda / t`` for
+    the minimum cycle mean ``lambda`` of the kernel.  The result carries the
+    eigenvector reached from zero in ``u_raw`` (and min-normalised in ``u``).
+    ``t_max`` caps the iteration: NonConvergence, with the partial result,
+    when the increment still spreads there, or when alpha leaves ``[-M, M]``.
     """
     _require_torus(model)
-    v = GridFunction(1, grid_n, np.zeros(grid_n))
-    history = []
-    k_max = int(np.ceil(t_max / t_step - 1e-9))
-    for k in range(1, k_max + 1):
-        v = apply_T(model, v, 0.0, t_step, sigma_eff=sigma_eff)
-        history.append((k * t_step, float(v.values.max()), float(v.values.min())))
-    ts = np.array([h[0] for h in history])
-    a_plus = np.array([h[1] for h in history])
-    a_minus = np.array([h[2] for h in history])
-    tail = ts >= ts[-1] / 2
-    design = np.stack([np.ones(tail.sum()), ts[tail]], axis=1)
-    coef_p = np.linalg.lstsq(design, a_plus[tail], rcond=None)[0]
-    coef_m = np.linalg.lstsq(design, a_minus[tail], rcond=None)[0]
-    alpha = -float(coef_p[1])
-    alpha_minus = -float(coef_m[1])
-    result = WeakKamResult(alpha=alpha, u=None, residual=None, t_probe=t_step,
-                           history=history, converged=True)
-    if abs(alpha - alpha_minus) > tol_alpha:
-        result.converged = False
-        raise NonConvergence(f"drift estimates disagree: {alpha:.6g} vs "
-                             f"{alpha_minus:.6g}", result=result)
-    T = ts[-1]
-    if not (a_minus[-1] / T - tol_alpha <= -alpha <= a_plus[-1] / T + tol_alpha):
-        result.converged = False
-        raise NonConvergence("alpha escapes the a^±(t)/t sandwich", result=result)
+    zero = GridFunction(1, grid_n, np.zeros(grid_n))
+    v, inc, history, converged = _eigen_iterate(model, zero, t_step, 0.0, t_max,
+                                                sigma_eff, TOL_ITER)
+    alpha = -float(np.mean(inc)) / t_step
+    u_norm = GridFunction(1, grid_n, v.values - v.values.min())
+    result = WeakKamResult(alpha=alpha, u=u_norm, residual=None, t_probe=t_step,
+                           history=history, converged=converged, u_raw=v)
+    if not converged:
+        raise NonConvergence(f"increment of T^t still spreads {np.ptp(inc):.3e} "
+                             f"at t = {history[-1][0]:.6g}", result=result)
     report = check_hypotheses(model, n_samples=64)
     if not (-report.M_emp - tol_alpha <= alpha <= report.M_emp + tol_alpha):
         result.converged = False
@@ -139,8 +149,8 @@ def is_subsolution(model: HamiltonianModel, u: GridFunction, a: float,
     horizons = sig * (0.25 + 0.75 * np.arange(n_times) / max(n_times - 1, 1))
     for t in horizons:
         act = _torus_pair_actions(model, float(t), i / n, j / n, sig)
-        gap = u.values[j] - u.values[i] - act - a * t
-        worst = max(worst, float(gap.max()))
+        excess = u.values[j] - u.values[i] - act - a * t
+        worst = max(worst, float(excess.max()))
     _, _, du_c, consistent = _slopes(u)
     if consistent.any():
         qs = u.nodes[consistent][:, None]
@@ -166,46 +176,37 @@ def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
                    alpha: Optional[float] = None, t_step: float = 0.1,
                    t_max: float = 40.0, sigma_eff=None, u0: Optional[GridFunction] = None,
                    tol_wk: float = TOL_WK, tol_iter: float = TOL_ITER) -> WeakKamResult:
-    """Weak KAM solution as the monotone limit of ``T^t u0 + t alpha``.
+    """Weak KAM solution as the limit of ``T^t u + t alpha`` from a seed.
 
-    The seed is a certified sub-solution (the zero function when it
-    certifies, else a regularized Mane potential), which makes the iterates
-    nondecreasing; iteration stops at stationarity.  Raises NonConvergence
-    with the partial result attached when the defect plateaus above
-    ``tol_wk`` (as it does off the critical level).
+    The seed is ``u0`` or, by default, a certified sub-solution (the zero
+    function when it certifies, else a regularized Mane potential).  The
+    iteration stops once the increment is constant, which is a min-plus
+    eigenvector of ``T^t``; with several static classes it is the one
+    reached from the seed.  When ``alpha`` is None it is the critical value
+    at ``t_step``.  The fixed-point residual decides the result: off the
+    critical level the increment settles at ``t (alpha - alpha_c)`` and the
+    residual keeps it.  Raises NonConvergence, with the partial result,
+    when the residual exceeds ``tol_wk`` or the cap ``t_max`` is hit.
     """
     _require_torus(model)
+    if u0 is not None and u0.n_per_dim != grid_n:
+        raise ConfigError(f"u0 has {u0.n_per_dim} nodes, grid_n is {grid_n}")
     if alpha is None:
-        sig = resolve_sigma(model, sigma_eff)
-        alpha = critical_value(model, grid_n=grid_n,
-                               t_step=min(max(t_step, 0.1), sig),
+        alpha = critical_value(model, grid_n=grid_n, t_step=t_step,
                                sigma_eff=sigma_eff).alpha
     u = _subsolution_seed(model, alpha, grid_n, sigma_eff) if u0 is None else u0
-    history = []
-    defects = []
-    k_max = int(np.ceil(t_max / t_step - 1e-9))
-    converged = False
-    for k in range(1, k_max + 1):
-        nxt = apply_T(model, u, 0.0, t_step, sigma_eff=sigma_eff)
-        nxt = nxt.shifted(t_step * alpha)
-        defect = float(np.max(np.abs(nxt.values - u.values)))
-        defects.append(defect)
-        u = nxt
-        history.append((k * t_step, float(u.values.max()), float(u.values.min())))
-        if defect <= tol_iter:
-            converged = True
-            break
-        if len(defects) >= 6 and defect > 0.1 * tol_wk:
-            recent = defects[-5:]
-            if max(recent) - min(recent) < 0.01 * defect:
-                break
+    u, _, history, converged = _eigen_iterate(model, u, t_step, t_step * alpha, t_max,
+                                              sigma_eff, tol_iter)
     residual = fixed_point_residual(model, u, alpha, t_step, sigma_eff=sigma_eff)
     u_norm = GridFunction(1, grid_n, u.values - u.values.min())
     result = WeakKamResult(alpha=alpha, u=u_norm, residual=residual, t_probe=t_step,
                            history=history, converged=converged and residual <= tol_wk,
-                           step_defects=defects, u_raw=u)
+                           u_raw=u)
     if residual > tol_wk:
         raise NonConvergence(f"fixed-point residual {residual:.3e} > {tol_wk:.1e}",
+                             result=result)
+    if not converged:
+        raise NonConvergence(f"increment still spreads at t = {history[-1][0]:.6g}",
                              result=result)
     return result
 
@@ -399,53 +400,36 @@ def calibrated_curve(model: HamiltonianModel, a: float, q0: float, q1: float,
 
 @dataclass
 class AubryResult:
-    """Numerical Aubry mask with the data that produced it."""
+    """Numerical Aubry mask with the eigenvector that produced it."""
 
     mask: np.ndarray
     alpha: float
-    gap: np.ndarray
-    eps: float
-    u_start: GridFunction
     u_limit: GridFunction
 
     def marked_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
 
-def aubry_set(model: HamiltonianModel, grid_n: int = 128,
-              eps: Optional[float] = None, sigma_eff=None,
-              alpha: Optional[float] = None, t_step: float = 0.1) -> AubryResult:
-    """Aubry mask: nodes where the monotone limit does not move off the seed.
+def aubry_set(model: HamiltonianModel, grid_n: int = 128, sigma_eff=None,
+              t_step: float = 0.1) -> AubryResult:
+    """Aubry mask: the critical graph of ``T^t`` on the grid.
 
-    The seed is a certified sub-solution u0; the limit of ``T^t u0 + t
-    alpha`` strictly exceeds u0 off the Aubry set, so small relative gap
-    marks the set.  The threshold scales with the limit's curvature times
-    the squared mesh (the gap grows quadratically off a nondegenerate
-    Aubry point); the minimizing node is always marked.
+    ``alpha`` and the eigenvector ``u_limit`` come from one ``critical_value``
+    call at ``t_step``.  The mask marks the nodes on cycles of the argmin
+    map of ``T^t`` at ``u_limit``; each such cycle is a cycle of minimum mean
+    ``-alpha t`` in the kernel.  With several static classes the eigenvector
+    reached from zero decides which critical cycles the argmin map keeps.
     """
     _require_torus(model)
-    sig = resolve_sigma(model, sigma_eff)
-    t_step = min(t_step, sig)
-    if alpha is None:
-        alpha = critical_value(model, grid_n=grid_n, t_step=min(0.2, sig),
-                               sigma_eff=sigma_eff).alpha
-    u0 = _subsolution_seed(model, alpha, grid_n, sigma_eff)
-    try:
-        res = weak_kam_solve(model, grid_n=grid_n, alpha=alpha, t_step=t_step,
-                             sigma_eff=sigma_eff, u0=u0)
-    except NonConvergence as exc:
-        if exc.result is None or exc.result.u_raw is None:
-            raise
-        res = exc.result
-    gap = res.u_raw.values - u0.values
-    rel = gap - gap.min()
-    if eps is None:
-        curv = max(semiconcavity_constant(res.u_raw), 0.0)
-        eps = max(50 * TOL_ITER, 0.75 * curv / grid_n ** 2)
-    mask = rel <= eps
-    mask[int(np.argmin(rel))] = True
-    return AubryResult(mask=mask, alpha=alpha, gap=gap, eps=float(eps),
-                       u_start=u0, u_limit=res.u_raw)
+    t_step = min(t_step, resolve_sigma(model, sigma_eff))
+    res = critical_value(model, grid_n=grid_n, t_step=t_step, sigma_eff=sigma_eff)
+    _, src = _min_plus(model, res.u_raw, 0.0, t_step, sigma_eff, dual=False)
+    # after n steps every node sits on a cycle, and f^n maps onto the cycles
+    for _ in range(int(np.ceil(np.log2(grid_n)))):
+        src = src[src]
+    mask = np.zeros(grid_n, bool)
+    mask[src] = True
+    return AubryResult(mask=mask, alpha=res.alpha, u_limit=res.u_raw)
 
 
 @dataclass
