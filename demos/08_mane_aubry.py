@@ -1,9 +1,11 @@
 """Mane potential, calibrated orbits, and the Aubry/invariant sets.
 
-At the critical level the pendulum's Mane potential from the hilltop is
-the weak KAM solution; calibrated orbits ride the separatrix H = 1, the
-Aubry mask (the critical graph of the grid operator) is the hyperbolic
-point alone, and backward-pruned graph seeds collapse onto it.
+The Mane potential is a shortest path on the grid's kernel graph (edges
+``A^h + a h`` over a few horizons h).  At the critical level the
+pendulum's Mane potential from the hilltop is the weak KAM solution;
+calibrated orbits ride the separatrix H = 1, the Aubry mask (the critical
+graph of the grid operator) is the hyperbolic point alone, and
+backward-pruned graph seeds collapse onto it.
 """
 
 import numpy as np

@@ -226,8 +226,7 @@ def dispatch(config: RunConfig) -> int:
         log_lines.append(f"alpha={res.alpha:.8g} residual={res.residual:.3e}")
     elif config.command == "mane":
         res = mane_potential(model, float(opts["a"]), float(opts.get("q_base", 0.0)),
-                             grid_n=config.grid_n,
-                             t_max=float(opts.get("t_max", 6.0)), sigma_eff=sigma)
+                             grid_n=config.grid_n, sigma_eff=sigma)
         res.phi.save(out("phi.gridfn"))
         files.append(out("phi.gridfn"))
         rows = ["q,phi,t_argmin"]
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mane"); common(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--q-base", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=6.0)
 
     p = sub.add_parser("aubry"); common(p)
 

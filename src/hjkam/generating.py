@@ -62,8 +62,9 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
     block is refreshed every few accepted steps (it varies slowly in p
     within the twist window).  A warm Jacobian from a coarser grid can be
     passed in via ``J``.  Each row keeps its own refresh count and stall
-    test, and only rows still above ``tol`` are refreshed, so a row's
-    result does not depend on the other rows of its batch.
+    test, only rows still above ``tol`` are refreshed, and the line search
+    integrates only the rows still backtracking, so a row's result does not
+    depend on the other rows of its batch.
     """
     if J is None:
         Q, J = _jacobian(model, tau, t, Q0, p, n_steps)
@@ -78,15 +79,18 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
             break
         step = _solve_step(J, F)
         lam = np.ones_like(res)
+        p_try, Ft, rt = p.copy(), F.copy(), res.copy()
+        # only the rows still backtracking are integrated on each trial
+        trying = np.flatnonzero(active)
         for _bt in range(12):
-            p_try = p + np.where(active, lam, 0.0)[..., None] * step
-            Qt = integrate_batch(model, tau, t, Q0, p_try, n_steps)[0]
-            Ft = Qt - Q1
-            rt = np.linalg.norm(Ft, axis=-1)
-            ok = (rt <= (1 - 0.25 * lam) * res) | ~active
-            if ok.all():
+            p_try[trying] = p[trying] + lam[trying, None] * step[trying]
+            Ft[trying] = integrate_batch(model, tau, t, Q0[trying], p_try[trying],
+                                         n_steps)[0] - Q1[trying]
+            rt[trying] = np.linalg.norm(Ft[trying], axis=-1)
+            trying = trying[~(rt[trying] <= (1 - 0.25 * lam[trying]) * res[trying])]
+            if not len(trying):
                 break
-            lam = np.where(ok, lam, lam * 0.5)
+            lam[trying] *= 0.5
         accept = (rt < res) & active
         p = np.where(accept[..., None], p_try, p)
         F = np.where(accept[..., None], Ft, F)

@@ -5,15 +5,17 @@ it from any start makes the increment ``T^t v - v`` constant after finitely
 many steps: the constant is the min-plus eigenvalue of K (its minimum cycle
 mean, which is ``-alpha t``) and v is an eigenvector, a discrete weak KAM
 solution.  One loop, ``_eigen_iterate``, runs that iteration for the
-critical value (from zero), for weak KAM solutions (from a certified
-sub-solution seed or a given operand) and for the Aubry mask, which marks
-the critical graph: the nodes on cycles of the converged argmin map.  With
-several static classes the eigenvector is not unique; the one returned is
-the one the iteration reaches from its start.  Pair actions come from the
-grid layer's ``_pair_actions`` and every operator step from ``apply_T``.
-The Mane potential scans horizons on a log grid and continues past the
-twist window by ``apply_T``; invariant sets prune backward-flowed graph
-seeds against the graph neighborhood.
+critical value (from zero), for weak KAM solutions (from the critical
+value's eigenvector, zero, or a given operand) and for the Aubry mask,
+which marks the critical graph: the nodes on cycles of the converged argmin
+map.  With several static classes the eigenvector is not unique; the one
+returned is the one the iteration reaches from its start.  Pair actions
+come from the grid layer's ``_pair_actions`` and every operator step from
+``apply_T``.  The Mane potential is a shortest path on the kernel graph:
+the nodes are the grid, the edges are kernel entries ``A^h + a h`` over a
+few horizons h, and its all-pairs distances come from Johnson's algorithm,
+whose negative cycles mark the sub-critical levels.  Invariant sets prune
+backward-flowed graph seeds against the graph neighborhood.
 """
 
 from __future__ import annotations
@@ -22,16 +24,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.csgraph import NegativeCycleError, csgraph_from_dense, johnson
 
 from .action import minimal_action, reconstruct_trajectory
 from .errors import ConfigError, LevelBelowCritical, NonConvergence
 from .flow import Trajectory, integrate_batch, resolve_sigma
 from .hamiltonian import HamiltonianModel, check_hypotheses
-from .laxoleinik import GridFunction, _min_plus, _pair_actions, apply_T, regularize_R
+from .laxoleinik import GridFunction, _min_plus, _pair_actions, action_kernel, apply_T
 
 TOL_ALPHA = 1e-2
 TOL_WK = 5e-3
 TOL_ITER = 1e-9
+MANE_HORIZONS = 8
+# rounding allowance on a self-loop of the kernel graph at the critical level
+LOOP_TOL = 1e-12
 
 
 @dataclass
@@ -159,42 +165,32 @@ def is_subsolution(model: HamiltonianModel, u: GridFunction, a: float,
     return worst <= slack, worst
 
 
-def _subsolution_seed(model, alpha, grid_n, sigma_eff):
-    """Certified sub-solution at level ``alpha``: the zero function when it
-    certifies, else the regularized Mane potential just above the level."""
-    zero = GridFunction(1, grid_n, np.zeros(grid_n))
-    ok, _ = is_subsolution(model, zero, alpha + 1e-6, n_pairs=64, slack=1e-9,
-                           sigma_eff=sigma_eff)
-    if ok:
-        return zero
-    u0 = mane_potential(model, alpha + 1e-3, 0.0, grid_n, sigma_eff=sigma_eff).phi
-    return regularize_R(model, u0, 0.0, min(0.5, 2 * resolve_sigma(model, sigma_eff)),
-                        sigma_eff=sigma_eff)
-
-
 def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
                    alpha: Optional[float] = None, t_step: float = 0.1,
                    t_max: float = 40.0, sigma_eff=None, u0: Optional[GridFunction] = None,
                    tol_wk: float = TOL_WK, tol_iter: float = TOL_ITER) -> WeakKamResult:
     """Weak KAM solution as the limit of ``T^t u + t alpha`` from a seed.
 
-    The seed is ``u0`` or, by default, a certified sub-solution (the zero
-    function when it certifies, else a regularized Mane potential).  The
-    iteration stops once the increment is constant, which is a min-plus
-    eigenvector of ``T^t``; with several static classes it is the one
-    reached from the seed.  When ``alpha`` is None it is the critical value
-    at ``t_step``.  The fixed-point residual decides the result: off the
-    critical level the increment settles at ``t (alpha - alpha_c)`` and the
-    residual keeps it.  Raises NonConvergence, with the partial result,
-    when the residual exceeds ``tol_wk`` or the cap ``t_max`` is hit.
+    The seed is ``u0`` when given.  Otherwise, when ``alpha`` is None, alpha
+    and the seed are the critical value at ``t_step`` and the eigenvector
+    ``critical_value`` reached, so the iteration is not run a second time;
+    when ``alpha`` is given, the seed is zero.  The iteration stops once the
+    increment is constant, which is a min-plus eigenvector of ``T^t``; with
+    several static classes it is the one reached from the seed.  The
+    fixed-point residual decides the result: off the critical level the
+    increment settles at ``t (alpha - alpha_c)`` and the residual keeps it.
+    Raises NonConvergence, with the partial result, when the residual
+    exceeds ``tol_wk`` or the cap ``t_max`` is hit.
     """
     _require_torus(model)
     if u0 is not None and u0.n_per_dim != grid_n:
         raise ConfigError(f"u0 has {u0.n_per_dim} nodes, grid_n is {grid_n}")
     if alpha is None:
-        alpha = critical_value(model, grid_n=grid_n, t_step=t_step,
-                               sigma_eff=sigma_eff).alpha
-    u = _subsolution_seed(model, alpha, grid_n, sigma_eff) if u0 is None else u0
+        crit = critical_value(model, grid_n=grid_n, t_step=t_step, sigma_eff=sigma_eff)
+        alpha, seed = crit.alpha, crit.u_raw
+    else:
+        seed = GridFunction(1, grid_n, np.zeros(grid_n))
+    u = seed if u0 is None else u0
     u, _, history, converged = _eigen_iterate(model, u, t_step, t_step * alpha, t_max,
                                               sigma_eff, tol_iter)
     residual = fixed_point_residual(model, u, alpha, t_step, sigma_eff=sigma_eff)
@@ -220,113 +216,115 @@ def fixed_point_residual(model: HamiltonianModel, u: GridFunction, alpha: float,
 
 @dataclass
 class ManeField:
-    """Mane potential from a base point, with minimizing horizons."""
+    """Mane potential from a base point, with the horizons of its paths."""
 
     a: float
     q_base: float
     phi: GridFunction
     t_argmin: np.ndarray
-    t_grid: np.ndarray
-    action_rows: np.ndarray = None
 
 
-def _action_rows_from_base(model, q_base, grid_n, t_short, n_long, delta,
-                           sigma_eff):
-    """Rows ``A^t(q_base, x_j)`` (torus minimum over windings).
+def _kernel_graph(model, a, n, sig):
+    """Cheapest edge ``x_i -> x_j`` of the kernel graph at level ``a``, and
+    the horizon it takes.
 
-    Short horizons are evaluated directly by batched shooting; horizons
-    past the twist window continue the last row by ``apply_T`` over
-    ``delta`` (the discrete concatenation identity).
+    The edges are the entries ``A^h(x_i, x_i + dd/n) + a h`` of the
+    all-pairs ``action_kernel`` (``|dd| <= n // 2``) at ``MANE_HORIZONS``
+    geometric horizons from ``1/n`` to ``sig``.  Joining two edges joins two
+    orbits, so a path costs the action of a broken orbit plus ``a`` times
+    its duration.
     """
-    targets = np.arange(grid_n) / grid_n
-    base = np.full(grid_n, float(q_base))
-    ts = [float(t) for t in t_short]
-    rows = [_torus_pair_actions(model, t, base, targets, sigma_eff) for t in ts]
-    for _ in range(n_long):
-        rows.append(apply_T(model, GridFunction(1, grid_n, rows[-1]), 0.0, delta,
-                            sigma_eff=sigma_eff).values)
-        ts.append(ts[-1] + delta)
-    return np.asarray(ts), np.stack(rows)
+    D = n // 2
+    i = np.arange(n)[:, None]
+    j = (i + np.arange(-D, D + 1)) % n
+    hs = np.geomspace(min(1.0 / n, sig), sig, MANE_HORIZONS)
+    E = np.full((len(hs), n, n), np.inf)
+    for E_h, h in zip(E, hs):
+        K = action_kernel(model, 0.0, h, n, D, sigma_eff=sig) + a * h
+        # |dd| = n/2 reaches the same node both ways round: keep the cheaper
+        np.minimum.at(E_h, (np.broadcast_to(i, j.shape), j), np.broadcast_to(K, j.shape))
+    k = np.argmin(E, axis=0)
+    return np.min(E, axis=0), hs[k]
 
 
-def _parabolic_min(ts, rows, k):
-    """Value at the parabola through three bracketing samples per column."""
-    j = np.arange(rows.shape[1])
-    k0 = np.clip(k, 1, len(ts) - 2)
-    f0, f1, f2 = rows[k0 - 1, j], rows[k0, j], rows[k0 + 1, j]
-    t0, t1, t2 = ts[k0 - 1], ts[k0], ts[k0 + 1]
-    denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
-    aa = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
-    bb = (t2 * t2 * (f0 - f1) + t1 * t1 * (f2 - f0) + t0 * t0 * (f1 - f2)) / denom
-    t_star = np.where(aa > 1e-12, -bb / (2 * np.maximum(aa, 1e-12)), t1)
-    t_star = np.clip(t_star, t0, t2)
-    cc = f1 - aa * t1 * t1 - bb * t1
-    val = aa * t_star * t_star + bb * t_star + cc
-    interior = (k > 0) & (k < len(ts) - 1) & (aa > 1e-12)
-    raw = rows[k, j]
-    return np.where(interior, np.minimum(val, raw), raw), np.where(interior, t_star, ts[k])
+_MANE_CACHE: dict = {}
 
 
-def _mane_scan(model, a, q_base, grid_n, t_max, sigma_eff):
+def _mane_star(model, a, n, sigma_eff):
+    """All-pairs shortest paths ``S`` of the kernel graph, and the summed
+    edge horizons ``T`` along them.
+
+    ``S[i, j]`` is the grid Mane potential from ``x_i`` to ``x_j``.
+    Self-loops are dropped: at or above the critical level they cost zero
+    up to rounding, and a shortest path never needs one.  A loop below
+    ``-LOOP_TOL``, or a negative cycle found by Johnson's algorithm, means
+    the level is sub-critical.  Cached read-only per (model, a, n, sigma).
+    """
     sig = resolve_sigma(model, sigma_eff)
-    if model.q_homogeneous:
-        # direct rows over a dense log grid: segments are exact here
-        t_all = np.geomspace(0.1 / grid_n, t_max, 80)
-        ts, act = _action_rows_from_base(model, q_base, grid_n, t_all, 0,
-                                         sig / 2, sigma_eff)
-    else:
-        delta = sig / 2
-        t_short = np.geomspace(0.1 / grid_n, sig, 25)
-        n_long = max(0, int(np.ceil((t_max - sig) / delta)))
-        ts, act = _action_rows_from_base(model, q_base, grid_n, t_short, n_long,
-                                         delta, sigma_eff)
-    rows = act + a * ts[:, None]
-    return ts, rows, act
+    key = (model.cache_key(), round(a, 12), n, round(sig, 12))
+    if key in _MANE_CACHE:
+        return _MANE_CACHE[key]
+    W, H = _kernel_graph(model, a, n, sig)
+    loop = float(np.diag(W).min())
+    if loop < -LOOP_TOL:
+        raise LevelBelowCritical(f"self-loop of cost {loop:.3e} at level a = {a:.6g}: "
+                                 "the level is sub-critical")
+    np.fill_diagonal(W, np.inf)
+    try:
+        S, pred = johnson(csgraph_from_dense(W, null_value=np.inf),
+                          return_predecessors=True)
+    except NegativeCycleError as exc:
+        raise LevelBelowCritical(f"negative cycle in the kernel graph at level "
+                                 f"a = {a:.6g}: the level is sub-critical") from exc
+    # pointer doubling along the predecessor trees; the sources point at
+    # themselves with zero horizon
+    rows = np.arange(n)[:, None]
+    anc = np.where(pred < 0, rows, pred)
+    T = np.where(pred < 0, 0.0, H[anc, np.arange(n)])
+    for _ in range(int(np.ceil(np.log2(n)))):
+        T = T + T[rows, anc]
+        anc = anc[rows, anc]
+    S.flags.writeable = T.flags.writeable = False
+    if len(_MANE_CACHE) >= 16:
+        _MANE_CACHE.pop(next(iter(_MANE_CACHE)))
+    _MANE_CACHE[key] = S, T
+    return S, T
+
+
+def _cell(q, n):
+    """The two grid nodes around ``q`` and their linear interpolation weights."""
+    x = (float(q) % 1.0) * n
+    i = int(np.floor(x))
+    frac = x - i
+    return np.array([i % n, (i + 1) % n]), np.array([1.0 - frac, frac])
 
 
 def mane_potential(model: HamiltonianModel, a: float, q_base: float,
-                   grid_n: int = 128, t_max: float = 6.0,
-                   sigma_eff=None) -> ManeField:
+                   grid_n: int = 128, sigma_eff=None) -> ManeField:
     """Mane potential ``inf_t (A^t(q_base, .) + a t)`` on the grid.
 
-    The horizon scan is log-spaced inside the twist window and continues
-    by kernel composition beyond it; the discrete argmin is refined by a
-    parabolic fit through its bracket.  Raises LevelBelowCritical when the
-    infimum keeps descending at the largest horizons.
+    It is the row of the shortest-path matrix of the kernel graph at the
+    base node (``_mane_star``); an off-grid base interpolates linearly
+    between the rows of its two neighbouring nodes.  ``t_argmin`` sums the
+    edge horizons along each shortest path.  Raises LevelBelowCritical when
+    the graph has a negative cycle, that is below the critical value.
     """
     _require_torus(model)
-    ts, rows, _ = _mane_scan(model, a, q_base, grid_n, t_max, sigma_eff)
-    k = np.argmin(rows, axis=0)
-    tail_drop = rows[-2] - rows[-1]
-    span = ts[-1] - ts[-2]
-    if np.any((k == len(ts) - 1) & (tail_drop > 0.01 * span * (1 + abs(a)))):
-        raise LevelBelowCritical(f"potential still descending at t = {ts[-1]:.3g}; "
-                                 f"level a = {a:.6g} appears sub-critical")
-    phi, t_star = _parabolic_min(ts, rows, k)
-    return ManeField(a=a, q_base=float(q_base), phi=GridFunction(1, grid_n, phi),
-                     t_argmin=t_star, t_grid=ts, action_rows=rows)
-
-
-_MANE_FIELD_CACHE: dict = {}
+    S, T = _mane_star(model, a, grid_n, sigma_eff)
+    i, w = _cell(q_base, grid_n)
+    return ManeField(a=a, q_base=float(q_base), phi=GridFunction(1, grid_n, w @ S[i]),
+                     t_argmin=w @ T[i])
 
 
 def mane_pair(model: HamiltonianModel, a: float, q0: float, q1: float,
-              grid_n: int = 128, t_max: float = 6.0, sigma_eff=None) -> float:
-    """Mane potential between torus points (fields cached per base point)."""
-    key = (model.cache_key(), round(a, 12), round(float(q0) % 1.0, 12), grid_n,
-           round(t_max, 12), round(resolve_sigma(model, sigma_eff), 12))
-    field = _MANE_FIELD_CACHE.get(key)
-    if field is None:
-        field = mane_potential(model, a, float(q0) % 1.0, grid_n, t_max=t_max,
-                               sigma_eff=sigma_eff)
-        if len(_MANE_FIELD_CACHE) > 64:
-            _MANE_FIELD_CACHE.pop(next(iter(_MANE_FIELD_CACHE)))
-        _MANE_FIELD_CACHE[key] = field
-    x = (float(q1) % 1.0) * grid_n
-    i = int(np.floor(x)) % grid_n
-    frac = x - np.floor(x)
-    vals = field.phi.values
-    return float((1 - frac) * vals[i] + frac * vals[(i + 1) % grid_n])
+              grid_n: int = 128, sigma_eff=None) -> float:
+    """Mane potential between torus points: a bilinear read of the grid's
+    shortest-path matrix."""
+    _require_torus(model)
+    S, _ = _mane_star(model, a, grid_n, sigma_eff)
+    i, w = _cell(q0, grid_n)
+    j, v = _cell(q1, grid_n)
+    return float(w @ S[np.ix_(i, j)] @ v)
 
 
 def calibrated_curve(model: HamiltonianModel, a: float, q0: float, q1: float,

@@ -83,8 +83,7 @@ def test_action_lax_regularize_mane_aubry_calibrate(tmp_path):
     assert run_cli(["regularize", "--model", "free", "--grid", "32",
                     "--sigma-eff", "0.25", "--t", "0.5",
                     "--out", str(tmp_path / "r")]) == 0
-    assert run_cli(["mane", *base, "--a", "1.0", "--t-max", "4",
-                    "--out", str(tmp_path / "mn")]) == 0
+    assert run_cli(["mane", *base, "--a", "1.0", "--out", str(tmp_path / "mn")]) == 0
     assert run_cli(["aubry", *base, "--out", str(tmp_path / "au")]) == 0
     mask = (tmp_path / "au" / "aubry_mask.csv").read_text().strip().split("\n")
     assert mask[0] == "node,q" and len(mask) >= 2

@@ -158,3 +158,40 @@ def test_triangle_equality_scan(pendulum):
     orbit = integrate_flow(pendulum, (q0, lhs.rho0), 0.0, t1, step=1e-3)
     q_mid = grid[int(np.argmin(rhs))]
     assert abs(q_mid - orbit.terminal.q[0]) < 2e-3
+
+
+def test_line_search_integrates_only_backtracking_rows(pendulum, monkeypatch):
+    # converged rows in the batch are never integrated by the line search,
+    # so the hard rows cost the same line-search rows, and give the same
+    # bits, alone; a chord Jacobian 0.6 times too small makes them overshoot
+    # and backtrack
+    import hjkam.generating as g
+    t = 0.1
+    n_steps = g._steps_for(t)
+    rng = np.random.default_rng(5)
+    Q0 = rng.uniform(0, 1, (40, 1))
+    Q1 = Q0 + rng.uniform(-0.3, 0.3, (40, 1))
+    tol = g.shoot_tol(Q0, Q1)
+    p_conv = shoot_rho0(pendulum, 0.0, t, Q0, Q1, sigma_eff=SIGMA_PEND)
+    p_start = p_conv.copy()
+    p_start[20:] += 3.0
+    J = 0.6 * g._jacobian(pendulum, 0.0, t, Q0, p_start, n_steps)[1]
+    real = g.integrate_batch
+    rows = []
+
+    def counted(model, tau, t, Q0, P0, n_steps, want_monodromy=False, **kw):
+        if not want_monodromy:
+            rows.append(len(Q0))
+        return real(model, tau, t, Q0, P0, n_steps, want_monodromy=want_monodromy, **kw)
+
+    monkeypatch.setattr(g, "integrate_batch", counted)
+    # with a warm J the first state-only call is the start residual
+    p_mixed, res_mixed, _ = g._newton_shoot(pendulum, 0.0, t, Q0, Q1, p_start,
+                                            n_steps, tol, J=J)
+    mixed = rows[1:]
+    rows.clear()
+    p_hard, res_hard, _ = g._newton_shoot(pendulum, 0.0, t, Q0[20:], Q1[20:],
+                                          p_start[20:], n_steps, tol[20:], J=J[20:])
+    assert mixed == rows[1:] and sum(mixed) > 0
+    assert np.array_equal(p_mixed[20:], p_hard) and np.array_equal(res_mixed[20:], res_hard)
+    assert np.array_equal(p_mixed[:20], p_conv[:20])

@@ -141,6 +141,26 @@ def test_weak_kam_rejects_seed_on_other_grid(pendulum, monkeypatch):
                        u0=GridFunction(1, 16, np.zeros(16)))
 
 
+def test_weak_kam_default_alpha_iterates_once(pendulum, monkeypatch):
+    # with alpha=None the solve starts from critical_value's eigenvector:
+    # one more application to see the increment constant, one residual
+    import hjkam.weakkam as wk
+    real = wk.apply_T
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wk, "apply_T", counted)
+    critical_value(pendulum, grid_n=64, t_step=0.1, sigma_eff=SIGMA_PEND)
+    n_crit = len(calls)
+    calls.clear()
+    res = weak_kam_solve(pendulum, grid_n=64, alpha=None, t_step=0.1, sigma_eff=SIGMA_PEND)
+    assert len(calls) <= n_crit + 2
+    assert res.converged and res.residual <= 1e-12
+
+
 def test_is_subsolution_examples(pendulum, free):
     n = 64
     zero = GridFunction(1, n, np.zeros(n))
@@ -201,8 +221,53 @@ def test_mane_triangle_and_maximality(free):
 
 def test_mane_below_critical_detected(pendulum):
     with pytest.raises(LevelBelowCritical):
-        mane_potential(pendulum, 0.5, 0.0, grid_n=32, t_max=8.0,
-                       sigma_eff=SIGMA_PEND)
+        mane_potential(pendulum, 0.5, 0.0, grid_n=32, sigma_eff=SIGMA_PEND)
+
+
+def test_mane_just_below_critical_detected(pendulum):
+    # the hilltop self-loop of the kernel graph costs t (a - alpha) < 0
+    alpha = critical_value(pendulum, grid_n=64, t_step=0.1, sigma_eff=SIGMA_PEND).alpha
+    with pytest.raises(LevelBelowCritical):
+        mane_potential(pendulum, alpha - 1e-3, 0.0, grid_n=64, sigma_eff=SIGMA_PEND)
+
+
+def _mane_rows(model, a, n, sigma):
+    return np.stack([mane_potential(model, a, i / n, grid_n=n, sigma_eff=sigma).phi.values
+                     for i in range(n)])
+
+
+def test_mane_triangle_on_nodes(pendulum):
+    S = _mane_rows(pendulum, 1.0, 64, SIGMA_PEND)
+    assert np.all(np.diag(S) == 0.0)
+    # S[i, k] <= S[i, j] + S[j, k]
+    assert np.max(S[:, None, :] - S[:, :, None] - S[None, :, :]) <= 1e-12
+
+
+def test_mane_matches_floyd_warshall(pendulum):
+    import hjkam.weakkam as wk
+    n, a = 16, 1.0
+    # brute-force edge matrix: every kernel entry at every horizon
+    W = np.full((n, n), np.inf)
+    for h in np.geomspace(1.0 / n, SIGMA_PEND, wk.MANE_HORIZONS):
+        K = action_kernel(pendulum, 0.0, h, n, n // 2, sigma_eff=SIGMA_PEND)
+        for i in range(n):
+            for c, dd in enumerate(range(-(n // 2), n // 2 + 1)):
+                W[i, (i + dd) % n] = min(W[i, (i + dd) % n], K[i, c] + a * h)
+    assert np.array_equal(W, wk._kernel_graph(pendulum, a, n, SIGMA_PEND)[0])
+    dist = W.copy()
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    assert np.max(np.abs(_mane_rows(pendulum, a, n, SIGMA_PEND) - dist)) <= 1e-12
+
+
+def test_mane_free_t_argmin(free):
+    # a minimizer at level a moves at speed sqrt(2 a); measured error 0.0 at
+    # a = 0.5, where the horizons 1/n and sigma both carry speed-one edges
+    a = 0.5
+    field = mane_potential(free, a, 0.0, grid_n=64, sigma_eff=SIGMA_FREE)
+    q = field.phi.nodes
+    assert np.max(np.abs(field.t_argmin - np.minimum(q, 1 - q) / np.sqrt(2 * a))) <= 1e-12
 
 
 def test_calibrated_free(free):
@@ -267,17 +332,6 @@ def test_invariant_sets(free, pendulum):
         assert np.min(np.sqrt(dq ** 2 + (pts[:, 1] - du[i]) ** 2)) <= inv.tol_graph
 
 
-def test_mane_pair_cache_keys_on_t_max(pendulum):
-    # a field scanned to t_max = 6 must not answer for a scan cut at 0.3,
-    # where the potential still descends and the level reads sub-critical
-    import hjkam.weakkam as wk
-    wk._MANE_FIELD_CACHE.clear()
-    args = (pendulum, 1.0, 0.0, 0.5)
-    assert mane_pair(*args, grid_n=32, t_max=6.0, sigma_eff=SIGMA_PEND) > 0.5
-    with pytest.raises(LevelBelowCritical):
-        mane_pair(*args, grid_n=32, t_max=0.3, sigma_eff=SIGMA_PEND)
-
-
 def test_calibration_on_aubry_nodes(pendulum):
     # T^t u + t alpha = u = dual - t alpha on the marked set
     from hjkam.laxoleinik import apply_T, apply_T_dual
@@ -289,21 +343,3 @@ def test_calibration_on_aubry_nodes(pendulum):
     for i in res.marked_nodes():
         assert abs(fwd.values[i] - u.values[i]) <= 5e-3
         assert abs(bwd.values[i] - u.values[i]) <= 5e-3
-
-
-def test_mane_long_rows_check_search_radius(pendulum, monkeypatch):
-    # past the twist window the rows continue by apply_T, whose boundary
-    # check doubles a search radius that is too small or reports it; a
-    # shrunk radius never truncates the minimizer's travel silently
-    import hjkam.laxoleinik as lx
-    from hjkam.errors import SearchRadiusExceeded
-    n = 128
-    ref = mane_potential(pendulum, 1.0, 0.0, grid_n=n, t_max=2.0,
-                         sigma_eff=SIGMA_PEND).phi.values
-    monkeypatch.setattr(lx, "search_radius", lambda model, dt, osc, n: 4.0 / n)
-    try:
-        phi = mane_potential(pendulum, 1.0, 0.0, grid_n=n, t_max=2.0,
-                             sigma_eff=SIGMA_PEND).phi.values
-    except SearchRadiusExceeded:
-        return
-    assert np.max(np.abs(phi - ref)) <= 1e-9
