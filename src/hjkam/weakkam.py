@@ -30,7 +30,8 @@ from .action import minimal_action, reconstruct_trajectory
 from .errors import ConfigError, LevelBelowCritical, NonConvergence
 from .flow import Trajectory, integrate_batch, resolve_sigma
 from .hamiltonian import HamiltonianModel, check_hypotheses
-from .laxoleinik import GridFunction, _min_plus, _pair_actions, action_kernel, apply_T
+from .laxoleinik import (GridFunction, _grad_sups, _min_plus, _pair_actions, action_kernel,
+                         apply_T, velocity_radius)
 
 TOL_ALPHA = 1e-2
 TOL_WK = 5e-3
@@ -117,15 +118,6 @@ def critical_value(model: HamiltonianModel, grid_n: int = 128, t_step: float = 0
     return result
 
 
-def _torus_pair_actions(model, t, Q0, Q1, sigma_eff):
-    """A^t between torus points: minimum over winding representatives."""
-    sig = resolve_sigma(model, sigma_eff)
-    Q0 = np.asarray(Q0, float).reshape(-1, 1)
-    Q1 = np.asarray(Q1, float).reshape(-1, 1)
-    return np.min([_pair_actions(model, 0.0, t, Q0, Q1 + w, sig)
-                   for w in (-1.0, 0.0, 1.0)], axis=0)
-
-
 def _slopes(u: GridFunction):
     """Forward, backward and centred differences of ``u``, and the mask of
     nodes where the one-sided ones agree (nodes off the kinks)."""
@@ -154,7 +146,10 @@ def is_subsolution(model: HamiltonianModel, u: GridFunction, a: float,
     worst = -np.inf
     horizons = sig * (0.25 + 0.75 * np.arange(n_times) / max(n_times - 1, 1))
     for t in horizons:
-        act = _torus_pair_actions(model, float(t), i / n, j / n, sig)
+        # A^t between torus points: minimum over winding representatives
+        act = np.min([_pair_actions(model, 0.0, float(t), (i / n)[:, None],
+                                    (j / n + w)[:, None], sig) for w in (-1.0, 0.0, 1.0)],
+                     axis=0)
         excess = u.values[j] - u.values[i] - act - a * t
         worst = max(worst, float(excess.max()))
     _, _, du_c, consistent = _slopes(u)
@@ -224,22 +219,33 @@ class ManeField:
     t_argmin: np.ndarray
 
 
-def _kernel_graph(model, a, n, sig):
-    """Cheapest edge ``x_i -> x_j`` of the kernel graph at level ``a``, and
-    the horizon it takes.
+def _mane_horizons(model, a, n, sig):
+    """Horizons of the kernel graph at level ``a``, geometric from the time
+    the level's top speed takes for one cell up to ``sig``, and the radius
+    in cells at each.  On ``{H <= a}``, ``|p| <= band`` by the convexity
+    bound ``H(q, p) >= H(q, 0) + H_p(q, 0) p + m p^2 / 2``; the top speed
+    is ``sup |H_p|`` on that band and ``velocity_radius`` bounds the travel."""
+    q, zero = np.arange(64)[:, None] / 64, np.zeros((64, 1))
+    h0 = float(np.min(model.value(0.0, q, zero)))
+    g0 = float(np.max(np.abs(model.grad(0.0, q, zero)[1])))
+    band = (g0 + np.sqrt(g0 ** 2 + 2 * model.m * max(a - h0, 0.0))) / model.m
+    speed = _grad_sups(model, [0.0], band)[1]
+    hs = np.geomspace(sig / max(1.0, n * speed * sig), sig, MANE_HORIZONS)
+    Ds = [min(n // 2, int(np.ceil(velocity_radius(model, 0.0, h, band, n) * n)))
+          for h in hs]
+    return hs, Ds
 
-    The edges are the entries ``A^h(x_i, x_i + dd/n) + a h`` of the
-    all-pairs ``action_kernel`` (``|dd| <= n // 2``) at ``MANE_HORIZONS``
-    geometric horizons from ``1/n`` to ``sig``.  Joining two edges joins two
-    orbits, so a path costs the action of a broken orbit plus ``a`` times
-    its duration.
-    """
-    D = n // 2
+
+def _kernel_graph(model, a, n, sig):
+    """Cheapest edge ``A^h(x_i, x_j) + a h`` per (i, j) over the
+    ``action_kernel`` entries at the horizons and radii of ``_mane_horizons``,
+    and the horizon it takes.  A path costs the action of a broken orbit
+    plus ``a`` times its duration."""
+    hs, Ds = _mane_horizons(model, a, n, sig)
     i = np.arange(n)[:, None]
-    j = (i + np.arange(-D, D + 1)) % n
-    hs = np.geomspace(min(1.0 / n, sig), sig, MANE_HORIZONS)
     E = np.full((len(hs), n, n), np.inf)
-    for E_h, h in zip(E, hs):
+    for E_h, h, D in zip(E, hs, Ds):
+        j = (i + np.arange(-D, D + 1)) % n
         K = action_kernel(model, 0.0, h, n, D, sigma_eff=sig) + a * h
         # |dd| = n/2 reaches the same node both ways round: keep the cheaper
         np.minimum.at(E_h, (np.broadcast_to(i, j.shape), j), np.broadcast_to(K, j.shape))
@@ -295,19 +301,17 @@ def _cell(q, n):
     """The two grid nodes around ``q`` and their linear interpolation weights."""
     x = (float(q) % 1.0) * n
     i = int(np.floor(x))
-    frac = x - i
-    return np.array([i % n, (i + 1) % n]), np.array([1.0 - frac, frac])
+    return np.array([i % n, (i + 1) % n]), np.array([1.0 - (x - i), x - i])
 
 
 def mane_potential(model: HamiltonianModel, a: float, q_base: float,
                    grid_n: int = 128, sigma_eff=None) -> ManeField:
     """Mane potential ``inf_t (A^t(q_base, .) + a t)`` on the grid.
 
-    It is the row of the shortest-path matrix of the kernel graph at the
-    base node (``_mane_star``); an off-grid base interpolates linearly
-    between the rows of its two neighbouring nodes.  ``t_argmin`` sums the
-    edge horizons along each shortest path.  Raises LevelBelowCritical when
-    the graph has a negative cycle, that is below the critical value.
+    It is the base node's row of the kernel graph's shortest-path matrix
+    (``_mane_star``); an off-grid base interpolates linearly between its two
+    neighbouring nodes' rows.  ``t_argmin`` sums the edge horizons along each
+    shortest path.  Raises LevelBelowCritical below the critical value.
     """
     _require_torus(model)
     S, T = _mane_star(model, a, grid_n, sigma_eff)
@@ -495,10 +499,7 @@ def invariant_set(model: HamiltonianModel, u: GridFunction, t_step: float = 0.2,
                                             survivors[:, 0:1], survivors[:, 1:2],
                                             max(1, int(t_step / 2e-3)))
             moved = np.stack([Q[:, 0], P[:, 0]], axis=1)
-            dq = moved[:, None, 0] - survivors[None, :, 0]
-            dq = dq - np.round(dq)
-            dp = moved[:, None, 1] - survivors[None, :, 1]
-            dmin = np.sqrt(dq * dq + dp * dp).min(axis=1)
+            dmin = _graph_distance(moved, survivors, n)
             stable = stable and bool(np.all(dmin <= tol_graph))
     survivors = survivors.copy()
     survivors[:, 0] = np.mod(survivors[:, 0], 1.0)

@@ -246,28 +246,46 @@ def test_mane_triangle_on_nodes(pendulum):
 def test_mane_matches_floyd_warshall(pendulum):
     import hjkam.weakkam as wk
     n, a = 16, 1.0
-    # brute-force edge matrix: every kernel entry at every horizon
-    W = np.full((n, n), np.inf)
-    for h in np.geomspace(1.0 / n, SIGMA_PEND, wk.MANE_HORIZONS):
+    hs, Ds = wk._mane_horizons(pendulum, a, n, SIGMA_PEND)
+    # brute-force edge matrices: the kernel entries within each horizon's
+    # radius, and every entry at every horizon
+    W, W_all = np.full((n, n), np.inf), np.full((n, n), np.inf)
+    for h, D in zip(hs, Ds):
         K = action_kernel(pendulum, 0.0, h, n, n // 2, sigma_eff=SIGMA_PEND)
         for i in range(n):
             for c, dd in enumerate(range(-(n // 2), n // 2 + 1)):
-                W[i, (i + dd) % n] = min(W[i, (i + dd) % n], K[i, c] + a * h)
+                j = (i + dd) % n
+                W_all[i, j] = min(W_all[i, j], K[i, c] + a * h)
+                if abs(dd) <= D:
+                    W[i, j] = min(W[i, j], K[i, c] + a * h)
     assert np.array_equal(W, wk._kernel_graph(pendulum, a, n, SIGMA_PEND)[0])
-    dist = W.copy()
-    np.fill_diagonal(dist, 0.0)
-    for k in range(n):
-        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
-    assert np.max(np.abs(_mane_rows(pendulum, a, n, SIGMA_PEND) - dist)) <= 1e-12
+    S = _mane_rows(pendulum, a, n, SIGMA_PEND)
+    # the radii drop no edge a shortest path needs
+    for edges in (W, W_all):
+        dist = edges.copy()
+        np.fill_diagonal(dist, 0.0)
+        for k in range(n):
+            dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+        assert np.max(np.abs(S - dist)) <= 1e-12
 
 
-def test_mane_free_t_argmin(free):
-    # a minimizer at level a moves at speed sqrt(2 a); measured error 0.0 at
-    # a = 0.5, where the horizons 1/n and sigma both carry speed-one edges
-    a = 0.5
+@pytest.mark.parametrize("a", [0.3, 2.0])
+def test_mane_free_closed_form_off_unit_speed(free, a):
+    # the shortest horizon lets the level's speed sqrt(2 a) take one cell;
+    # measured error 2.8e-16 at a = 0.3 and 0 at a = 2
     field = mane_potential(free, a, 0.0, grid_n=64, sigma_eff=SIGMA_FREE)
     q = field.phi.nodes
-    assert np.max(np.abs(field.t_argmin - np.minimum(q, 1 - q) / np.sqrt(2 * a))) <= 1e-12
+    exact = np.sqrt(2 * a) * np.minimum(q, 1 - q)
+    assert np.max(np.abs(field.phi.values - exact)) <= 2e-3
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 2.0])
+def test_mane_free_t_argmin(free, a):
+    # a minimizer at level a moves at speed sqrt(2 a); measured error
+    # 1.1e-16 at a = 0.3 and 0 at a = 0.5 and 2
+    field = mane_potential(free, a, 0.0, grid_n=64, sigma_eff=SIGMA_FREE)
+    q = field.phi.nodes
+    assert np.max(np.abs(field.t_argmin - np.minimum(q, 1 - q) / np.sqrt(2 * a))) <= 2e-3
 
 
 def test_calibrated_free(free):
