@@ -9,7 +9,9 @@ window, a relaxed broken geodesic beyond it.  The action kernel
 grid, radius) and is cached; a wider request solves only the new
 displacement columns and splices them around the cached block.  For
 q-homogeneous families a single displacement row suffices.  ``T`` and its
-dual share one min-plus gather.  Its window is the smaller of two radii:
+dual share one min-plus routine, which reads its candidates through strided
+views of the periodically extended operand and kernel rather than index
+gathers.  Its window is the smaller of two radii:
 ``search_radius`` from the a-priori action bounds, and ``velocity_radius``,
 the distance a minimizer can travel when its start momentum is bounded by
 the operand's Lipschitz constant.  A boundary check doubles the window
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .action import minimal_action_batch
 from .errors import ConfigError, SearchRadiusExceeded
@@ -208,30 +211,48 @@ def _quantize(D: int) -> int:
 
 
 def _min_plus(model, u, tau, t, sigma_eff, dual):
-    """Image of ``u`` and, per node, the node theta that attains it."""
+    """Image of ``u`` and, per node, the node theta that attains it.
+
+    The candidates form a ``(2 D + 1, n)`` array over the displacement
+    ``dd in [-D, D]`` and the target node ``j``.  They are read through
+    strided views, with no index array: a sliding window of the operand
+    extended periodically by ``D`` nodes or, for the forward operator on an
+    n-row kernel, a sheared view of the sums ``u(theta) + K[theta]``
+    extended by ``D`` rows.  The extremum is taken over ``dd`` in
+    increasing order, so ties go to the most negative displacement.
+    """
     if not model.periodic:
         raise ConfigError("Lax-Oleinik operators need a periodic model")
     if not t > tau:
         raise ConfigError("need t > tau")
     n = u.n_per_dim
-    # one gather for both: forward takes inf_theta u(theta) + A(theta, q) over
-    # theta = q - dd/n with the kernel row at theta; dual takes
-    # sup_theta u(theta) - A(q, theta) over theta = q + dd/n, row at q
-    shift = 1 if dual else -1
     jj = np.arange(n)
     R = min(search_radius(model, t - tau, u.osc(), n),
             velocity_radius(model, tau, t, u.lip_estimate, n))
     D = _quantize(int(np.ceil(R * n)))
     for attempt in range(2):
         K = action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
-        dds = np.arange(-D, D + 1)
-        I = (jj[None, :] + shift * dds[:, None]) % n
-        rowidx = 0 if len(K) == 1 else (jj[None, :] if dual else I)
-        cand = (np.subtract if dual else np.add)(
-            u.values[I], K[rowidx, np.arange(2 * D + 1)[:, None]])
+        W = 2 * D + 1
+        ext = np.arange(-D, n + D)  # position j + D of the extension holds node j
+        ue = u.values.take(ext, mode="wrap")
+        if dual:
+            # sup_theta u(theta) - A(q, theta) over theta = j + dd, row at j
+            cand = sliding_window_view(ue, W).T - K.T
+        elif len(K) == 1:
+            # inf_theta u(theta) + A(theta, q) over theta = j - dd, one row
+            cand = sliding_window_view(ue, W)[:, ::-1].T + K.T
+        else:
+            # the row is at theta = j - dd: sum along the kernel's rows, then
+            # read candidate (dd + D, j) at row j - dd + D of the extended sum,
+            # flat offset j W + (dd + D)(1 - W) + 2 D W, on a sheared view
+            S = (u.values[:, None] + K).take(ext, axis=0, mode="wrap")
+            cand = as_strided(S[2 * D:], shape=(W, n),
+                              strides=(S.strides[1] - S.strides[0], S.strides[0]),
+                              writeable=False)
         best = (np.argmax if dual else np.argmin)(cand, axis=0)
-        if not np.any(np.abs(dds[best]) >= D):
-            return GridFunction(1, n, cand[best, jj]), I[best, jj]
+        if 0 < best.min() and best.max() < 2 * D:
+            dd = best - D
+            return GridFunction(1, n, cand[best, jj]), (jj + dd if dual else jj - dd) % n
         D = _quantize(2 * D)
     raise SearchRadiusExceeded("discrete infimum still attained on the doubled "
                                f"search boundary (D = {D})")

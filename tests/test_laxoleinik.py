@@ -227,7 +227,7 @@ def test_cached_kernel_is_read_only(free):
 
 
 # operator laws on random grid functions; kernels at n <= 32 stay cached
-# across examples, so the examples cost only the min-plus gather
+# across examples, so the examples cost only the min-plus apply
 _law_settings = settings(max_examples=25, deadline=None)
 _law_args = dict(n=st.sampled_from([8, 16, 32]), data=st.data(),
                  name=st.sampled_from(["free", "pendulum"]))
@@ -300,6 +300,121 @@ def test_velocity_radius_matches_wide_window(free, pendulum, n, t, name, rough, 
             mp.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: np.inf)
             wide = op(model, u, 0.0, t, sigma_eff=sig).values
         assert np.array_equal(sized, wide)
+
+
+def _min_plus_by_loop(model, u, t, D, dual, sigma):
+    # the operator by its definition: one target node and one displacement
+    # at a time, first extremum in dd order, on the kernel of half-width D
+    from hjkam.laxoleinik import action_kernel
+    n = u.n_per_dim
+    K = action_kernel(model, 0.0, t, n, D, sigma_eff=sigma).tolist()
+    vals = u.values.tolist()
+    out, src = np.empty(n), np.empty(n, int)
+    for j in range(n):
+        best = None
+        for dd in range(-D, D + 1):
+            if dual:
+                theta = (j + dd) % n
+                c = vals[theta] - K[j % len(K)][dd + D]
+                better = best is None or c > best
+            else:
+                theta = (j - dd) % n
+                c = vals[theta] + K[theta % len(K)][dd + D]
+                better = best is None or c < best
+            if better:
+                best, out[j], src[j] = c, c, theta
+    return out, src
+
+
+def _recording_kernel(widths):
+    # action_kernel that appends each requested half-width D to ``widths``
+    import hjkam.laxoleinik as lx
+    kernel = lx.action_kernel
+
+    def recording(model, tau, t, n, D, sigma_eff=None):
+        widths.append(D)
+        return kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
+    return recording
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 16, 32, 64]), t=st.sampled_from([0.1, 0.2]),
+       name=st.sampled_from(["free", "pendulum"]),
+       kind=st.sampled_from(["smooth", "rough", "steps"]), data=st.data())
+def test_min_plus_matches_loop(free, pendulum, n, t, name, kind, data):
+    # values and argmin nodes equal a plain loop bit for bit, on the one-row
+    # (free) and n-row (pendulum) kernels; at n = 8 and 16 the window
+    # 2 D + 1 >= 33 wraps the torus more than once.  Two-valued "steps"
+    # operands often tie exactly on the free model's symmetric kernel
+    import hjkam.laxoleinik as lx
+    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
+    values = {"smooth": _trig_operand, "rough": _draw_values,
+              "steps": lambda data, n: 0.5 * np.asarray(
+                  data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))}
+    u = GridFunction(1, n, values[kind](data, n))
+    for dual in (False, True):
+        widths = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lx, "action_kernel", _recording_kernel(widths))
+            image, src = lx._min_plus(model, u, 0.0, t, sig, dual)
+        want, want_src = _min_plus_by_loop(model, u, t, widths[-1], dual, sig)
+        assert np.array_equal(image.values, want)
+        assert np.array_equal(src, want_src)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_min_plus_ties_go_to_first_displacement(free, monkeypatch, dual):
+    # the free kernel is symmetric in dd, so each node between two equal
+    # neighbours ties; the loop keeps the most negative displacement
+    import hjkam.laxoleinik as lx
+    u = GridFunction(1, 8, 0.5 * np.array([1, 0, 0, 0, 1, 0, 1, 0]))
+    widths = []
+    monkeypatch.setattr(lx, "action_kernel", _recording_kernel(widths))
+    image, src = lx._min_plus(free, u, 0.0, 0.1, SIGMA_FREE, dual)
+    want, want_src = _min_plus_by_loop(free, u, 0.1, widths[-1], dual, SIGMA_FREE)
+    assert np.array_equal(image.values, want)
+    assert np.array_equal(src, want_src)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_search_radius_doubling(pendulum, monkeypatch, mirror):
+    # a window of a few cells: at D = 16 the argmin reaches only the right
+    # edge (only the left one on the mirrored operand), in both directions;
+    # the doubled window D = 32 holds it, and the image equals the
+    # right-sized window's bit for bit
+    import hjkam.laxoleinik as lx
+    n, t = 128, 0.1
+    q = np.arange(n) / n * (-1 if mirror else 1)
+    u = GridFunction(1, n, 0.1 * (np.sin(2 * np.pi * q) + 0.5 * np.sin(4 * np.pi * q)))
+    want = [lx._min_plus(pendulum, u, 0.0, t, SIGMA_PEND, dual) for dual in (False, True)]
+    widths = []
+    monkeypatch.setattr(lx, "action_kernel", _recording_kernel(widths))
+    monkeypatch.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: 2.0 / n)
+    for dual, (image, src) in zip((False, True), want):
+        widths.clear()
+        got, got_src = lx._min_plus(pendulum, u, 0.0, t, SIGMA_PEND, dual)
+        assert widths == [16, 32]
+        assert np.array_equal(got.values, image.values)
+        assert np.array_equal(got_src, src)
+
+
+@pytest.mark.parametrize("name", ["free", "pendulum"])
+def test_operators_never_alias_the_cache(request, name):
+    # the candidates are strided views of the kernel and the operand; the
+    # image must be a fresh array that neither the cache nor u can see
+    import hjkam.laxoleinik as lx
+    model = request.getfixturevalue(name)
+    sig = SIGMA_FREE if name == "free" else SIGMA_PEND
+    u = grid_cos(32)
+    for op in (apply_T, apply_T_dual):
+        first = op(model, u, 0.0, 0.1, sigma_eff=sig).values.copy()  # fills the cache
+        cached = {k: v.tobytes() for k, v in lx._KERNEL_CACHE.items()}
+        out = op(model, u, 0.0, 0.1, sigma_eff=sig).values  # a cache hit
+        assert {k: v.tobytes() for k, v in lx._KERNEL_CACHE.items()} == cached
+        assert not any(np.shares_memory(out, K) for K in lx._KERNEL_CACHE.values())
+        assert not np.shares_memory(out, u.values)
+        out[:] = 7.0
+        assert np.array_equal(op(model, u, 0.0, 0.1, sigma_eff=sig).values, first)
 
 
 def test_velocity_radius_narrows_window(pendulum):
