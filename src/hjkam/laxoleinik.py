@@ -216,9 +216,9 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     The candidates form a ``(2 D + 1, n)`` array over the displacement
     ``dd in [-D, D]`` and the target node ``j``.  They are read through
     strided views, with no index array: a sliding window of the operand
-    extended periodically by ``D`` nodes or, for the forward operator on an
-    n-row kernel, a sheared view of the sums ``u(theta) + K[theta]``
-    extended by ``D`` rows.  The extremum is taken over ``dd`` in
+    extended periodically by ``D`` nodes for the dual, and for the forward
+    operator a sheared view of the sums ``u(theta) + K[theta]`` extended by
+    ``D`` rows.  The extremum is taken over ``dd`` in
     increasing order, so ties go to the most negative displacement.
     """
     if not model.periodic:
@@ -238,13 +238,11 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
         if dual:
             # sup_theta u(theta) - A(q, theta) over theta = j + dd, row at j
             cand = sliding_window_view(ue, W).T - K.T
-        elif len(K) == 1:
-            # inf_theta u(theta) + A(theta, q) over theta = j - dd, one row
-            cand = sliding_window_view(ue, W)[:, ::-1].T + K.T
         else:
-            # the row is at theta = j - dd: sum along the kernel's rows, then
-            # read candidate (dd + D, j) at row j - dd + D of the extended sum,
-            # flat offset j W + (dd + D)(1 - W) + 2 D W, on a sheared view
+            # the row is at theta = j - dd: sum along the kernel's rows (a
+            # one-row kernel broadcasts), then read candidate (dd + D, j) at
+            # row j - dd + D of the extended sum, flat offset
+            # j W + (dd + D)(1 - W) + 2 D W, on a sheared view
             S = (u.values[:, None] + K).take(ext, axis=0, mode="wrap")
             cand = as_strided(S[2 * D:], shape=(W, n),
                               strides=(S.strides[1] - S.strides[0], S.strides[0]),
