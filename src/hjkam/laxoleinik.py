@@ -8,10 +8,13 @@ window, a relaxed broken geodesic beyond it.  The action kernel
 ``A_tau^t(theta, theta + dd/n)`` tabulates it once per (model, horizon,
 grid, radius) and is cached; a wider request solves only the new
 displacement columns and splices them around the cached block.  For
-q-homogeneous families a single displacement row suffices.  ``T`` and its
-dual share one min-plus routine, which reads its candidates through strided
-views of the periodically extended operand and kernel rather than index
-gathers.  Its window is the smaller of two radii:
+q-homogeneous families a single displacement row suffices.  Beside each
+cached kernel, stored by source node, the cache keeps a read-only
+target-major companion with the same entries stored by target node, built
+only when the kernel is built or grown.  ``T`` and its dual share one
+min-plus routine: a sliding window of the periodically extended operand
+plus (dual: minus) a kernel window, one ``(n, 2 D + 1)`` array reduced
+along its rows in both directions.  Its window is the smaller of two radii:
 ``search_radius`` from the a-priori action bounds, and ``velocity_radius``,
 the distance a minimizer can travel when its start momentum is bounded by
 the operand's Lipschitz constant.  A boundary check doubles the window
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .action import minimal_action_batch
 from .errors import ConfigError, SearchRadiusExceeded
@@ -34,6 +37,8 @@ from .generating import KERNEL_STEP, generating_batch
 from .hamiltonian import HamiltonianModel
 
 _KERNEL_CACHE: dict = {}
+# per key of _KERNEL_CACHE, its target-major companion: Kt[j, dd + D] = K[(j - dd) % rows, dd + D]
+_TARGET_MAJOR: dict = {}
 _CACHE_LIMIT = 32
 
 
@@ -66,6 +71,9 @@ class GridFunction:
 
     @property
     def lip_estimate(self) -> float:
+        if self.d == 1:  # adjacent differences and the wrap pair, as np.roll pairs them
+            step = np.diff(self.values, append=self.values[:1])
+            return max(0.0, float(np.max(np.abs(step)) * self.n_per_dim))
         lip = 0.0
         for ax in range(self.d):
             lip = max(lip, float(np.max(np.abs(np.roll(self.values, -1, axis=ax)
@@ -123,11 +131,19 @@ def search_radius(model: HamiltonianModel, dt: float, osc: float, n: int) -> flo
     return float(np.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n)
 
 
+_Q_GRID = np.broadcast_to((np.arange(64) / 64)[:, None, None], (64, 17, 1))
+
+
 def _grad_sups(model, times, band):
-    """``sup |H_q|`` and ``sup |H_p|`` sampled on ``[0, 1) x [-band, band]``."""
-    Q, P = np.meshgrid(np.arange(64) / 64, np.linspace(-band, band, 17), indexing="ij")
-    Hq, Hp = zip(*(model.grad(s, Q[..., None], P[..., None]) for s in times))
-    return float(np.max(np.abs(Hq))), float(np.max(np.abs(Hp)))
+    """``sup |H_q|`` and ``sup |H_p|`` sampled on ``[0, 1) x [-band, band]``.
+
+    The 64 x 17 sample grid is two read-only broadcast views: the positions
+    are built once at import, the 17 momenta are broadcast along them per
+    call.
+    """
+    P = np.broadcast_to(np.linspace(-band, band, 17)[:, None], _Q_GRID.shape)
+    Hq, Hp = zip(*(model.grad(s, _Q_GRID, P) for s in times))
+    return max(float(np.abs(h).max()) for h in Hq), max(float(np.abs(h).max()) for h in Hp)
 
 
 def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
@@ -152,6 +168,7 @@ def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
 
 def clear_kernel_cache():
     _KERNEL_CACHE.clear()
+    _TARGET_MAJOR.clear()
 
 
 def _kernel_key(model, tau, t, n, sigma):
@@ -179,7 +196,9 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     Returns shape ``(rows, 2 D + 1)`` with ``rows = 1`` for q-homogeneous
     models.  Cached; when a wider radius is asked, only the displacements
     ``Dc < |dd| <= D`` beyond the cached ``Dc`` are solved, in one batch,
-    and the cached columns are kept as they are.
+    and the cached columns are kept as they are.  Each build or growth also
+    stores the target-major companion ``Kt[j, dd + D] = K[(j - dd) % rows,
+    dd + D]`` that the forward operator reads.
     """
     if model.d != 1:
         raise ConfigError("grid operators are implemented for d = 1")
@@ -199,10 +218,22 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     K = np.concatenate([new[:, :half], cached, new[:, half:]], axis=1)
     # callers get views of the cached array: keep them from editing it
     K.flags.writeable = False
+    dd = np.arange(-D, D + 1)
+    Kt = K[(np.arange(rows)[:, None] - dd) % rows, dd + D]
+    Kt.flags.writeable = False
     if key not in _KERNEL_CACHE and len(_KERNEL_CACHE) >= _CACHE_LIMIT:
-        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
+        evicted = next(iter(_KERNEL_CACHE))
+        del _KERNEL_CACHE[evicted], _TARGET_MAJOR[evicted]
     _KERNEL_CACHE[key] = K
+    _TARGET_MAJOR[key] = Kt
     return K
+
+
+def _target_major(model, tau, t, n, D, sigma_eff):
+    """Columns ``dd in [-D, D]`` of the companion that ``action_kernel`` stored."""
+    Kt = _TARGET_MAJOR[_kernel_key(model, tau, t, n, resolve_sigma(model, sigma_eff))]
+    Dc = (Kt.shape[1] - 1) // 2
+    return Kt[:, Dc - D:Dc + D + 1]
 
 
 def _quantize(D: int) -> int:
@@ -213,13 +244,15 @@ def _quantize(D: int) -> int:
 def _min_plus(model, u, tau, t, sigma_eff, dual):
     """Image of ``u`` and, per node, the node theta that attains it.
 
-    The candidates form a ``(2 D + 1, n)`` array over the displacement
-    ``dd in [-D, D]`` and the target node ``j``.  They are read through
-    strided views, with no index array: a sliding window of the operand
-    extended periodically by ``D`` nodes for the dual, and for the forward
-    operator a sheared view of the sums ``u(theta) + K[theta]`` extended by
-    ``D`` rows.  The extremum is taken over ``dd`` in
-    increasing order, so ties go to the most negative displacement.
+    The candidates form an ``(n, 2 D + 1)`` array over the target node ``j``
+    and the displacement ``dd in [-D, D]``, built with no index array from a
+    sliding window of the operand extended periodically by ``D`` nodes.  The
+    dual subtracts the kernel: ``u(j + dd) - K[j, dd + D]``.  The forward
+    operator reverses the window and adds the target-major companion:
+    ``u(j - dd) + Kt[j, dd + D]``, which is ``u(theta) + K[theta, dd + D]``
+    at ``theta = j - dd``.  A one-row kernel broadcasts in both.  The
+    extremum is taken along each row in increasing ``dd``, so ties go to the
+    most negative displacement.
     """
     if not model.periodic:
         raise ConfigError("Lax-Oleinik operators need a periodic model")
@@ -233,24 +266,20 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     for attempt in range(2):
         K = action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
         W = 2 * D + 1
-        ext = np.arange(-D, n + D)  # position j + D of the extension holds node j
-        ue = u.values.take(ext, mode="wrap")
+        # row j of the window holds nodes j - D, ..., j + D
+        window = sliding_window_view(u.values.take(np.arange(-D, n + D), mode="wrap"), W)
+        # the window's rows overlap in memory: copied out first, the add runs
+        # in place on contiguous rows, which is faster than through the view
         if dual:
-            # sup_theta u(theta) - A(q, theta) over theta = j + dd, row at j
-            cand = sliding_window_view(ue, W).T - K.T
+            cand = window.copy()
+            cand -= K
         else:
-            # the row is at theta = j - dd: sum along the kernel's rows (a
-            # one-row kernel broadcasts), then read candidate (dd + D, j) at
-            # row j - dd + D of the extended sum, flat offset
-            # j W + (dd + D)(1 - W) + 2 D W, on a sheared view
-            S = (u.values[:, None] + K).take(ext, axis=0, mode="wrap")
-            cand = as_strided(S[2 * D:], shape=(W, n),
-                              strides=(S.strides[1] - S.strides[0], S.strides[0]),
-                              writeable=False)
-        best = (np.argmax if dual else np.argmin)(cand, axis=0)
+            cand = window[:, ::-1].copy()
+            cand += _target_major(model, tau, t, n, D, sigma_eff)
+        best = (np.argmax if dual else np.argmin)(cand, axis=1)
         if 0 < best.min() and best.max() < 2 * D:
             dd = best - D
-            return GridFunction(1, n, cand[best, jj]), (jj + dd if dual else jj - dd) % n
+            return GridFunction(1, n, cand[jj, best]), (jj + dd if dual else jj - dd) % n
         D = _quantize(2 * D)
     raise SearchRadiusExceeded("discrete infimum still attained on the doubled "
                                f"search boundary (D = {D})")

@@ -70,15 +70,21 @@ def _require_torus(model):
         raise ConfigError("weak KAM grid computations are implemented for d = 1")
 
 
+def _require_steps(t_step, t_max):
+    if not (0 < t_step < np.inf and 0 < t_max < np.inf):
+        raise ConfigError(f"need finite t_step > 0 and t_max > 0, "
+                          f"got t_step = {t_step!r}, t_max = {t_max!r}")
+
+
 def _eigen_iterate(model, v, t, shift, t_max, sigma_eff, tol):
     """Iterate ``v <- T^t v + shift`` until the increment is constant.
 
     Returns the last iterate, the last increment, the ``(time, max, min)``
     history and whether ``ptp(increment) <= tol`` was reached within
-    ``t_max``.
+    ``t_max``; it takes at least one step.
     """
     history = []
-    for k in range(1, int(np.ceil(t_max / t - 1e-9)) + 1):
+    for k in range(1, max(1, int(np.ceil(t_max / t - 1e-9))) + 1):
         nxt = apply_T(model, v, 0.0, t, sigma_eff=sigma_eff).shifted(shift)
         inc = nxt.values - v.values
         v = nxt
@@ -98,9 +104,11 @@ def critical_value(model: HamiltonianModel, grid_n: int = 128, t_step: float = 0
     the minimum cycle mean ``lambda`` of the kernel.  The result carries the
     eigenvector reached from zero in ``u_raw`` (and min-normalised in ``u``).
     ``t_max`` caps the iteration: NonConvergence, with the partial result,
-    when the increment still spreads there, or when alpha leaves ``[-M, M]``.
+    when the increment still spreads there, or when alpha leaves ``[-M, M]``;
+    ConfigError unless ``t_step`` and ``t_max`` are positive and finite.
     """
     _require_torus(model)
+    _require_steps(t_step, t_max)
     zero = GridFunction(1, grid_n, np.zeros(grid_n))
     v, inc, history, converged = _eigen_iterate(model, zero, t_step, 0.0, t_max,
                                                 sigma_eff, TOL_ITER)
@@ -175,9 +183,11 @@ def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
     fixed-point residual decides the result: off the critical level the
     increment settles at ``t (alpha - alpha_c)`` and the residual keeps it.
     Raises NonConvergence, with the partial result, when the residual
-    exceeds ``tol_wk`` or the cap ``t_max`` is hit.
+    exceeds ``tol_wk`` or the cap ``t_max`` is hit; ConfigError unless
+    ``t_step`` and ``t_max`` are positive and finite.
     """
     _require_torus(model)
+    _require_steps(t_step, t_max)
     if u0 is not None and u0.n_per_dim != grid_n:
         raise ConfigError(f"u0 has {u0.n_per_dim} nodes, grid_n is {grid_n}")
     if alpha is None:

@@ -105,6 +105,13 @@ def test_config_errors_exit_1(tmp_path):
                     "--out", str(tmp_path / "o2")]) == 1
 
 
+@pytest.mark.parametrize("argv", [["alpha", "--t-max", "0"], ["alpha", "--t-step", "0"],
+                                  ["weakkam", "--t-step", "0"]])
+def test_nonpositive_step_or_cap_exits_1(tmp_path, argv):
+    assert run_cli(argv + ["--model", "pendulum", "--grid", "16", "--sigma-eff", "0.2",
+                           "--out", str(tmp_path / "o")]) == 1
+
+
 def test_solver_errors_exit_2(tmp_path):
     # generating value requested past the twist window
     code = run_cli(["gen-s", "--model", "pendulum", "--t", "0.5", "--q0", "0",

@@ -412,6 +412,7 @@ def test_operators_never_alias_the_cache(request, name):
         out = op(model, u, 0.0, 0.1, sigma_eff=sig).values  # a cache hit
         assert {k: v.tobytes() for k, v in lx._KERNEL_CACHE.items()} == cached
         assert not any(np.shares_memory(out, K) for K in lx._KERNEL_CACHE.values())
+        assert not any(np.shares_memory(out, Kt) for Kt in lx._TARGET_MAJOR.values())
         assert not np.shares_memory(out, u.values)
         out[:] = 7.0
         assert np.array_equal(op(model, u, 0.0, 0.1, sigma_eff=sig).values, first)
@@ -469,3 +470,94 @@ def test_kernel_reversible(request, name, t):
     i = np.arange(len(K))[:, None]
     back = K[(i + dd) % len(K), D - dd]
     assert np.max(np.abs(K[i, D + dd] - back)) <= 1e-8
+
+
+def _grad_sups_meshgrid(model, times, band):
+    # the sampling as first written: a fresh meshgrid, abs over the tuple
+    Q, P = np.meshgrid(np.arange(64) / 64, np.linspace(-band, band, 17), indexing="ij")
+    Hq, Hp = zip(*(model.grad(s, Q[..., None], P[..., None]) for s in times))
+    return float(np.max(np.abs(Hq))), float(np.max(np.abs(Hp)))
+
+
+def _fd_pendulum():
+    # no grad given: custom_model differentiates value by finite differences
+    from hjkam.hamiltonian import custom_model
+    return custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(2 * np.pi * q[..., 0]),
+                        d=1, m=1.0, M=4 * np.pi ** 2, periodic=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["free", "pendulum", "forced", "fd"]),
+       band=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       tau=st.floats(0.0, 1.0), dt=st.floats(1e-3, 0.5))
+def test_grad_sups_match_meshgrid(free, pendulum, forced, name, band, tau, dt):
+    # the broadcast sample grid reads the same sups as a fresh meshgrid, bit
+    # for bit; the forced model is sampled at the five slot times
+    from hjkam.laxoleinik import _grad_sups
+    model = {"free": free, "pendulum": pendulum, "forced": forced, "fd": _fd_pendulum()}[name]
+    times = [tau] if model.autonomous else np.linspace(tau, tau + dt, 5)
+    got = _grad_sups(model, times, band)
+    want = _grad_sups_meshgrid(model, times, band)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
+def test_lip_estimate_matches_roll(n, data):
+    u = GridFunction(1, n, _draw_values(data, n, -5.0, 5.0))
+    want = max(0.0, float(np.max(np.abs(np.roll(u.values, -1) - u.values)) * n))
+    assert np.float64(u.lip_estimate).tobytes() == np.float64(want).tobytes()
+
+
+def _target_major_by_formula(K):
+    rows, W = K.shape
+    D = (W - 1) // 2
+    return np.array([[K[(j - dd) % rows, dd + D] for dd in range(-D, D + 1)]
+                     for j in range(rows)])
+
+
+@pytest.mark.parametrize("name", ["free", "pendulum"])
+def test_target_major_companion(request, monkeypatch, name):
+    # Kt[j, dd + D] = K[(j - dd) % rows, dd + D] after a first build, after
+    # growth from D = 8 to 24 and on a fresh build; read-only; a warm hit
+    # neither solves pairs nor rebuilds it
+    import hjkam.laxoleinik as lx
+    model = request.getfixturevalue(name)
+    sig = SIGMA_FREE if name == "free" else SIGMA_PEND
+    n, t = 16, 0.1
+    key = lx._kernel_key(model, 0.0, t, n, sig)
+    lx.clear_kernel_cache()
+    small = lx.action_kernel(model, 0.0, t, n, 8, sigma_eff=sig)
+    assert np.array_equal(lx._TARGET_MAJOR[key], _target_major_by_formula(small))
+    grown = lx.action_kernel(model, 0.0, t, n, 24, sigma_eff=sig)
+    grown_t = lx._TARGET_MAJOR[key]
+    assert np.array_equal(grown_t, _target_major_by_formula(grown))
+    with pytest.raises(ValueError):
+        grown_t[0, 0] = 1.0
+    lx.clear_kernel_cache()
+    lx.action_kernel(model, 0.0, t, n, 24, sigma_eff=sig)
+    assert np.array_equal(lx._TARGET_MAJOR[key], grown_t)
+
+    def no_solve(*args):
+        raise AssertionError("a warm apply solved pair actions")
+
+    monkeypatch.setattr(lx, "_pair_actions", no_solve)
+    fresh_t = lx._TARGET_MAJOR[key]
+    u = GridFunction(1, n, 0.05 * np.cos(2 * np.pi * np.arange(n) / n))
+    for op in (apply_T, apply_T_dual):
+        op(model, u, 0.0, t, sigma_eff=sig)
+    assert lx._TARGET_MAJOR[key] is fresh_t
+
+
+def test_target_major_leaves_with_its_kernel(free, monkeypatch):
+    # eviction at the cache limit and clear_kernel_cache drop both arrays
+    import hjkam.laxoleinik as lx
+    monkeypatch.setattr(lx, "_CACHE_LIMIT", 2)
+    lx.clear_kernel_cache()
+    keys = [lx._kernel_key(free, 0.0, t, 16, SIGMA_FREE) for t in (0.1, 0.15, 0.2)]
+    for t, key in zip((0.1, 0.15, 0.2), keys):
+        lx.action_kernel(free, 0.0, t, 16, 4, sigma_eff=SIGMA_FREE)
+        assert list(lx._TARGET_MAJOR) == list(lx._KERNEL_CACHE)
+    assert list(lx._KERNEL_CACHE) == keys[1:]
+    lx.clear_kernel_cache()
+    assert not lx._KERNEL_CACHE and not lx._TARGET_MAJOR

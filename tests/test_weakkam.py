@@ -141,6 +141,31 @@ def test_weak_kam_rejects_seed_on_other_grid(pendulum, monkeypatch):
                        u0=GridFunction(1, 16, np.zeros(16)))
 
 
+@pytest.mark.parametrize("t_step, t_max", [(0.1, 0.0), (0.1, -1.0), (0.0, 4.0), (-0.1, 4.0),
+                                           (np.nan, 4.0), (0.1, np.inf)])
+def test_step_and_cap_validated_up_front(pendulum, monkeypatch, t_step, t_max):
+    # a cap of 0 used to leave the iteration without a single step
+    # (UnboundLocalError) and a step of 0 divided by zero
+    import hjkam.weakkam as wk
+
+    def no_apply(*args, **kwargs):
+        raise AssertionError("iterated before checking t_step and t_max")
+
+    monkeypatch.setattr(wk, "apply_T", no_apply)
+    with pytest.raises(ConfigError):
+        critical_value(pendulum, grid_n=16, t_step=t_step, t_max=t_max, sigma_eff=SIGMA_PEND)
+    for alpha in (None, 1.0):
+        with pytest.raises(ConfigError):
+            weak_kam_solve(pendulum, grid_n=16, alpha=alpha, t_step=t_step, t_max=t_max,
+                           sigma_eff=SIGMA_PEND)
+
+
+def test_tiny_cap_takes_one_step(free):
+    # t_max far below t_step still makes one application
+    res = critical_value(free, grid_n=16, t_step=0.2, t_max=1e-12, sigma_eff=SIGMA_FREE)
+    assert res.converged and len(res.history) == 1 and res.alpha == 0.0
+
+
 def test_weak_kam_default_alpha_iterates_once(pendulum, monkeypatch):
     # with alpha=None the solve starts from critical_value's eigenvector:
     # one more application to see the increment constant, one residual
