@@ -8,10 +8,10 @@ window, a relaxed broken geodesic beyond it.  The action kernel
 ``A_tau^t(theta, theta + dd/n)`` tabulates it once per (model, horizon,
 grid, radius) and is cached; a wider request solves only the new
 displacement columns and splices them around the cached block.  For
-q-homogeneous families a single displacement row suffices.  Beside each
-cached kernel, stored by source node, the cache keeps a read-only
-target-major companion with the same entries stored by target node, built
-only when the kernel is built or grown.  ``T`` and its dual share one
+q-homogeneous families a single displacement row suffices.  Each cached
+kernel, stored by source node, is one plane of a read-only array whose
+other plane is its target-major companion: the same entries stored by
+target node, filled only when the kernel is built or grown.  ``T`` and its dual share one
 min-plus routine: a sliding window of the periodically extended operand
 plus (dual: minus) a kernel window, one ``(n, 2 D + 1)`` array reduced
 along its rows in both directions.  Its window is the smaller of two radii:
@@ -37,8 +37,6 @@ from .generating import KERNEL_STEP, generating_batch
 from .hamiltonian import HamiltonianModel
 
 _KERNEL_CACHE: dict = {}
-# per key of _KERNEL_CACHE, its target-major companion: Kt[j, dd + D] = K[(j - dd) % rows, dd + D]
-_TARGET_MAJOR: dict = {}
 _CACHE_LIMIT = 32
 
 
@@ -71,13 +69,11 @@ class GridFunction:
 
     @property
     def lip_estimate(self) -> float:
-        if self.d == 1:  # adjacent differences and the wrap pair, as np.roll pairs them
-            step = np.diff(self.values, append=self.values[:1])
-            return max(0.0, float(np.max(np.abs(step)) * self.n_per_dim))
         lip = 0.0
         for ax in range(self.d):
-            lip = max(lip, float(np.max(np.abs(np.roll(self.values, -1, axis=ax)
-                                               - self.values)) * self.n_per_dim))
+            # adjacent differences and the wrap pair, as np.roll(values, -1) pairs them
+            step = np.diff(self.values, axis=ax, append=self.values.take([0], axis=ax))
+            lip = max(lip, float(np.max(np.abs(step)) * self.n_per_dim))
         return lip
 
     def osc(self) -> float:
@@ -168,7 +164,6 @@ def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
 
 def clear_kernel_cache():
     _KERNEL_CACHE.clear()
-    _TARGET_MAJOR.clear()
 
 
 def _kernel_key(model, tau, t, n, sigma):
@@ -197,8 +192,10 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     models.  Cached; when a wider radius is asked, only the displacements
     ``Dc < |dd| <= D`` beyond the cached ``Dc`` are solved, in one batch,
     and the cached columns are kept as they are.  Each build or growth also
-    stores the target-major companion ``Kt[j, dd + D] = K[(j - dd) % rows,
-    dd + D]`` that the forward operator reads.
+    fills the target-major companion ``Kt[j, dd + D] = K[(j - dd) % rows,
+    dd + D]`` that the forward operator reads: K and Kt are the two planes
+    of one read-only array, so they are cached and evicted as one, and
+    ``_target_major`` reaches Kt from any window of K.
     """
     if model.d != 1:
         raise ConfigError("grid operators are implemented for d = 1")
@@ -215,25 +212,25 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     Q1 = Q0 + np.tile(dds / n, rows)[:, None]
     new = _pair_actions(model, tau, t, Q0, Q1, sigma).reshape(rows, len(dds))
     half = len(dds) // 2
-    K = np.concatenate([new[:, :half], cached, new[:, half:]], axis=1)
-    # callers get views of the cached array: keep them from editing it
-    K.flags.writeable = False
+    planes = np.empty((2, rows, 2 * D + 1))
+    np.concatenate([new[:, :half], cached, new[:, half:]], axis=1, out=planes[0])
     dd = np.arange(-D, D + 1)
-    Kt = K[(np.arange(rows)[:, None] - dd) % rows, dd + D]
-    Kt.flags.writeable = False
+    planes[1] = planes[0][(np.arange(rows)[:, None] - dd) % rows, dd + D]
+    # callers get views of the cached array: keep them from editing it
+    planes.flags.writeable = False
+    K = planes[0]
     if key not in _KERNEL_CACHE and len(_KERNEL_CACHE) >= _CACHE_LIMIT:
-        evicted = next(iter(_KERNEL_CACHE))
-        del _KERNEL_CACHE[evicted], _TARGET_MAJOR[evicted]
+        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     _KERNEL_CACHE[key] = K
-    _TARGET_MAJOR[key] = Kt
     return K
 
 
-def _target_major(model, tau, t, n, D, sigma_eff):
-    """Columns ``dd in [-D, D]`` of the companion that ``action_kernel`` stored."""
-    Kt = _TARGET_MAJOR[_kernel_key(model, tau, t, n, resolve_sigma(model, sigma_eff))]
-    Dc = (Kt.shape[1] - 1) // 2
-    return Kt[:, Dc - D:Dc + D + 1]
+def _target_major(K):
+    """The companion columns ``dd in [-D, D]`` beside a window ``K`` that
+    ``action_kernel`` returned: the second plane of the array ``K`` views."""
+    planes = K.base
+    Dc, D = (planes.shape[2] - 1) // 2, (K.shape[1] - 1) // 2
+    return planes[1, :, Dc - D:Dc + D + 1]
 
 
 def _quantize(D: int) -> int:
@@ -275,7 +272,7 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
             cand -= K
         else:
             cand = window[:, ::-1].copy()
-            cand += _target_major(model, tau, t, n, D, sigma_eff)
+            cand += _target_major(K)
         best = (np.argmax if dual else np.argmin)(cand, axis=1)
         if 0 < best.min() and best.max() < 2 * D:
             dd = best - D

@@ -408,11 +408,11 @@ def test_operators_never_alias_the_cache(request, name):
     u = grid_cos(32)
     for op in (apply_T, apply_T_dual):
         first = op(model, u, 0.0, 0.1, sigma_eff=sig).values.copy()  # fills the cache
-        cached = {k: v.tobytes() for k, v in lx._KERNEL_CACHE.items()}
+        # K.base holds the kernel and its target-major companion
+        cached = {k: v.base.tobytes() for k, v in lx._KERNEL_CACHE.items()}
         out = op(model, u, 0.0, 0.1, sigma_eff=sig).values  # a cache hit
-        assert {k: v.tobytes() for k, v in lx._KERNEL_CACHE.items()} == cached
-        assert not any(np.shares_memory(out, K) for K in lx._KERNEL_CACHE.values())
-        assert not any(np.shares_memory(out, Kt) for Kt in lx._TARGET_MAJOR.values())
+        assert {k: v.base.tobytes() for k, v in lx._KERNEL_CACHE.items()} == cached
+        assert not any(np.shares_memory(out, K.base) for K in lx._KERNEL_CACHE.values())
         assert not np.shares_memory(out, u.values)
         out[:] = 7.0
         assert np.array_equal(op(model, u, 0.0, 0.1, sigma_eff=sig).values, first)
@@ -502,10 +502,13 @@ def test_grad_sups_match_meshgrid(free, pendulum, forced, name, band, tau, dt):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
-def test_lip_estimate_matches_roll(n, data):
-    u = GridFunction(1, n, _draw_values(data, n, -5.0, 5.0))
-    want = max(0.0, float(np.max(np.abs(np.roll(u.values, -1) - u.values)) * n))
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
+def test_lip_estimate_matches_roll(d, n, data):
+    # adjacent differences plus the wrap pair equal the np.roll formula, bit for bit
+    u = GridFunction(d, n, _draw_values(data, n ** d, -5.0, 5.0).reshape((n,) * d))
+    want = 0.0
+    for ax in range(d):
+        want = max(want, float(np.max(np.abs(np.roll(u.values, -1, axis=ax) - u.values)) * n))
     assert np.float64(u.lip_estimate).tobytes() == np.float64(want).tobytes()
 
 
@@ -528,36 +531,41 @@ def test_target_major_companion(request, monkeypatch, name):
     key = lx._kernel_key(model, 0.0, t, n, sig)
     lx.clear_kernel_cache()
     small = lx.action_kernel(model, 0.0, t, n, 8, sigma_eff=sig)
-    assert np.array_equal(lx._TARGET_MAJOR[key], _target_major_by_formula(small))
+    assert np.array_equal(lx._target_major(small), _target_major_by_formula(small))
     grown = lx.action_kernel(model, 0.0, t, n, 24, sigma_eff=sig)
-    grown_t = lx._TARGET_MAJOR[key]
+    grown_t = lx._target_major(grown)
     assert np.array_equal(grown_t, _target_major_by_formula(grown))
+    assert lx._KERNEL_CACHE[key] is grown  # the cache holds the source-major plane
     with pytest.raises(ValueError):
         grown_t[0, 0] = 1.0
+    hit = lx.action_kernel(model, 0.0, t, n, 8, sigma_eff=sig)
+    assert np.array_equal(lx._target_major(hit), _target_major_by_formula(hit))
     lx.clear_kernel_cache()
-    lx.action_kernel(model, 0.0, t, n, 24, sigma_eff=sig)
-    assert np.array_equal(lx._TARGET_MAJOR[key], grown_t)
+    fresh = lx.action_kernel(model, 0.0, t, n, 24, sigma_eff=sig)
+    assert np.array_equal(lx._target_major(fresh), grown_t)
 
     def no_solve(*args):
         raise AssertionError("a warm apply solved pair actions")
 
     monkeypatch.setattr(lx, "_pair_actions", no_solve)
-    fresh_t = lx._TARGET_MAJOR[key]
     u = GridFunction(1, n, 0.05 * np.cos(2 * np.pi * np.arange(n) / n))
     for op in (apply_T, apply_T_dual):
         op(model, u, 0.0, t, sigma_eff=sig)
-    assert lx._TARGET_MAJOR[key] is fresh_t
+    assert lx._KERNEL_CACHE[key] is fresh
 
 
 def test_target_major_leaves_with_its_kernel(free, monkeypatch):
-    # eviction at the cache limit and clear_kernel_cache drop both arrays
+    # eviction at the cache limit and clear_kernel_cache free the kernel and
+    # its companion together: nothing else keeps their array alive
+    import weakref
     import hjkam.laxoleinik as lx
     monkeypatch.setattr(lx, "_CACHE_LIMIT", 2)
     lx.clear_kernel_cache()
-    keys = [lx._kernel_key(free, 0.0, t, 16, SIGMA_FREE) for t in (0.1, 0.15, 0.2)]
-    for t, key in zip((0.1, 0.15, 0.2), keys):
-        lx.action_kernel(free, 0.0, t, 16, 4, sigma_eff=SIGMA_FREE)
-        assert list(lx._TARGET_MAJOR) == list(lx._KERNEL_CACHE)
+    times = (0.1, 0.15, 0.2)
+    keys = [lx._kernel_key(free, 0.0, t, 16, SIGMA_FREE) for t in times]
+    planes = [weakref.ref(lx.action_kernel(free, 0.0, t, 16, 4, sigma_eff=SIGMA_FREE).base)
+              for t in times]
     assert list(lx._KERNEL_CACHE) == keys[1:]
+    assert [p() is None for p in planes] == [True, False, False]
     lx.clear_kernel_cache()
-    assert not lx._KERNEL_CACHE and not lx._TARGET_MAJOR
+    assert not lx._KERNEL_CACHE and all(p() is None for p in planes)
