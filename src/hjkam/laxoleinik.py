@@ -8,7 +8,16 @@ window, a relaxed broken geodesic beyond it.  The action kernel
 ``A_tau^t(theta, theta + dd/n)`` tabulates it once per (model, horizon,
 grid, radius) and is cached; a wider request solves only the new
 displacement columns and splices them around the cached block.  For
-q-homogeneous families a single displacement row suffices.  Each cached
+q-homogeneous families a single displacement row suffices.  The free,
+quadratic and mechanical families are autonomous and even in p, so time
+reversal gives ``A(x, y) = A(y, x)``: of the columns a build or growth
+adds, every ``dd >= 0`` entry is solved and an entry ``dd = -e`` at row
+``j >= e`` is copied from ``K[j - e, D + e]``, whose pair lies in the same
+period (for n a power of two it is the same floating-point problem
+reversed).  Rows ``j < e`` are solved: their mirror would cross q = 0 and
+differ from a direct solve by rounding, and row 0 of an even potential
+would lose the bitwise reflection symmetry that the Aubry-set seed at the
+origin needs.  Forced and custom models solve every entry.  Each cached
 kernel, stored by source node, is one plane of a read-only array whose
 other plane is its target-major companion: the same entries stored by
 target node, filled only when the kernel is built or grown.  ``T`` and its dual share one
@@ -38,6 +47,9 @@ from .hamiltonian import HamiltonianModel
 
 _KERNEL_CACHE: dict = {}
 _CACHE_LIMIT = 32
+# autonomous and even in p for every member, so A(x, y) = A(y, x); custom
+# models are never assumed reversible, even when they are
+_REVERSIBLE = frozenset({"free", "quadratic", "mechanical"})
 
 
 @dataclass
@@ -191,7 +203,13 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     Returns shape ``(rows, 2 D + 1)`` with ``rows = 1`` for q-homogeneous
     models.  Cached; when a wider radius is asked, only the displacements
     ``Dc < |dd| <= D`` beyond the cached ``Dc`` are solved, in one batch,
-    and the cached columns are kept as they are.  Each build or growth also
+    and the cached columns are kept as they are.  For the reversible
+    families (``_REVERSIBLE``) the new columns ``dd = -e`` are mirrored,
+    ``K[j, D - e] = K[j - e, D + e]``, at the rows ``j >= e`` and solved at
+    the rows ``j < e``, whose reversed pair wraps across q = 0; so an n-row
+    build solves ``n (D + 1) + D (D + 1) / 2`` entries (for ``D < n``) in
+    place of ``n (2 D + 1)``, and a growth and a fresh build still solve
+    each entry as the same problem.  Each build or growth also
     fills the target-major companion ``Kt[j, dd + D] = K[(j - dd) % rows,
     dd + D]`` that the forward operator reads: K and Kt are the two planes
     of one read-only array, so they are cached and evicted as one, and
@@ -208,9 +226,17 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
         return cached[:, Dc - D:Dc + D + 1]
     x = np.zeros(1) if rows == 1 else np.arange(n) / n
     dds = np.setdiff1d(np.arange(-D, D + 1), np.arange(-Dc, Dc + 1))
-    Q0 = np.repeat(x, len(dds))[:, None]
-    Q1 = Q0 + np.tile(dds / n, rows)[:, None]
-    new = _pair_actions(model, tau, t, Q0, Q1, sigma).reshape(rows, len(dds))
+    # time reversal fills dd = -e at the rows j >= e, whose reversed pair
+    # K[j - e, D + e] lies in the same period; the rows j < e are solved
+    mirror = ((np.arange(rows)[:, None] + dds >= 0) & (dds < 0)
+              & (model.family in _REVERSIBLE))
+    new = np.empty((rows, len(dds)))
+    Q0 = np.broadcast_to(x[:, None], new.shape)[~mirror][:, None]
+    Q1 = Q0 + np.broadcast_to(dds / n, new.shape)[~mirror][:, None]
+    new[~mirror] = _pair_actions(model, tau, t, Q0, Q1, sigma)
+    # dds is symmetric about 0: column len(dds) - 1 - c holds -dds[c]
+    jm, cm = np.nonzero(mirror)
+    new[jm, cm] = new[jm + dds[cm], len(dds) - 1 - cm]
     half = len(dds) // 2
     planes = np.empty((2, rows, 2 * D + 1))
     np.concatenate([new[:, :half], cached, new[:, half:]], axis=1, out=planes[0])

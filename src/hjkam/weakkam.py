@@ -153,11 +153,12 @@ def is_subsolution(model: HamiltonianModel, u: GridFunction, a: float,
     j = rng.integers(0, n, n_pairs)
     worst = -np.inf
     horizons = sig * (0.25 + 0.75 * np.arange(n_times) / max(n_times - 1, 1))
+    # A^t between torus points: minimum over the winding representatives
+    # w = -1, 0, 1, stacked as three row blocks of one batch per horizon
+    Q0 = np.tile(i / n, 3)[:, None]
+    Q1 = np.concatenate([j / n + w for w in (-1.0, 0.0, 1.0)])[:, None]
     for t in horizons:
-        # A^t between torus points: minimum over winding representatives
-        act = np.min([_pair_actions(model, 0.0, float(t), (i / n)[:, None],
-                                    (j / n + w)[:, None], sig) for w in (-1.0, 0.0, 1.0)],
-                     axis=0)
+        act = _pair_actions(model, 0.0, float(t), Q0, Q1, sig).reshape(3, -1).min(axis=0)
         excess = u.values[j] - u.values[i] - act - a * t
         worst = max(worst, float(excess.max()))
     _, _, du_c, consistent = _slopes(u)

@@ -433,7 +433,11 @@ def test_kernel_grows_by_new_columns(pendulum, monkeypatch, t):
     # growing from D = 8 to D = 24 solves only the 2 * 16 new columns, in
     # their own batch.  Each pair is solved independently of its batch mates
     # (t = 0.1 by the generating function, t = 0.3 by relaxed chains past
-    # sigma = 0.2), so the grown kernel equals a fresh build bit for bit
+    # sigma = 0.2), so the grown kernel equals a fresh build bit for bit.
+    # The pendulum is reversible: of the dd = -e columns only the rows
+    # j < min(e, n) are solved, the rest are mirrored.  D = 8 solves
+    # 9 n + (1 + ... + 8) = 180 entries; the growth 16 n + (9 + ... + 16)
+    # + 8 n = 484
     import hjkam.laxoleinik as lx
     n = 16
     solved = []
@@ -447,10 +451,10 @@ def test_kernel_grows_by_new_columns(pendulum, monkeypatch, t):
     lx.clear_kernel_cache()
     small = lx.action_kernel(pendulum, 0.0, t, n, 8, sigma_eff=SIGMA_PEND).copy()
     grown = lx.action_kernel(pendulum, 0.0, t, n, 24, sigma_eff=SIGMA_PEND)
-    assert solved == [17 * n, 2 * 16 * n]
+    assert solved == [180, 484]
     assert np.array_equal(grown[:, 16:33], small)
     lx.action_kernel(pendulum, 0.0, t, n, 20, sigma_eff=SIGMA_PEND)
-    assert solved == [17 * n, 2 * 16 * n]  # a narrower request is a hit
+    assert solved == [180, 484]  # a narrower request is a hit
     with pytest.raises(ValueError):
         grown[0, 0] = 1.0
     lx.clear_kernel_cache()
@@ -470,6 +474,63 @@ def test_kernel_reversible(request, name, t):
     i = np.arange(len(K))[:, None]
     back = K[(i + dd) % len(K), D - dd]
     assert np.max(np.abs(K[i, D + dd] - back)) <= 1e-8
+
+
+def _two_well():
+    from hjkam.hamiltonian import mechanical_model
+    return mechanical_model([0.0, 0.0, 0.0, 0.5], m=1.0)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "shifted_pendulum", "two_well"])
+def test_kernel_mirror_copies_time_reversal(request, name):
+    # reversible families copy K[j, D - e] = K[j - e, D + e] for j >= e, in a
+    # first build and in a growth; the copies are the direct solves to 1e-8,
+    # and every row j < e, whose reversed pair crosses q = 0, is solved
+    import hjkam.laxoleinik as lx
+    model = _two_well() if name == "two_well" else request.getfixturevalue(name)
+    sig = 0.1 if name == "two_well" else SIGMA_PEND
+    n, t, D = 32, 0.1, 12
+    lx.clear_kernel_cache()
+    lx.action_kernel(model, 0.0, t, n, 4, sigma_eff=sig)
+    K = lx.action_kernel(model, 0.0, t, n, D, sigma_eff=sig)
+    j, e = np.nonzero(np.arange(n)[:, None] >= np.arange(D + 1))
+    assert np.array_equal(K[j, D - e], K[j - e, D + e])
+    direct = lx._pair_actions(model, 0.0, t, (j / n)[:, None], (j / n - e / n)[:, None], sig)
+    assert np.max(np.abs(K[j, D - e] - direct)) <= 1e-8
+    lx.clear_kernel_cache()
+    assert np.array_equal(lx.action_kernel(model, 0.0, t, n, D, sigma_eff=sig), K)
+
+
+def test_kernel_mirror_keeps_row_zero_symmetric(pendulum):
+    # cos 2 pi q is even about q = 0, and row 0 is solved in both directions,
+    # so A(0, e/n) and A(0, -e/n) are the same problem mirrored, bit for bit.
+    # The hyperbolic seed at (0, 0) of invariant_set relies on it
+    import hjkam.laxoleinik as lx
+    n, D = 64, 24
+    e = np.arange(1, D + 1)
+    for t in (0.1, 0.2):
+        K = lx.action_kernel(pendulum, 0.0, t, n, D, sigma_eff=SIGMA_PEND)
+        assert np.array_equal(K[0, D + e], K[0, D - e])
+
+
+@pytest.mark.parametrize("name", ["forced", "custom"])
+def test_kernel_mirror_skips_other_families(request, monkeypatch, name):
+    # forced models are not autonomous, and a custom model is never assumed
+    # reversible even when it is even in p: every entry is solved
+    import hjkam.laxoleinik as lx
+    model = request.getfixturevalue("forced") if name == "forced" else _fd_pendulum()
+    n, D = 16, 4
+    solved = []
+    pair_actions = lx._pair_actions
+
+    def counting(*args):  # (model, tau, t, Q0, Q1, sigma)
+        solved.append(len(args[3]))
+        return pair_actions(*args)
+
+    monkeypatch.setattr(lx, "_pair_actions", counting)
+    lx.clear_kernel_cache()
+    K = lx.action_kernel(model, 0.0, 0.1, n, D, sigma_eff=SIGMA_PEND)
+    assert K.shape == (n, 2 * D + 1) and solved == [n * (2 * D + 1)]
 
 
 def _grad_sups_meshgrid(model, times, band):

@@ -199,6 +199,42 @@ def test_is_subsolution_examples(pendulum, free):
     assert ok
 
 
+
+@pytest.mark.parametrize("name", ["pendulum", "free"])
+def test_is_subsolution_one_shoot_per_horizon(request, monkeypatch, name):
+    # the winding representatives w = -1, 0, 1 go in one batch per horizon;
+    # rows are solved independently of their batch, so each row block equals
+    # its own per-winding call bit for bit, and so does the verdict
+    import hjkam.weakkam as wk
+    model = request.getfixturevalue(name)
+    sig = SIGMA_FREE if name == "free" else SIGMA_PEND
+    n, n_pairs, a = 64, 50, 0.5
+    u = GridFunction(1, n, 0.3 * np.sin(2 * np.pi * np.arange(n) / n))
+    calls = []
+    pair_actions = wk._pair_actions
+
+    def recording(model, tau, t, Q0, Q1, sigma):
+        calls.append((t, pair_actions(model, tau, t, Q0, Q1, sigma)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(wk, "_pair_actions", recording)
+    ok, worst = is_subsolution(model, u, a, n_pairs=n_pairs, sigma_eff=sig)
+    assert len(calls) == 3  # one call per horizon
+    rng = np.random.default_rng(0)
+    i, j = rng.integers(0, n, n_pairs), rng.integers(0, n, n_pairs)
+    want = -np.inf
+    for t, out in calls:
+        per_winding = [pair_actions(model, 0.0, t, (i / n)[:, None], (j / n + w)[:, None], sig)
+                       for w in (-1.0, 0.0, 1.0)]
+        assert np.array_equal(out.reshape(3, -1), per_winding)
+        act = np.min(per_winding, axis=0)
+        want = max(want, float((u.values[j] - u.values[i] - act - a * t).max()))
+    _, _, du_c, consistent = wk._slopes(u)
+    H = model.value(0.0, u.nodes[consistent][:, None], du_c[consistent][:, None])
+    want = max(want, float((H - a).max()))
+    assert np.float64(worst).tobytes() == np.float64(want).tobytes()
+
+
 def test_mane_free_closed_form(free):
     field = mane_potential(free, 0.5, 0.0, grid_n=64, sigma_eff=SIGMA_FREE)
     q = field.phi.nodes
