@@ -8,6 +8,7 @@ checks they govern.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -46,16 +47,10 @@ class CriterionResult:
                 "detail": self.detail, "seconds": self.seconds}
 
 
-_WINDOWS: dict = {}
-
-
+@functools.cache
 def _pendulum_window() -> float:
-    """Certify the working twist window once per process."""
-    if "pendulum" not in _WINDOWS:
-        margins = [certify_sigma(pendulum_model(), SIGMA_PENDULUM, q=q).margin
-                   for q in (0.0, 0.25, 0.5)]
-        _WINDOWS["pendulum"] = min(margins)
-    return SIGMA_PENDULUM
+    """Certify the working twist window at q = 0, 1/4 and 1/2, once per process."""
+    return certify_sigma(pendulum_model(), SIGMA_PENDULUM, q=[[0.0], [0.25], [0.5]]).t
 
 
 def criterion_01_hopf_lax() -> CriterionResult:
@@ -122,15 +117,14 @@ def _derivative_worst(model, sigma, t_lo, t_hi, tau_fn, n_cases, seed):
     ts = taus + rng.uniform(t_lo, t_hi, n_cases)
     q0 = rng.uniform(-1, 1, (n_cases, 1))
     q1 = q0 + rng.uniform(-0.5, 0.5, (n_cases, 1))
+    # rows: the case, then q1 + h, q1 - h, q0 + h, q0 - h
+    shift = h * np.array([[0, 0], [0, 1], [0, -1], [1, 0], [-1, 0]])
     for i in range(n_cases):
-        args = (model, float(taus[i]), float(ts[i]))
-        S0, r0, r1, _, _ = generating_batch(*args, q0[i], q1[i], sigma_eff=sigma)
-        Sp = generating_batch(*args, q0[i], q1[i] + h, sigma_eff=sigma)[0]
-        Sm = generating_batch(*args, q0[i], q1[i] - h, sigma_eff=sigma)[0]
-        worst = max(worst, abs(float(np.ravel(Sp - Sm)[0]) / (2 * h) - float(np.ravel(r1)[0])))
-        Sp = generating_batch(*args, q0[i] + h, q1[i], sigma_eff=sigma)[0]
-        Sm = generating_batch(*args, q0[i] - h, q1[i], sigma_eff=sigma)[0]
-        worst = max(worst, abs(float(np.ravel(Sp - Sm)[0]) / (2 * h) + float(np.ravel(r0)[0])))
+        S, r0, r1, _, _ = generating_batch(model, float(taus[i]), float(ts[i]),
+                                           q0[i] + shift[:, :1], q1[i] + shift[:, 1:],
+                                           sigma_eff=sigma)
+        worst = max(worst, abs(float(S[1] - S[2]) / (2 * h) - float(r1[0, 0])))
+        worst = max(worst, abs(float(S[3] - S[4]) / (2 * h) + float(r0[0, 0])))
     return worst
 
 
@@ -208,8 +202,7 @@ def criterion_05_action_bounds() -> CriterionResult:
         if not (lo - 1e-9 <= A <= hi + 1e-9):
             passed = False
         A2, _ = minimal_action(model, 0.0, t, [a], [b], sigma_eff=sigma,
-                               n=2 * path.n, restarts=3, seed=5,
-                               warm_start=None)
+                               n=2 * path.n, restarts=3, seed=5)
         rel = abs(A - A2) / (1.0 + abs(A))
         worst_n = max(worst_n, rel)
     tol_n = 1e-6

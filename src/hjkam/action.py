@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, MultistartExhausted
-from .flow import resolve_sigma
+from .flow import resolve_sigma, write_csv
 from .generating import KERNEL_STEP, TARGET_STEP, generating_batch
 from .hamiltonian import HamiltonianModel, legendre_batch
 
@@ -49,13 +49,9 @@ class BrokenPath:
         return self.tau + (self.t - self.tau) * np.arange(1, self.n) / self.n
 
     def to_csv(self, path):
-        rows = ["t_i,theta_i,p_minus,p_plus"]
-        times = self.node_times()
-        for i in range(self.n - 1):
-            rows.append(f"{times[i]:.17g},{self.nodes[i, 0]:.17g},"
-                        f"{self.p_minus[i, 0]:.17g},{self.p_plus[i, 0]:.17g}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(path, "t_i,theta_i,p_minus,p_plus",
+                  np.column_stack([self.node_times(), self.nodes[:, 0],
+                                   self.p_minus[:, 0], self.p_plus[:, 0]]))
 
 
 def default_segments(tau: float, t: float, sigma: float) -> int:
@@ -227,8 +223,7 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
 def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
                          sigma_eff=None, n: Optional[int] = None,
                          init_nodes: Optional[np.ndarray] = None,
-                         step_target: float = KERNEL_STEP, max_sweeps: int = 12,
-                         tol_crit: Optional[float] = None):
+                         step_target: float = KERNEL_STEP, max_sweeps: int = 12):
     """Relax one chain per batch entry from a single start.
 
     Returns ``(values, pts, jumps, rho0)`` where ``pts`` includes endpoints.
@@ -242,10 +237,8 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     pts = Q0[:, None, :] + lam[None, :, None] * (Q1 - Q0)[:, None, :]
     if init_nodes is not None and n > 1:
         pts[:, 1:-1, :] = init_nodes
-    if tol_crit is None:
-        # per chain, so that a chain's result does not depend on its batch
-        scale = 1.0 + np.linalg.norm(Q1 - Q0, axis=1) / max(t - tau, 1e-12)
-        tol_crit = TOL_CRIT_BASE * scale
+    # per chain, so that a chain's result does not depend on its batch
+    tol_crit = TOL_CRIT_BASE * (1.0 + np.linalg.norm(Q1 - Q0, axis=1) / max(t - tau, 1e-12))
     pts, jumps, S, rho0, _ = _relax_chain(model, tau, t, pts, sig, step_target,
                                           max_sweeps, tol_crit)
     return S.sum(axis=1), pts, jumps, rho0[:, 0]
@@ -253,12 +246,12 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
 
 def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
                    sigma_eff=None, n: Optional[int] = None, restarts: int = 5,
-                   warm_start: Optional[np.ndarray] = None, seed: int = 0,
-                   step_target: float = 2e-3, max_sweeps: int = 25):
+                   seed: int = 0, step_target: float = 2e-3, max_sweeps: int = 25):
     """Minimal action ``A_tau^t(q0, q1)`` with its reconstructed chain.
 
-    Multistarts: straight-line interpolation, an optional warm start from a
-    neighboring problem, and seeded random perturbations.  Raises
+    Multistarts: straight-line interpolation, travel-hold-travel curves
+    through a spread of waypoints (d = 1, horizons past twice the window),
+    and ``restarts - 1`` seeded random perturbations.  Raises
     MultistartExhausted when the restarts disagree beyond tolerance and
     none meets the momentum-jump criterion.
     """
@@ -274,10 +267,6 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     straight = q0[None, :] + lam[:, None] * (q1 - q0)[None, :]
 
     starts = [straight]
-    if warm_start is not None and n > 1:
-        w = np.asarray(warm_start, float).reshape(-1, d)
-        if len(w) == n - 1:
-            starts.append(np.concatenate([q0[None], w, q1[None]]))
     if d == 1 and n > 3 and t - tau > 2 * sig:
         lo = min(q0[0], q1[0]) - 1.0
         hi = max(q0[0], q1[0]) + 1.0

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HjkamError
-from .flow import (PhaseState, certify_sigma, integrate_flow, monodromy,
-                   sigma_bound)
+from .flow import (PhaseState, certify_sigma, default_sigma_eff, integrate_flow,
+                   monodromy, sigma_bound, write_csv)
 from .generating import generating_S
 from .hamiltonian import (HamiltonianModel, check_hypotheses, free_model,
                           model_from_dict, pendulum_model)
@@ -34,6 +34,10 @@ _BUILTIN_MODELS = {
 
 _COMMANDS = ("check", "flow", "monodromy", "gen-s", "action", "lax", "regularize",
              "alpha", "weakkam", "mane", "aubry", "calibrate", "accept")
+# commands that run no short-time solver: they record the formula bound and
+# certify nothing, so that ``check`` still reports a model whose declared
+# constants are wrong instead of failing on its twist scan
+_WINDOWLESS = ("check", "flow", "monodromy", "accept")
 
 
 @dataclass
@@ -81,11 +85,7 @@ def export_dataset(result, fmt: str, path: str) -> str:
             write_json(path, payload)
         elif fmt == "csv":
             if isinstance(result, GridFunction):
-                rows = ["q,value"]
-                for q, v in zip(result.nodes, result.values):
-                    rows.append(f"{q:.17g},{v:.17g}")
-                with open(path, "w", newline="") as fh:
-                    fh.write("\n".join(rows) + "\n")
+                write_csv(path, "q,value", np.column_stack([result.nodes, result.values]))
             elif hasattr(result, "to_csv"):
                 result.to_csv(path)
             else:
@@ -122,7 +122,10 @@ def _sigma_policy(model, config: RunConfig):
         t = float(config.sigma_eff)
         window = certify_sigma(model, t, seed=config.seed)
         return t, {"mode": "certified-override", **window.to_dict()}
-    return sigma_bound(model), {"mode": "formula", "value": sigma_bound(model)}
+    if config.command in _WINDOWLESS:
+        return sigma_bound(model), {"mode": "formula", "value": sigma_bound(model)}
+    window = default_sigma_eff(model, seed=config.seed)
+    return window.t, {"mode": "certified-default", **window.to_dict()}
 
 
 def _fvec(text: str) -> np.ndarray:
@@ -170,12 +173,9 @@ def dispatch(config: RunConfig) -> int:
     elif config.command == "gen-s":
         s = generating_S(model, float(opts.get("tau", 0.0)), float(opts["t"]),
                          _fvec(opts["q0"]), _fvec(opts["q1"]), sigma_eff=sigma)
-        rows = ["tau,t,q0,q1,S,rho0,rho1,residual",
-                ",".join(f"{v:.17g}" for v in
-                         [s.tau, s.t, s.q0[0], s.q1[0], s.S, s.rho0[0],
-                          s.rho1[0], s.shoot_residual])]
-        with open(out("gen_s.csv"), "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(out("gen_s.csv"), "tau,t,q0,q1,S,rho0,rho1,residual",
+                  [[s.tau, s.t, s.q0[0], s.q1[0], s.S, s.rho0[0], s.rho1[0],
+                    s.shoot_residual]])
         files.append(out("gen_s.csv"))
         summary.update({"S": s.S, "rho0": s.rho0, "rho1": s.rho1,
                         "residual": s.shoot_residual})
@@ -229,11 +229,8 @@ def dispatch(config: RunConfig) -> int:
                              grid_n=config.grid_n, sigma_eff=sigma)
         res.phi.save(out("phi.gridfn"))
         files.append(out("phi.gridfn"))
-        rows = ["q,phi,t_argmin"]
-        for q, v, t in zip(res.phi.nodes, res.phi.values, res.t_argmin):
-            rows.append(f"{q:.17g},{v:.17g},{t:.17g}")
-        with open(out("mane.csv"), "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(out("mane.csv"), "q,phi,t_argmin",
+                  np.column_stack([res.phi.nodes, res.phi.values, res.t_argmin]))
         files.append(out("mane.csv"))
         summary.update({"a": res.a, "q_base": res.q_base,
                         "phi_min": float(res.phi.values.min()),
@@ -242,11 +239,8 @@ def dispatch(config: RunConfig) -> int:
                          f"{res.phi.values.max():.6g}]")
     elif config.command == "aubry":
         res = aubry_set(model, grid_n=config.grid_n, sigma_eff=sigma)
-        rows = ["node,q"]
-        for i in res.marked_nodes():
-            rows.append(f"{i},{i / config.grid_n:.17g}")
-        with open(out("aubry_mask.csv"), "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(out("aubry_mask.csv"), "node,q",
+                  [(i, i / config.grid_n) for i in res.marked_nodes()])
         files.append(out("aubry_mask.csv"))
         summary.update({"alpha": res.alpha, "marked": res.marked_nodes()})
         log_lines.append(f"alpha={res.alpha:.8g} marked={len(res.marked_nodes())}")

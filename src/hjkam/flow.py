@@ -18,6 +18,8 @@ from .errors import ConfigError, TrajectoryEscape
 from .hamiltonian import HamiltonianModel, check_hypotheses
 
 DEFAULT_STEP = 1e-3
+# default step of the shooting and generating-function layer
+TARGET_STEP = 2e-3
 TOL_ENERGY = 1e-8
 TOL_SYMP = 1e-7
 TOL_ODE = 1e-6
@@ -56,14 +58,16 @@ class Trajectory:
 
     def to_csv(self, path):
         d = self.Q.shape[1]
-        header = "t," + ",".join(f"q_{k}" for k in range(d)) + "," + \
-                 ",".join(f"p_{k}" for k in range(d)) + ",H"
-        rows = [header]
-        for i in range(len(self.times)):
-            vals = [self.times[i], *self.Q[i], *self.P[i], self.energy[i]]
-            rows.append(",".join(f"{v:.17g}" for v in vals))
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        header = ",".join(["t", *(f"q_{k}" for k in range(d)),
+                           *(f"p_{k}" for k in range(d)), "H"])
+        write_csv(path, header, np.column_stack([self.times, self.Q, self.P, self.energy]))
+
+
+def write_csv(path, header: str, rows):
+    """Write ``rows`` of numbers under the ``header`` line, each at ``.17g``."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -186,12 +190,9 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     return Q, P, Mono, W, escaped
 
 
-def _n_steps(tau, t, step):
-    span = abs(t - tau)
-    if span == 0:
-        return 1
-    h = DEFAULT_STEP if step is None else float(step)
-    return max(1, int(np.ceil(span / h - 1e-12)))
+def _steps_for(span: float, target: float = TARGET_STEP) -> int:
+    """Fewest uniform steps of at most ``target`` over ``|span|``; one at zero."""
+    return max(1, int(np.ceil(abs(span) / target - 1e-12)))
 
 
 def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
@@ -199,7 +200,7 @@ def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
     """Flow ``x0`` from time ``tau`` to ``t`` (backward when ``t < tau``)."""
     if not isinstance(x0, PhaseState):
         x0 = PhaseState(*x0)
-    n = _n_steps(tau, t, step)
+    n = _steps_for(t - tau, DEFAULT_STEP if step is None else step)
     h = (t - tau) / n
     times = tau + h * np.arange(n + 1)
     Q = np.empty((n + 1, model.d))
@@ -216,45 +217,25 @@ def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
     return Trajectory(times=times, Q=Q, P=P, energy=energy)
 
 
-def operator_norm(A: np.ndarray, iters: int = 30) -> float:
-    """Spectral norm by power iteration on ``A^T A`` (d is small)."""
-    A = np.asarray(A, float)
-    n = A.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(A @ v))
-
-
 def monodromy(model: HamiltonianModel, x0, tau: float, t: float,
               step: Optional[float] = None) -> MonodromyResult:
     """Differential of the flow map along the orbit of ``x0``."""
     if not isinstance(x0, PhaseState):
         x0 = PhaseState(*x0)
-    n = _n_steps(tau, t, step)
+    n = _steps_for(t - tau, DEFAULT_STEP if step is None else step)
     Q, P, Mono, _, _ = integrate_batch(model, tau, t, x0.q, x0.p, n, want_monodromy=True)
     if np.max(np.abs(Q)) > OVERFLOW_GUARD or np.max(np.abs(P)) > OVERFLOW_GUARD:
         raise TrajectoryEscape("trajectory escaped during monodromy integration")
     d = model.d
-    dev = operator_norm(Mono - np.eye(2 * d))
+    dev = float(np.linalg.norm(Mono - np.eye(2 * d), 2))
     return MonodromyResult(dqQ=Mono[:d, :d].copy(), dpQ=Mono[:d, d:].copy(),
                            dqP=Mono[d:, :d].copy(), dpP=Mono[d:, d:].copy(),
                            deviation=dev)
 
 
-def sigma_bound(model: HamiltonianModel, use_empirical: bool = False,
-                report=None) -> float:
-    """Guaranteed twist window ``m / (4 M^2)`` from declared or sampled constants."""
-    if use_empirical:
-        if report is None:
-            report = check_hypotheses(model)
-        m, M = report.m_emp, report.M_emp
-    else:
-        m, M = model.m, model.M
+def sigma_bound(model: HamiltonianModel) -> float:
+    """Guaranteed twist window ``m / (4 M^2)`` from the declared constants."""
+    m, M = model.m, model.M
     if m <= 0 or M <= 0:
         raise ConfigError("sigma bound needs positive constants")
     return m / (4.0 * M * M)

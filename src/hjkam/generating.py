@@ -17,17 +17,12 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (ConfigError, ExistenceHorizonExceeded, FoldDetected,
                      SigmaExceeded, SolverDiverged)
-from .flow import integrate_batch, resolve_sigma
+from .flow import TARGET_STEP, _steps_for, integrate_batch, resolve_sigma, write_csv
 from .hamiltonian import HamiltonianModel, legendre_batch
 
-TARGET_STEP = 2e-3
 # coarser step of the tabulated grid kernels and their batched pair actions
 KERNEL_STEP = 5e-3
 MAX_SHOOT_ITER = 50
-
-
-def _steps_for(span: float, target: float = TARGET_STEP) -> int:
-    return max(1, int(np.ceil(abs(span) / target - 1e-12)))
 
 
 def shoot_tol(q0, q1) -> np.ndarray:
@@ -54,14 +49,13 @@ def _jacobian(model, tau, t, Q0, p, n_steps):
     return Q, J
 
 
-def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
-                  max_iter=MAX_SHOOT_ITER, refresh_every=3, J=None):
+def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol, J=None):
     """Damped chord-Newton on ``Q_tau^t(q0, p) = q1`` for a batch.
 
     Residual evaluations integrate the state only; the ``dQ/dp`` Jacobian
-    block is refreshed every few accepted steps (it varies slowly in p
-    within the twist window).  A warm Jacobian from a coarser grid can be
-    passed in via ``J``.  Each row keeps its own refresh count and stall
+    block is refreshed every three iterations and after a rejected step (it
+    varies slowly in p within the twist window).  A warm Jacobian from a
+    coarser grid can be passed in via ``J``.  Each row keeps its own refresh count and stall
     test, only rows still above ``tol`` are refreshed, and the line search
     integrates only the rows still backtracking, so a row's result does not
     depend on the other rows of its batch.
@@ -73,7 +67,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
     F = Q - Q1
     res = np.linalg.norm(F, axis=-1)
     since_refresh = np.zeros(res.shape, int)
-    for _ in range(max_iter):
+    for _ in range(MAX_SHOOT_ITER):
         active = res > tol
         if not active.any():
             break
@@ -96,7 +90,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol,
         F = np.where(accept[..., None], Ft, F)
         res = np.where(accept, rt, res)
         since_refresh += 1
-        stale = (res > tol) & ((active & ~accept) | (since_refresh >= refresh_every))
+        stale = (res > tol) & ((active & ~accept) | (since_refresh >= 3))
         if stale.any():
             J = J.copy()
             J[stale] = _jacobian(model, tau, t, Q0[stale], p[stale], n_steps)[1]
@@ -244,11 +238,7 @@ class GeometricFront:
     seeds: np.ndarray
 
     def to_csv(self, path):
-        rows = ["q,p,w"]
-        for i in range(len(self.q)):
-            rows.append(f"{self.q[i]:.17g},{self.p[i]:.17g},{self.w[i]:.17g}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(path, "q,p,w", np.column_stack([self.q, self.p, self.w]))
 
 
 def _check_graph_consistency(q0, du0, u0):
@@ -261,8 +251,7 @@ def _check_graph_consistency(q0, du0, u0):
         raise ConfigError(f"inconsistent initial graph: integral defect {defect:.3e} > {tol:.3e}")
 
 
-def propagate_front(model: HamiltonianModel, initial_graph, t: float,
-                    check_consistency: bool = True) -> GeometricFront:
+def propagate_front(model: HamiltonianModel, initial_graph, t: float) -> GeometricFront:
     """Transport a sampled initial graph ``(q, du0, u0)`` by the flow.
 
     Action values are accumulated with the flow; ``fold_flag`` reports loss
@@ -274,11 +263,9 @@ def propagate_front(model: HamiltonianModel, initial_graph, t: float,
         raise ConfigError("front propagation is implemented for d = 1 samples")
     order = np.argsort(q0)
     q0, du0, u0 = q0[order], du0[order], u0[order]
-    if check_consistency:
-        _check_graph_consistency(q0, du0, u0)
-    n_steps = _steps_for(t) if t != 0 else 1
+    _check_graph_consistency(q0, du0, u0)
     Q, P, _, W, escaped = integrate_batch(model, 0.0, t, q0[:, None], du0[:, None],
-                                          n_steps, want_action=True, guard=1e8)
+                                          _steps_for(t), want_action=True, guard=1e8)
     keep = ~escaped
     dropped = int(np.sum(escaped))
     qt = Q[keep, 0]
@@ -327,11 +314,3 @@ def classical_cauchy(model: HamiltonianModel, u0_samples, t: float, query_grid,
     u_interp = PchipInterpolator(qt, wt)
     du_interp = PchipInterpolator(qt, pt)
     return u_interp(query), du_interp(query)
-
-
-def cauchy_to_csv(path, query, u, du):
-    rows = ["q,u,du"]
-    for i in range(len(query)):
-        rows.append(f"{query[i]:.17g},{u[i]:.17g},{du[i]:.17g}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")

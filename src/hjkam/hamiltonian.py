@@ -479,7 +479,7 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
                             periodic_defect=periodic_defect)
 
 
-def legendre_batch(model: HamiltonianModel, t, q, v, tol=TOL_NEWTON, max_iter=MAX_NEWTON_ITER):
+def legendre_batch(model: HamiltonianModel, t, q, v):
     """Vectorized Legendre transform: maximize ``p . v - H(t, q, p)`` over p.
 
     Returns ``(L, p_star)`` with shapes ``(...)``, ``(..., d)``.  The damped
@@ -495,8 +495,8 @@ def legendre_batch(model: HamiltonianModel, t, q, v, tol=TOL_NEWTON, max_iter=MA
 
     r = residual(p)
     rnorm = np.linalg.norm(r, axis=-1)
-    for _ in range(max_iter):
-        if np.all(rnorm <= tol):
+    for _ in range(MAX_NEWTON_ITER):
+        if np.all(rnorm <= TOL_NEWTON):
             break
         _, _, Hpp = model.hessian(t, q, p)
         if model.d == 1:
@@ -504,7 +504,7 @@ def legendre_batch(model: HamiltonianModel, t, q, v, tol=TOL_NEWTON, max_iter=MA
         else:
             step = -np.linalg.solve(Hpp, r[..., None])[..., 0]
         lam = np.ones(rnorm.shape)
-        active = rnorm > tol
+        active = rnorm > TOL_NEWTON
         for _bt in range(30):
             p_try = p + lam[..., None] * step
             r_try = residual(p_try)

@@ -69,10 +69,8 @@ class GridFunction:
             raise ConfigError("grid function has non-finite values")
 
     @classmethod
-    def from_callable(cls, fn, n: int, d: int = 1):
-        if d != 1:
-            grids = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
-            return cls(d=d, n_per_dim=n, values=np.asarray(fn(*grids), float))
+    def from_callable(cls, fn, n: int):
+        """Samples of ``fn`` at the ``n`` nodes of the circle (d = 1)."""
         return cls(d=1, n_per_dim=n, values=np.asarray(fn(np.arange(n) / n), float))
 
     @property
@@ -192,8 +190,7 @@ def _pair_actions(model, tau, t, Q0, Q1, sigma):
     if t - tau <= sigma * (1 + 1e-12):
         return generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
                                 check_sigma=False, step_target=KERNEL_STEP)[0]
-    return minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
-                                step_target=KERNEL_STEP)[0]
+    return minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma)[0]
 
 
 def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,

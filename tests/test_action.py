@@ -217,3 +217,15 @@ def test_near_tied_minimizers_pick_first_start(pendulum, monkeypatch):
                                      sigma_eff=SIGMA_PEND)
     assert abs(value - (4.0 + 1e-11)) < 1e-14
     assert np.allclose(path.nodes[:, 0], [0.2, 0.3, 0.4])
+
+
+def test_forced_chain_in_time_slots(forced):
+    # a non-autonomous model solves each segment in its own time slot; the
+    # relaxed chain must match the independent Lagrangian oracle
+    A, path = minimal_action(forced, 0.1, 0.7, [0.2], [0.7], sigma_eff=SIGMA_PEND)
+    assert path.n == 6 and np.max(path.momentum_jumps) <= 1e-6
+    T = tonelli_oracle(forced, 0.1, 0.7, [0.2], [0.7], n_segments=200, restarts=1)
+    assert abs(A - T) <= 1e-4
+    B = broken_action_value(forced, 0.1, 0.7, [0.2], [0.7], path.nodes,
+                            sigma_eff=SIGMA_PEND)
+    assert abs(A - B) <= 1e-8

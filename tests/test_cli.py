@@ -6,6 +6,8 @@ import pytest
 
 from hjkam.cli import RunConfig, build_parser, config_from_args, export_dataset, main
 from hjkam.errors import ConfigError
+from hjkam.flow import sigma_bound
+from hjkam.hamiltonian import pendulum_model
 from hjkam.laxoleinik import GridFunction
 
 
@@ -27,6 +29,21 @@ def test_gen_s_free(tmp_path):
     assert meta["sigma_policy"]["mode"] == "certified-override"
 
 
+def test_default_window_is_certified(tmp_path):
+    # without --sigma-eff the CLI certifies a working window by a twist scan,
+    # not the formula bound m / (4 M^2)
+    out = tmp_path / "g"
+    assert run_cli(["gen-s", "--model", "free", "--t", "1", "--q0", "0", "--q1", "1",
+                    "--out", str(out)]) == 0
+    assert abs(json.loads((out / "summary.json").read_text())["S"] - 0.5) < 1e-9
+    out = tmp_path / "a"
+    assert run_cli(["alpha", "--model", "pendulum", "--grid", "32", "--out", str(out)]) == 0
+    assert abs(json.loads((out / "summary.json").read_text())["alpha"] - 1.0) <= 1e-2
+    policy = json.loads((out / "meta.json").read_text())["sigma_policy"]
+    assert policy["mode"] == "certified-default" and policy["margin"] >= 0.0
+    assert policy["t"] > 100 * sigma_bound(pendulum_model())
+
+
 def test_check_pendulum_file(tmp_path):
     model_file = tmp_path / "pendulum.json"
     model_file.write_text(json.dumps({"family": "mechanical", "d": 1,
@@ -38,6 +55,18 @@ def test_check_pendulum_file(tmp_path):
     report = json.loads((out / "hypothesis_report.json").read_text())
     assert all(report["passes"].values())
     assert abs(report["M_emp"] - 4 * np.pi ** 2) < 1e-2
+
+
+def test_check_reports_understated_M(tmp_path):
+    # the declared M = 0.1 breaks H1; check must report it, not refuse the model
+    model_file = tmp_path / "bad_M.json"
+    model_file.write_text(json.dumps({"family": "mechanical", "V_coeffs": [0.0, 1.0],
+                                      "M": 0.1}))
+    out = tmp_path / "o"
+    assert run_cli(["check", "--model", str(model_file), "--out", str(out)]) == 0
+    report = json.loads((out / "hypothesis_report.json").read_text())
+    assert report["passes"]["H1"] is False
+    assert json.loads((out / "meta.json").read_text())["sigma_policy"]["mode"] == "formula"
 
 
 def test_alpha_pendulum(tmp_path):

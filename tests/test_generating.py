@@ -195,3 +195,38 @@ def test_line_search_integrates_only_backtracking_rows(pendulum, monkeypatch):
     assert mixed == rows[1:] and sum(mixed) > 0
     assert np.array_equal(p_mixed[20:], p_hard) and np.array_equal(res_mixed[20:], res_hard)
     assert np.array_equal(p_mixed[:20], p_conv[:20])
+
+
+def test_horizon_continuation_rescues_failed_rows(pendulum, monkeypatch):
+    # shoot_batch re-solves the rows that its production-grid Newton solve
+    # leaves above tolerance by continuation through t/4 and t/2; here that
+    # solve is made to fail on every other row, leaving a wrong momentum
+    import hjkam.generating as g
+    t = 0.15
+    rng = np.random.default_rng(8)
+    Q0 = rng.uniform(0, 1, (12, 1))
+    Q1 = Q0 + rng.uniform(-0.4, 0.4, (12, 1))
+    p_direct, _ = g.shoot_batch(pendulum, 0.0, t, Q0, Q1, sigma_eff=SIGMA_PEND)
+    n_fine = g._steps_for(t)
+    real = g._newton_shoot
+    solves = []
+
+    def fail_first_fine_solve(model, tau, t_, Q0_, Q1_, p, n_steps, tol, J=None):
+        p, res, J = real(model, tau, t_, Q0_, Q1_, p, n_steps, tol, J=J)
+        if n_steps == n_fine and all(n != n_fine for _, _, n in solves):
+            bad = np.arange(len(res)) % 2 == 1
+            p, res = np.where(bad[:, None], p + 1.0, p), np.where(bad, 1.0, res)
+        solves.append((t_, len(Q0_), n_steps))
+        return p, res, J
+
+    monkeypatch.setattr(g, "_newton_shoot", fail_first_fine_solve)
+    p, res = g.shoot_batch(pendulum, 0.0, t, Q0, Q1, sigma_eff=SIGMA_PEND)
+    # coarse pre-solve and polish on all rows, then three horizons on six rows
+    assert [(h, rows) for h, rows, _ in solves] == [(t, 12), (t, 12), (0.25 * t, 6),
+                                                    (0.5 * t, 6), (t, 6)]
+    tol = g.shoot_tol(Q0, Q1)
+    assert np.all(res <= tol)
+    Q = g.integrate_batch(pendulum, 0.0, t, Q0, p, n_fine)[0]
+    assert np.all(np.abs(Q - Q1)[:, 0] <= tol)
+    assert np.array_equal(p[::2], p_direct[::2])
+    assert np.max(np.abs(p - p_direct)) <= 1e-9
