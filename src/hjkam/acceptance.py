@@ -441,7 +441,7 @@ def criterion_12_aubry_invariant() -> CriterionResult:
     free_ok = bool(np.all(fres.mask))
     passed = pend_ok and conc_ok and lift_ok and free_ok
     return CriterionResult(12, "Aubry/invariant consistency", passed,
-                           f"pendulum mask nodes {list(marked)}; survivors "
+                           f"pendulum mask nodes {marked.tolist()}; survivors "
                            f"{len(pts)} within one cell of (0,0): {conc_ok}; "
                            f"mask lifts: {lift_ok}; free mask full: {free_ok}",
                            time.time() - t0)

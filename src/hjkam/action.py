@@ -375,7 +375,7 @@ def _discrete_action_and_grad(model, tau, t, q0, q1, theta, n):
     v = (pts[1:] - pts[:-1]) / h
     tt = mid_t if not model.autonomous else 0.0
     L, p_star = legendre_batch(model, tt, mid_q, v)
-    Hq, _ = model.grad(tt, mid_q, p_star)
+    Hq = model.jet(tt, mid_q, p_star)[0]
     Lq = -Hq
     value = float(np.sum(L) * h)
     # d/d theta_k: h/2 (Lq_k-1 + Lq_k) + (p*_{k-1} - p*_k)

@@ -3,8 +3,11 @@
 The integrator is a classical explicit 4th-order one-step method applied
 jointly to the state, the 2d x 2d monodromy matrix, and the running
 Hamiltonian action, so derivative and action estimates share the state's
-discretization.  All internals are vectorized over a leading batch axis;
-the public API wraps single trajectories.
+discretization.  Each stage takes the vector field, the Hessian blocks of
+the variational equation and the action rate from one evaluation of the
+model's jet, asking only for the terms it integrates.  All internals are
+vectorized over a leading batch axis; the public API wraps single
+trajectories.
 """
 
 from __future__ import annotations
@@ -91,33 +94,30 @@ class MonodromyResult:
         return float(np.linalg.norm(m.T @ J @ m - J, 2))
 
 
-def _variational_matrix(model, t, Q, P):
-    Hqq, Hqp, Hpp = model.hessian(t, Q, P)
-    top = np.concatenate([np.swapaxes(Hqp, -1, -2), Hpp], axis=-1)
-    bot = np.concatenate([-Hqq, -Hqp], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
 def _stage(model, t, Q, P, Mono, want_action):
-    Hp = None
-    if model.rhs is not None:
-        dQ, dP = model.rhs(t, Q, P)
-    else:
-        Hq, Hp = model.grad(t, Q, P)
-        dQ, dP = Hp, -Hq
+    """One RK4 stage ``(dQ, dP, dM, dW)`` from one jet evaluation.
+
+    ``Mono`` is component-major, ``(2d, 2d, ...)``, so that its updates run
+    along the batch; ``dM = [[H_pq, H_pp], [-H_qq, -H_qp]] Mono``.
+    """
+    Hq, Hp, dW, blocks = model.jet(t, Q, P, action=want_action, hessian=Mono is not None)
     dM = None
     if Mono is not None:
-        A = _variational_matrix(model, t, Q, P)
-        dM = A @ Mono
-    dW = None
-    if want_action:
-        if model.action_rate is not None:
-            dW = model.action_rate(t, Q, P)
+        Hqq, Hqp, Hpp = blocks
+        d = model.d
+        if d == 1:
+            # scalar blocks: one update per row of the 2 x 2 matrix
+            hqq, hqp, hpp = Hqq[..., 0, 0], Hqp[..., 0, 0], Hpp[..., 0, 0]
+            dM = np.empty_like(Mono)
+            dM[0] = hqp * Mono[0] + hpp * Mono[1]
+            dM[1] = -hqq * Mono[0] - hqp * Mono[1]
         else:
-            if Hp is None:
-                Hp = model.grad(t, Q, P)[1]
-            dW = np.sum(P * Hp, axis=-1) - model.value(t, Q, P)
-    return dQ, dP, dM, dW
+            # batch-major (..., d, d) blocks times component-major (d, 2d, ...) rows
+            top, bot = Mono[:d], Mono[d:]
+            prod = "...ik,kj...->ij..."
+            dM = np.concatenate([np.einsum("...ki,kj...->ij...", Hqp, top) + np.einsum(prod, Hpp, bot),
+                                 -np.einsum(prod, Hqq, top) - np.einsum(prod, Hqp, bot)])
+    return Hp, -Hq, dM, dW
 
 
 def _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action):
@@ -155,7 +155,9 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     shape = Q.shape[:-1]
     Mono = None
     if want_monodromy:
-        Mono = np.broadcast_to(np.eye(2 * d), shape + (2 * d, 2 * d)).copy()
+        # component-major while integrating (see _stage), batch-major on return
+        eye = np.eye(2 * d).reshape((2 * d, 2 * d) + (1,) * len(shape))
+        Mono = np.broadcast_to(eye, (2 * d, 2 * d) + shape).copy()
     W = np.zeros(shape) if want_action else None
     escaped = np.zeros(shape, bool)
 
@@ -187,11 +189,15 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
         if guard is not None:
             over = (np.max(np.abs(Q), axis=-1) > guard) | (np.max(np.abs(P), axis=-1) > guard)
             escaped |= over
+    if Mono is not None:
+        Mono = np.ascontiguousarray(np.moveaxis(Mono, (0, 1), (-2, -1)))
     return Q, P, Mono, W, escaped
 
 
 def _steps_for(span: float, target: float = TARGET_STEP) -> int:
     """Fewest uniform steps of at most ``target`` over ``|span|``; one at zero."""
+    if not 0 < target < np.inf:
+        raise ConfigError(f"step must be finite and > 0, got {target}")
     return max(1, int(np.ceil(abs(span) / target - 1e-12)))
 
 

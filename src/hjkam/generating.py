@@ -306,8 +306,8 @@ def classical_cauchy(model: HamiltonianModel, u0_samples, t: float, query_grid,
         raise FoldDetected(f"front folded at t={t:.6g}")
     qt, pt, wt = front.q, front.p, front.w
     query = np.atleast_1d(np.asarray(query_grid, float))
-    grad = model.grad(t, qt[:, None], pt[:, None])[1][:, 0]
-    margin = float(np.max(np.abs(grad)) * abs(t))
+    Hp = model.jet(t, qt[:, None], pt[:, None])[1]
+    margin = float(np.max(np.abs(Hp)) * abs(t))
     lo, hi = q0[0] + margin, q0[-1] - margin
     if np.any(query < lo - 1e-12) or np.any(query > hi + 1e-12):
         raise ConfigError(f"query points outside in-flow window [{lo:.6g}, {hi:.6g}]")

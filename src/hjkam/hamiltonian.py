@@ -1,12 +1,12 @@
 """Hamiltonian models, standing-hypothesis checks, and the Legendre transform.
 
-A model bundles a vectorized evaluator ``H(t, q, p)`` with its first and
-second derivatives in ``(q, p)``, the declared convexity/bound constants
-``m`` and ``M``, and the periodicity/autonomy flags used downstream.
-Built-in families (free kinetic, scaled quadratic, mechanical with a
-trigonometric-polynomial potential, and a time-forced variant) all carry
-analytic derivatives; models built from user callables fall back to central
-finite differences with step ``h_fd``.
+A model bundles a vectorized evaluator ``H(t, q, p)`` with one jet, which
+gives the derivatives in ``(q, p)`` from one evaluation, the declared
+convexity/bound constants ``m`` and ``M``, and the periodicity/autonomy
+flags used downstream.  Built-in families (free kinetic, scaled quadratic,
+mechanical with a trigonometric-polynomial potential, and a time-forced
+variant) write their jets in closed form; models built from user callables
+fall back to central finite differences with step ``h_fd``.
 """
 
 from __future__ import annotations
@@ -32,18 +32,23 @@ _MODEL_TOKENS = itertools.count()
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Evaluable Hamiltonian with derivatives and declared constants.
+    """Evaluable Hamiltonian with its jet and declared constants.
 
-    ``value``, ``grad`` and ``hessian`` accept arrays ``q, p`` of shape
-    ``(..., d)`` (``t`` scalar or broadcastable) and return shapes
-    ``(...)``, ``((..., d), (..., d))`` and ``((..., d, d),) * 3``.
-    Instances are immutable; evaluation is pure and thread-safe.
+    ``value(t, q, p)`` and ``jet(t, q, p, action=False, hessian=False)``
+    accept arrays ``q, p`` of shape ``(..., d)`` (``t`` scalar or
+    broadcastable).  ``value`` returns ``H`` of shape ``(...)``.  The jet
+    returns ``(H_q, H_p, L, blocks)``: the gradients, of shape ``(..., d)``
+    each; with ``action``, the action rate ``L = p . H_p - H`` of shape
+    ``(...)``, else None; with ``hessian``, the blocks ``(H_qq, H_qp, H_pp)``
+    of shape ``(..., d, d)`` each (``H_qp[..., i, j]`` is
+    ``d^2 H / dq_i dp_j``), else None.  A term that is not asked for
+    is not computed.  ``H_p`` may be ``p`` itself.  Instances are immutable;
+    evaluation is pure and thread-safe.
     """
 
     d: int
     value: Callable
-    grad: Callable
-    hessian: Callable
+    jet: Callable
     m: float
     M: float
     periodic: bool
@@ -52,9 +57,6 @@ class HamiltonianModel:
     h_fd: float = DEFAULT_H_FD
     family: str = "custom"
     params: tuple = ()
-    # optional fused callables for the integrator hot path
-    rhs: Optional[Callable] = None
-    action_rate: Optional[Callable] = None
     token: int = field(default_factory=lambda: next(_MODEL_TOKENS), init=False,
                        compare=False, repr=False)
 
@@ -102,9 +104,9 @@ def _fd_hessian_factory(grad, d, h_fd):
             gq_minus = grad(t, q - hq * e, p)
             gp_plus = grad(t, q, p + hp * e)
             gp_minus = grad(t, q, p - hp * e)
-            # row k of each block: derivative of (Hq, Hp) in direction e_k
+            # derivatives in q_k and p_k: Hqp[..., i, j] is d^2 H / dq_i dp_j
             Hqq[..., k, :] = (gq_plus[0] - gq_minus[0]) / (2 * hq)
-            Hqp[..., k, :] = (gp_plus[0] - gp_minus[0]) / (2 * hp)
+            Hqp[..., :, k] = (gp_plus[0] - gp_minus[0]) / (2 * hp)
             Hpp[..., k, :] = (gp_plus[1] - gp_minus[1]) / (2 * hp)
         return Hqq, Hqp, Hpp
 
@@ -113,12 +115,23 @@ def _fd_hessian_factory(grad, d, h_fd):
 
 def custom_model(value, d, m, M, grad=None, hessian=None, periodic=False,
                  autonomous=True, q_homogeneous=False, h_fd=DEFAULT_H_FD):
-    """Wrap user callables into a model, with finite-difference fallbacks."""
+    """Wrap user callables into a model, with finite-difference fallbacks.
+
+    ``grad(t, q, p)`` returns ``(H_q, H_p)`` and ``hessian(t, q, p)`` the
+    blocks ``(H_qq, H_qp, H_pp)``; either defaults to central differences
+    with step ``h_fd``.  The jet calls ``grad`` once, ``value`` only for the
+    action rate and ``hessian`` only for the blocks.
+    """
     if grad is None:
         grad = _fd_grad_factory(value, d, h_fd)
-    if hessian is None:
-        hessian = _fd_hessian_factory(grad, d, h_fd)
-    return HamiltonianModel(d=d, value=value, grad=grad, hessian=hessian, m=m, M=M,
+    blocks = hessian if hessian is not None else _fd_hessian_factory(grad, d, h_fd)
+
+    def jet(t, q, p, action=False, hessian=False):
+        Hq, Hp = grad(t, q, p)
+        L = np.sum(p * Hp, axis=-1) - value(t, q, p) if action else None
+        return Hq, Hp, L, blocks(t, q, p) if hessian else None
+
+    return HamiltonianModel(d=d, value=value, jet=jet, m=m, M=M,
                             periodic=periodic, autonomous=autonomous,
                             q_homogeneous=q_homogeneous, h_fd=h_fd)
 
@@ -132,28 +145,21 @@ def quadratic_model(a: float = 1.0, d: int = 1) -> HamiltonianModel:
         p = np.asarray(p, float)
         return 0.5 * a * np.sum(p * p, axis=-1)
 
-    def grad(t, q, p):
-        q = np.asarray(q, float)
-        p = np.asarray(p, float)
-        return np.zeros_like(q), a * p
-
     eye = np.eye(d)
 
-    def hessian(t, q, p):
-        shape = np.asarray(q, float).shape[:-1]
-        z = np.zeros(shape + (d, d))
-        return z, z.copy(), np.broadcast_to(a * eye, shape + (d, d)).copy()
+    def jet(t, q, p, action=False, hessian=False):
+        q = np.asarray(q, float)
+        p = np.asarray(p, float)
+        L = 0.5 * a * np.sum(p * p, axis=-1) if action else None
+        blocks = None
+        if hessian:
+            z = np.zeros(q.shape[:-1] + (d, d))
+            blocks = z, z.copy(), np.broadcast_to(a * eye, z.shape).copy()
+        return np.zeros_like(q), a * p, L, blocks
 
-    def rhs(t, q, p):
-        return a * p, np.zeros_like(p)
-
-    def action_rate(t, q, p):
-        return 0.5 * a * np.sum(p * p, axis=-1)
-
-    return HamiltonianModel(d=d, value=value, grad=grad, hessian=hessian, m=a, M=a,
+    return HamiltonianModel(d=d, value=value, jet=jet, m=a, M=a,
                             periodic=True, autonomous=True, q_homogeneous=True,
-                            family="quadratic", params=(float(a),),
-                            rhs=rhs, action_rate=action_rate)
+                            family="quadratic", params=(float(a),))
 
 
 def free_model(d: int = 1) -> HamiltonianModel:
@@ -165,8 +171,9 @@ def free_model(d: int = 1) -> HamiltonianModel:
 class TrigPolynomial:
     """1-d potential ``c0 + sum_k a_k cos(2 pi k q) + b_k sin(2 pi k q)``.
 
-    Coefficients are packed ``[c0, a1, b1, a2, b2, ...]``.  Arguments are
-    reduced mod 1 before evaluation so integer shifts are exact.
+    Coefficients are packed ``[c0, a1, b1, a2, b2, ...]``.  Calling it
+    reduces the argument mod 1 first, so integer shifts are exact; ``jet``
+    takes the argument as given.
     """
 
     def __init__(self, coeffs):
@@ -180,49 +187,57 @@ class TrigPolynomial:
         self.k = np.arange(1, len(self.a) + 1)
         self._has_b = bool(np.any(self.b != 0.0))
         self._single = len(self.a) == 1 and not self._has_b
-
-    def _theta(self, q, reduce=True):
-        q = np.asarray(q, float)
-        if reduce:
-            q = np.mod(q, 1.0)
-        return (2 * np.pi) * q[..., None] * self.k
-
-    def __call__(self, q, reduce=True):
-        # argument reduction keeps integer shifts bitwise exact
-        if self._single:
-            qq = np.mod(np.asarray(q, float), 1.0) if reduce else np.asarray(q, float)
-            return self.c0 + self.a[0] * np.cos((2 * np.pi) * qq)
-        th = self._theta(q, reduce)
-        out = self.c0 + np.cos(th) @ self.a
-        if self._has_b:
-            out = out + np.sin(th) @ self.b
-        return out
-
-    def deriv(self, q):
-        if self._single:
-            return (-2 * np.pi * self.a[0]) * np.sin((2 * np.pi) * np.asarray(q, float))
-        th = self._theta(q, reduce=False)
         w = 2 * np.pi * self.k
-        out = -np.sin(th) @ (w * self.a)
-        if self._has_b:
-            out = out + np.cos(th) @ (w * self.b)
-        return out
-
-    def second(self, q):
-        if self._single:
-            return (-4 * np.pi ** 2 * self.a[0]) * np.cos((2 * np.pi) * np.asarray(q, float))
-        th = self._theta(q, reduce=False)
         w2 = (2 * np.pi * self.k) ** 2
-        out = -np.cos(th) @ (w2 * self.a)
+        self._wa, self._wb, self._w2a, self._w2b = w * self.a, w * self.b, w2 * self.a, w2 * self.b
+        self._single_d1 = -2 * np.pi * self.a[0]
+        self._single_d2 = -4 * np.pi ** 2 * self.a[0]
+
+    def _theta(self, q):
+        q = np.asarray(q, float)
+        return (2 * np.pi) * q if self._single else (2 * np.pi) * q[..., None] * self.k
+
+    def _value(self, c, s):
+        if self._single:
+            return self.c0 + self.a[0] * c
+        out = self.c0 + c @ self.a
+        return out + s @ self.b if self._has_b else out
+
+    def __call__(self, q):
+        th = self._theta(np.mod(np.asarray(q, float), 1.0))
+        return self._value(np.cos(th), np.sin(th) if self._has_b else None)
+
+    def jet(self, q, value=False, second=False):
+        """``(V', V, V'')`` at ``q``, not reduced, from one sine and one
+        cosine; ``V`` and ``V''`` are None unless asked for, and a
+        cosine-only potential's ``V'`` takes no cosine."""
+        th = self._theta(q)
+        s = np.sin(th)
+        c = np.cos(th) if value or second or self._has_b else None
+        V = self._value(c, s) if value else None
+        if self._single:
+            return self._single_d1 * s, V, self._single_d2 * c if second else None
+        dV = -s @ self._wa
         if self._has_b:
-            out = out - np.sin(th) @ (w2 * self.b)
-        return out
+            dV = dV + c @ self._wb
+        d2V = None
+        if second:
+            d2V = -c @ self._w2a
+            if self._has_b:
+                d2V = d2V - s @ self._w2b
+        return dV, V, d2V
 
     def max_curvature(self) -> float:
         return float(np.sum((2 * np.pi * self.k) ** 2 * (np.abs(self.a) + np.abs(self.b))))
 
     def bound(self) -> float:
         return float(abs(self.c0) + np.sum(np.abs(self.a) + np.abs(self.b)))
+
+
+def _unit_mass_blocks(Hqq):
+    """Blocks ``(H_qq, 0, 1)`` of ``p^2/2 + f(t, q)`` (d = 1), ``(..., 1, 1)`` each."""
+    Hqq = Hqq[..., None, None]
+    return Hqq, np.zeros_like(Hqq), np.ones_like(Hqq)
 
 
 def mechanical_model(V_coeffs, m: Optional[float] = None, M: Optional[float] = None) -> HamiltonianModel:
@@ -235,28 +250,15 @@ def mechanical_model(V_coeffs, m: Optional[float] = None, M: Optional[float] = N
         p = np.asarray(p, float)
         return 0.5 * np.sum(p * p, axis=-1) + V(np.asarray(q, float)[..., 0])
 
-    def grad(t, q, p):
-        q = np.asarray(q, float)
+    def jet(t, q, p, action=False, hessian=False):
         p = np.asarray(p, float)
-        return V.deriv(q[..., 0])[..., None], p.copy()
+        dV, V0, d2V = V.jet(np.asarray(q, float)[..., 0], action, hessian)
+        L = 0.5 * (p * p)[..., 0] - V0 if action else None
+        return dV[..., None], p, L, _unit_mass_blocks(d2V) if hessian else None
 
-    def hessian(t, q, p):
-        q = np.asarray(q, float)
-        shape = q.shape[:-1]
-        Hqq = V.second(q[..., 0]).reshape(shape + (1, 1))
-        z = np.zeros(shape + (1, 1))
-        return Hqq, z, np.ones(shape + (1, 1))
-
-    def rhs(t, q, p):
-        return p, -V.deriv(q[..., 0])[..., None]
-
-    def action_rate(t, q, p):
-        return 0.5 * np.sum(p * p, axis=-1) - V(q[..., 0], reduce=False)
-
-    return HamiltonianModel(d=1, value=value, grad=grad, hessian=hessian,
+    return HamiltonianModel(d=1, value=value, jet=jet,
                             m=declared_m, M=declared_M, periodic=True, autonomous=True,
-                            family="mechanical", params=tuple(map(float, V.coeffs)),
-                            rhs=rhs, action_rate=action_rate)
+                            family="mechanical", params=tuple(map(float, V.coeffs)))
 
 
 def pendulum_model() -> HamiltonianModel:
@@ -279,28 +281,16 @@ def forced_model(V_coeffs, epsilon: float = 0.2, m: Optional[float] = None,
         p = np.asarray(p, float)
         return 0.5 * np.sum(p * p, axis=-1) + g(t) * V(np.asarray(q, float)[..., 0])
 
-    def grad(t, q, p):
-        q = np.asarray(q, float)
+    def jet(t, q, p, action=False, hessian=False):
         p = np.asarray(p, float)
-        return (g(t) * V.deriv(q[..., 0]))[..., None], p.copy()
+        gt = g(t)
+        dV, V0, d2V = V.jet(np.asarray(q, float)[..., 0], action, hessian)
+        L = 0.5 * (p * p)[..., 0] - gt * V0 if action else None
+        return (gt * dV)[..., None], p, L, _unit_mass_blocks(gt * d2V) if hessian else None
 
-    def hessian(t, q, p):
-        q = np.asarray(q, float)
-        shape = q.shape[:-1]
-        Hqq = (g(t) * V.second(q[..., 0])).reshape(shape + (1, 1))
-        z = np.zeros(shape + (1, 1))
-        return Hqq, z, np.ones(shape + (1, 1))
-
-    def rhs(t, q, p):
-        return p, (-g(t) * V.deriv(q[..., 0]))[..., None]
-
-    def action_rate(t, q, p):
-        return 0.5 * np.sum(p * p, axis=-1) - g(t) * V(q[..., 0], reduce=False)
-
-    return HamiltonianModel(d=1, value=value, grad=grad, hessian=hessian,
+    return HamiltonianModel(d=1, value=value, jet=jet,
                             m=declared_m, M=declared_M, periodic=True, autonomous=False,
-                            family="forced", params=tuple(map(float, V.coeffs)) + (eps,),
-                            rhs=rhs, action_rate=action_rate)
+                            family="forced", params=tuple(map(float, V.coeffs)) + (eps,))
 
 
 _MODEL_KEYS = {"family", "d", "V_coeffs", "a", "epsilon", "m", "M", "periodic"}
@@ -365,11 +355,11 @@ def eval_and_grads(model: HamiltonianModel, t: float, q, p):
     if not np.isfinite(t):
         raise ConfigError("time must be finite")
     H = float(model.value(t, q, p))
-    Hq, Hp = model.grad(t, q, p)
+    Hq, Hp, _, _ = model.jet(t, q, p)
     if not (np.isfinite(H) and np.all(np.isfinite(Hq)) and np.all(np.isfinite(Hp))):
         raise NumericalDomain(f"non-finite Hamiltonian data at t={t}, q={q}, p={p}",
                               point=(t, q.copy(), p.copy()))
-    return H, np.asarray(Hq, float), np.asarray(Hp, float)
+    return H, np.array(Hq, float), np.array(Hp, float)
 
 
 @dataclass
@@ -444,7 +434,7 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
     for i in range(len(ts)):
         H[i] = model.value(ts[i], qs[i], ps[i])
         Hqq, Hqp, Hpp = (np.asarray(b, float).reshape(d, d)
-                         for b in model.hessian(ts[i], qs[i], ps[i]))
+                         for b in model.jet(ts[i], qs[i], ps[i], hessian=True)[3])
         m_vals[i] = np.linalg.eigvalsh(Hpp).min()
         full = np.block([[Hqq, Hqp], [Hqp.T, Hpp]])
         M_vals[i] = np.linalg.norm(full, 2)
@@ -490,15 +480,14 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
     p = np.zeros_like(v)
 
     def residual(p):
-        _, Hp = model.grad(t, q, p)
-        return Hp - v
+        return model.jet(t, q, p)[1] - v
 
     r = residual(p)
     rnorm = np.linalg.norm(r, axis=-1)
     for _ in range(MAX_NEWTON_ITER):
         if np.all(rnorm <= TOL_NEWTON):
             break
-        _, _, Hpp = model.hessian(t, q, p)
+        Hpp = model.jet(t, q, p, hessian=True)[3][2]
         if model.d == 1:
             step = -r / Hpp[..., 0, 0][..., None]
         else:

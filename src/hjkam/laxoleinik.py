@@ -148,7 +148,7 @@ def _grad_sups(model, times, band):
     call.
     """
     P = np.broadcast_to(np.linspace(-band, band, 17)[:, None], _Q_GRID.shape)
-    Hq, Hp = zip(*(model.grad(s, _Q_GRID, P) for s in times))
+    Hq, Hp, _, _ = zip(*(model.jet(s, _Q_GRID, P) for s in times))
     return max(float(np.abs(h).max()) for h in Hq), max(float(np.abs(h).max()) for h in Hp)
 
 
@@ -162,7 +162,7 @@ def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
     ``|p| <= lip + dt sup|H_q|``; it travels at most ``dt sup|H_p|`` over
     that band.  Two cells are added: the argmin sits within one cell of
     that start, and one cell is margin.  The sups are sampled from
-    ``model.grad`` (at the slot's times when ``H`` depends on time); the
+    ``model.jet`` (at the slot's times when ``H`` depends on time); the
     operators' boundary check backs the sampling.
     """
     dt = t - tau

@@ -239,7 +239,7 @@ def _mane_horizons(model, a, n, sig):
     is ``sup |H_p|`` on that band and ``velocity_radius`` bounds the travel."""
     q, zero = np.arange(64)[:, None] / 64, np.zeros((64, 1))
     h0 = float(np.min(model.value(0.0, q, zero)))
-    g0 = float(np.max(np.abs(model.grad(0.0, q, zero)[1])))
+    g0 = float(np.max(np.abs(model.jet(0.0, q, zero)[1])))
     band = (g0 + np.sqrt(g0 ** 2 + 2 * model.m * max(a - h0, 0.0))) / model.m
     speed = _grad_sups(model, [0.0], band)[1]
     hs = np.geomspace(sig / max(1.0, n * speed * sig), sig, MANE_HORIZONS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA_PEND
-from hjkam.errors import TrajectoryEscape
+from hjkam.errors import ConfigError, TrajectoryEscape
 from hjkam.flow import certify_sigma, check_twist, integrate_flow, monodromy, sigma_bound
 from hjkam.hamiltonian import custom_model
 
@@ -120,18 +120,66 @@ def test_trajectory_csv(tmp_path, pendulum):
     assert len(lines) == len(traj.times) + 1
 
 
-def test_stage_evaluates_grad_once_with_action():
-    # a custom model without rhs/action_rate: one grad call per RK4 stage
+@pytest.mark.parametrize("want_monodromy, want_action, per_stage",
+                         [(False, False, (0, 1, 0)), (False, True, (1, 1, 0)),
+                          (True, True, (1, 1, 1))],
+                         ids=["state", "action", "monodromy-action"])
+def test_stage_evaluates_grad_once_with_action(want_monodromy, want_action, per_stage):
+    # a custom model's jet per RK4 stage: grad once for the vector field,
+    # value only for the action rate, hessian only for the monodromy
     from hjkam.flow import integrate_batch
-    calls = []
+    calls = {"value": 0, "grad": 0, "hessian": 0}
+
+    def value(t, q, p):
+        calls["value"] += 1
+        return 0.5 * np.sum(p * p, -1)
 
     def grad(t, q, p):
-        calls.append(1)
+        calls["grad"] += 1
         return np.zeros_like(q), p
 
-    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), d=1, m=1, M=1,
-                         grad=grad, periodic=True)
-    Q, P, _, W, _ = integrate_batch(model, 0.0, 1.0, np.zeros((3, 1)),
-                                    np.ones((3, 1)), 10, want_action=True)
-    assert len(calls) == 4 * 10
-    assert np.allclose(Q[:, 0], 1.0) and np.allclose(W, 0.5)
+    def hessian(t, q, p):
+        calls["hessian"] += 1
+        z = np.zeros(q.shape + (1,))
+        return z, z, np.ones_like(z)
+
+    model = custom_model(value, d=1, m=1, M=1, grad=grad, hessian=hessian, periodic=True)
+    Q, P, Mono, W, _ = integrate_batch(model, 0.0, 1.0, np.zeros((3, 1)), np.ones((3, 1)), 10,
+                                       want_monodromy=want_monodromy, want_action=want_action)
+    assert tuple(calls.values()) == tuple(4 * 10 * c for c in per_stage)
+    assert np.allclose(Q[:, 0], 1.0)
+    assert (W is not None) == want_action and (Mono is not None) == want_monodromy
+    if want_action:
+        assert np.allclose(W, 0.5)
+    if want_monodromy:
+        assert np.allclose(Mono, [[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+def test_step_must_be_finite_and_positive(pendulum, step, tmp_path):
+    with pytest.raises(ConfigError):
+        integrate_flow(pendulum, ([0.3], [1.2]), 0.0, 2.0, step=step)
+    with pytest.raises(ConfigError):
+        monodromy(pendulum, ([0.3], [1.2]), 0.0, 2.0, step=step)
+    from hjkam.cli import main
+    assert main(["flow", "--model", "pendulum", "--q0", "0.3", "--p0", "1.2", "--t", "2",
+                 f"--step={step}", "--out", str(tmp_path)]) == 1
+
+
+def test_monodromy_d2_custom_matches_flow_differences():
+    # the d >= 2 block products and the finite-difference H_qp orientation:
+    # the mixed term couples q_0 into dq_1/dt only
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + 0.3 * q[..., 0] * p[..., 1]
+                         + 0.2 * np.cos(2 * np.pi * q[..., 1]), d=2, m=1.0, M=10.0)
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    mono = monodromy(model, (x[:2], x[2:]), 0.0, 0.5, step=0.01).matrix
+    h = 1e-5
+    J = np.empty((4, 4))
+    for k in range(4):
+        e = np.zeros(4)
+        e[k] = h
+        ends = [integrate_flow(model, (y[:2], y[2:]), 0.0, 0.5, step=0.01).terminal
+                for y in (x + e, x - e)]
+        J[:, k] = (np.concatenate([ends[0].q, ends[0].p])
+                   - np.concatenate([ends[1].q, ends[1].p])) / (2 * h)
+    assert np.max(np.abs(mono - J)) < 1e-5

@@ -3,7 +3,7 @@ import pytest
 
 from hjkam.errors import ConfigError, NumericalDomain
 from hjkam.hamiltonian import (check_hypotheses, custom_model, eval_and_grads,
-                               free_model, legendre, legendre_batch,
+                               forced_model, free_model, legendre, legendre_batch,
                                mechanical_model, model_from_dict, pendulum_model,
                                quadratic_model)
 
@@ -115,22 +115,61 @@ def test_periodicity_exact_and_sampled(pendulum):
                          - pendulum.value(0.0, qr, pr))) < 1e-12
 
 
+def _forced():
+    return forced_model([0.1, 0.5, 0.3, 0.2, -0.15], epsilon=0.3)
+
+
+def _multi_mode():
+    return mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
+
+
 @pytest.mark.parametrize("maker", [lambda: free_model(1), lambda: quadratic_model(2.0),
-                                   pendulum_model])
+                                   pendulum_model, _forced, _multi_mode])
 def test_gradient_consistency(maker):
+    # every jet output against central differences of value (gradients) and
+    # of the jet's gradients (Hessian blocks), at t != 0 so that the forced
+    # model's time factor is not 1
     model = maker()
     rng = np.random.default_rng(9)
     q = rng.uniform(-1, 1, (1000, model.d))
     p = rng.uniform(-3, 3, (1000, model.d))
-    Hq, Hp = model.grad(0.0, q, p)
+    t = 0.37
+    Hq, Hp, L, (Hqq, Hqp, Hpp) = model.jet(t, q, p, action=True, hessian=True)
+    plain = model.jet(t, q, p)
+    assert np.array_equal(plain[0], Hq) and np.array_equal(plain[1], Hp)
+    assert plain[2:] == (None, None)
+    assert np.max(np.abs(L - (np.sum(p * Hp, -1) - model.value(t, q, p)))) < 1e-12
     h = 1e-5
     for k in range(model.d):
         e = np.zeros(model.d)
         e[k] = 1.0
-        fdq = (model.value(0.0, q + h * e, p) - model.value(0.0, q - h * e, p)) / (2 * h)
-        fdp = (model.value(0.0, q, p + h * e) - model.value(0.0, q, p - h * e)) / (2 * h)
+        fdq = (model.value(t, q + h * e, p) - model.value(t, q - h * e, p)) / (2 * h)
+        fdp = (model.value(t, q, p + h * e) - model.value(t, q, p - h * e)) / (2 * h)
         assert np.max(np.abs(fdq - Hq[:, k])) < 1e-7
         assert np.max(np.abs(fdp - Hp[:, k])) < 1e-7
+        dq = [(a - b) / (2 * h) for a, b in zip(model.jet(t, q + h * e, p)[:2],
+                                               model.jet(t, q - h * e, p)[:2])]
+        dp = [(a - b) / (2 * h) for a, b in zip(model.jet(t, q, p + h * e)[:2],
+                                               model.jet(t, q, p - h * e)[:2])]
+        assert np.max(np.abs(dq[0] - Hqq[:, k, :])) < 1e-6
+        assert np.max(np.abs(dq[1] - Hqp[:, k, :])) < 1e-6
+        assert np.max(np.abs(dp[0] - Hqp[:, :, k])) < 1e-6
+        assert np.max(np.abs(dp[1] - Hpp[:, k, :])) < 1e-6
+
+
+def test_fd_jet_hessian_orientation_d2():
+    # the finite-difference fallback keeps H_qp[..., i, j] = d^2 H / dq_i dp_j
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + 0.3 * q[..., 0] * p[..., 1]
+                         + np.cos(2 * np.pi * q[..., 1]), d=2, m=1.0, M=40.0)
+    rng = np.random.default_rng(4)
+    q = rng.uniform(-1, 1, (50, 2))
+    p = rng.uniform(-2, 2, (50, 2))
+    Hqq, Hqp, Hpp = model.jet(0.0, q, p, hessian=True)[3]
+    want_qq = np.zeros((50, 2, 2))
+    want_qq[:, 1, 1] = -4 * np.pi ** 2 * np.cos(2 * np.pi * q[:, 1])
+    assert np.max(np.abs(Hqq - want_qq)) < 1e-4
+    assert np.max(np.abs(Hqp - [[0.0, 0.3], [0.0, 0.0]])) < 1e-4
+    assert np.max(np.abs(Hpp - np.eye(2))) < 1e-4
 
 
 def test_model_from_dict_and_rejection():

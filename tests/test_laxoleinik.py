@@ -536,7 +536,7 @@ def test_kernel_mirror_skips_other_families(request, monkeypatch, name):
 def _grad_sups_meshgrid(model, times, band):
     # the sampling as first written: a fresh meshgrid, abs over the tuple
     Q, P = np.meshgrid(np.arange(64) / 64, np.linspace(-band, band, 17), indexing="ij")
-    Hq, Hp = zip(*(model.grad(s, Q[..., None], P[..., None]) for s in times))
+    Hq, Hp, _, _ = zip(*(model.jet(s, Q[..., None], P[..., None]) for s in times))
     return float(np.max(np.abs(Hq))), float(np.max(np.abs(Hp)))
 
 
