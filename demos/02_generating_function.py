@@ -37,6 +37,6 @@ print(f"flowing (q0, -d0 S) lands at q={orbit.terminal.q[0]:.9f} "
       f"(target {q1[0]}), p={orbit.terminal.p[0]:.9f} (rho1 {s.rho1[0]:.9f})")
 
 print("\n== curvature of S ==")
-d00, d11, d01 = second_diff_probe(free_model(1), 0.0, 0.25, [0.1], [0.6])
+d00, d11, d01 = second_diff_probe(free_model(), 0.0, 0.25, [0.1], [0.6])
 print(f"free model at t=0.25: d00={d00:.6f}, d11={d11:.6f}, d01={d01:.6f} "
       "(exactly 1/t, 1/t, -1/t)")

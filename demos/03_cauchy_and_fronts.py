@@ -11,7 +11,7 @@ import numpy as np
 from hjkam import classical_cauchy, free_model, propagate_front
 from hjkam.errors import ExistenceHorizonExceeded
 
-model = free_model(1)
+model = free_model()
 qs = np.linspace(-1, 1, 401)
 cauchy_data = (qs, -qs ** 2, -2 * qs)   # (q, u0, du0)
 front_data = (qs, -2 * qs, -qs ** 2)    # (q, du0, u0)

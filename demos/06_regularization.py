@@ -10,7 +10,7 @@ import numpy as np
 from hjkam import GridFunction, free_model, regularize_R
 from hjkam.laxoleinik import default_delta, second_difference_bound
 
-model = free_model(1)
+model = free_model()
 
 print("second differences (x n^2) of the hat and its smoothing, t = 0.8:")
 print(f"{'n':>6} {'raw':>10} {'smoothed':>10}")

@@ -18,7 +18,7 @@ SIGMA = 0.2
 model = pendulum_model()
 
 print("== Mane potential ==")
-field = mane_potential(free_model(1), 0.5, 0.0, grid_n=128, sigma_eff=0.25)
+field = mane_potential(free_model(), 0.5, 0.0, grid_n=128, sigma_eff=0.25)
 q = field.phi.nodes
 print(f"free model at a=0.5: max |phi - sqrt(2a) dist(q, 0)| = "
       f"{np.max(np.abs(field.phi.values - np.minimum(q, 1 - q))):.2e}")
@@ -40,7 +40,7 @@ wk = weak_kam_solve(model, grid_n=128, alpha=res.alpha, t_step=0.1, sigma_eff=SI
 inv = invariant_set(model, wk.u, t_step=0.2, n_steps=40)
 print(f"graph seeds surviving backward pruning: {len(inv.points)}; "
       f"positions {np.round(inv.points, 6).tolist()}")
-free = free_model(1)
+free = free_model()
 fres = aubry_set(free, grid_n=64, sigma_eff=0.25)
 print(f"free model: {int(fres.mask.sum())}/64 nodes marked "
       "(the whole torus is the Aubry set)")

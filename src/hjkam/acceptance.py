@@ -78,7 +78,7 @@ def criterion_01_hopf_lax() -> CriterionResult:
 def criterion_02_blowup() -> CriterionResult:
     """Existence horizon refusal and the fold of the quadratic front."""
     t0 = time.time()
-    model = free_model(1)
+    model = free_model()
     qs = np.linspace(-1, 1, 401)
     cauchy_samples = (qs, -qs ** 2, -2 * qs)       # (q, u0, du0)
     front_samples = (qs, -2 * qs, -qs ** 2)        # (q, du0, u0)
@@ -136,7 +136,7 @@ def criterion_03_derivative_identities() -> CriterionResult:
     zero_tau = lambda rng, n: np.zeros(n)
     rand_tau = lambda rng, n: rng.uniform(0.0, 1.0, n)
     cases = [
-        (free_model(1), SIGMA_FREE, 0.02, 0.25, zero_tau),
+        (free_model(), SIGMA_FREE, 0.02, 0.25, zero_tau),
         (quadratic_model(2.0), 0.125, 0.02, 0.125, zero_tau),
         (pendulum_model(), _pendulum_window(), 0.02, 0.2, zero_tau),
         (forced_model([0.0, 0.3], epsilon=0.2), 0.2, 0.02, 0.2, rand_tau),
@@ -270,7 +270,7 @@ def criterion_06_operator_suite() -> CriterionResult:
 def criterion_07_regularization() -> CriterionResult:
     """R^t output curvature is grid-independent while the hat's diverges."""
     t0 = time.time()
-    model = free_model(1)
+    model = free_model()
     reg_bound = 220.0
     raw_vals, reg_vals = {}, {}
     for n in (64, 128, 256):
@@ -339,7 +339,7 @@ def criterion_09_weak_kam() -> CriterionResult:
 def criterion_10_mane() -> CriterionResult:
     """Free closed form, triangle inequality, and sub-solution maximality."""
     t0 = time.time()
-    model = free_model(1)
+    model = free_model()
     n = 128
     a = 0.5
     field = mane_potential(model, a, 0.0, grid_n=n, sigma_eff=SIGMA_FREE)
@@ -436,7 +436,7 @@ def criterion_12_aubry_invariant() -> CriterionResult:
         dist = np.sqrt(dq ** 2 + (pts[:, 1] - du[i]) ** 2).min()
         lift_ok &= bool(dist <= inv.tol_graph)
 
-    free = free_model(1)
+    free = free_model()
     fres = aubry_set(free, grid_n=64, sigma_eff=SIGMA_FREE)
     free_ok = bool(np.all(fres.mask))
     passed = pend_ok and conc_ok and lift_ok and free_ok

@@ -64,7 +64,7 @@ def broken_action_value(model: HamiltonianModel, tau: float, t: float, q0, q1,
     """Total action of the chain through ``nodes`` (uniform time slots)."""
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
-    nodes = np.asarray(nodes, float).reshape(-1, model.d)
+    nodes = np.asarray(nodes, float).reshape(-1, 1)
     pts = np.concatenate([q0[None], nodes, q1[None]])[None]
     return float(_segments(model, tau, t, pts, sigma_eff,
                            step_target or TARGET_STEP)[0].sum())
@@ -74,12 +74,12 @@ def _segments(model, tau, t, pts, sigma_eff, step_target, p_init=None,
               want_monodromy=False):
     """Value, end momenta and monodromy of every segment of a batch of chains.
 
-    ``pts`` is (B, n+1, d) with endpoints included and ``p_init`` (B, n, d)
+    ``pts`` is (B, n+1, 1) with endpoints included and ``p_init`` (B, n, 1)
     optional initial momenta to warm-start the shooting.  Returns
-    ``(S, rho0, rho1, Mono)`` shaped (B, n), (B, n, d), (B, n, d) and
-    (B, n, 2d, 2d); ``Mono`` is None unless requested.
+    ``(S, rho0, rho1, Mono)`` shaped (B, n), (B, n, 1), (B, n, 1) and
+    (B, n, 2, 2); ``Mono`` is None unless requested.
     """
-    Bsz, n_plus, d = pts.shape
+    Bsz, n_plus, _ = pts.shape
     n = n_plus - 1
     dt = (t - tau) / n
 
@@ -131,48 +131,28 @@ def _thomas_batch(diag, off, rhs):
 def _newton_direction(Mono, g):
     """Newton step of the chain action from the segments' monodromy.
 
-    Segment j contributes ``d11 = dpP dpQ^-1`` to node j, ``d00 = dpQ^-1 dqQ``
-    to node j-1 and ``-dpQ^-1`` to the coupling between them.  Returns the
-    direction (B, n-1, d) and a mask of chains whose Hessian is positive
+    Segment j contributes ``d11 = dpP / dpQ`` to node j, ``d00 = dqQ / dpQ``
+    to node j-1 and ``-1 / dpQ`` to the coupling between them.  Returns the
+    direction (B, n-1, 1) and a mask of chains whose Hessian is positive
     definite after regularization.
     """
-    Bsz, m, d = g.shape
-    A = Mono[..., :d, :d]
-    Bm = Mono[..., :d, d:]
-    D = Mono[..., d:, d:]
-    if d == 1:
-        b = Bm[..., 0, 0]
-        b = np.where(np.abs(b) < 1e-14, 1e-14, b)
-        diag = D[:, :-1, 0, 0] / b[:, :-1] + A[:, 1:, 0, 0] / b[:, 1:]
-        off = -1.0 / b[:, 1:-1]
-        shift = np.zeros(Bsz)
-        for _reg in range(4):
-            delta, ok = _thomas_batch(diag + shift[:, None], off, g[..., 0])
-            if ok.all():
-                break
-            shift = np.where(ok, shift, np.maximum(2 * shift, 1.0))
-        return delta[..., None], ok
-    # d > 1: dense block-tridiagonal Hessian, lifted to positive definite
-    Binv = np.linalg.inv(Bm)
-    blocks = D[:, :-1] @ Binv[:, :-1] + Binv[:, 1:] @ A[:, 1:]
-    H = np.zeros((Bsz, m * d, m * d))
-    for j in range(m):
-        H[:, j * d:(j + 1) * d, j * d:(j + 1) * d] = blocks[:, j]
-        if j < m - 1:
-            H[:, j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = -Binv[:, j + 1]
-            H[:, (j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = \
-                -np.swapaxes(Binv[:, j + 1], -1, -2)
-    H = (H + np.swapaxes(H, -1, -2)) / 2
-    w = np.linalg.eigvalsh(H)[:, 0]
-    H += np.maximum(1e-10 - w, 0.0)[:, None, None] * np.eye(m * d)
-    delta = np.linalg.solve(H, g.reshape(Bsz, m * d, 1))
-    return delta.reshape(Bsz, m, d), np.ones(Bsz, bool)
+    b = Mono[..., 0, 1]
+    b = np.where(np.abs(b) < 1e-14, 1e-14, b)
+    diag = Mono[:, :-1, 1, 1] / b[:, :-1] + Mono[:, 1:, 0, 0] / b[:, 1:]
+    off = -1.0 / b[:, 1:-1]
+    shift = np.zeros(len(g))
+    for _reg in range(4):
+        delta, ok = _thomas_batch(diag + shift[:, None], off, g[..., 0])
+        if ok.all():
+            break
+        shift = np.where(ok, shift, np.maximum(2 * shift, 1.0))
+    return delta[..., None], ok
 
 
 def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_crit):
     """Damped Newton on the action of a batch of chains.
 
-    ``pts`` is (B, n+1, d) with endpoints included; it is updated in place.
+    ``pts`` is (B, n+1, 1) with endpoints included; it is updated in place.
     Only chains whose largest momentum jump exceeds ``tol_crit`` are
     iterated.  Where the regularized Hessian stays indefinite, or the Newton
     direction is not a descent direction, the chain steps along the
@@ -229,8 +209,8 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     Returns ``(values, pts, jumps, rho0)`` where ``pts`` includes endpoints.
     """
     sig = resolve_sigma(model, sigma_eff)
-    Q0 = np.asarray(Q0, float).reshape(-1, model.d)
-    Q1 = np.asarray(Q1, float).reshape(-1, model.d)
+    Q0 = np.asarray(Q0, float).reshape(-1, 1)
+    Q1 = np.asarray(Q1, float).reshape(-1, 1)
     if n is None:
         n = default_segments(tau, t, sig)
     lam = np.linspace(0, 1, n + 1)
@@ -250,7 +230,7 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     """Minimal action ``A_tau^t(q0, q1)`` with its reconstructed chain.
 
     Multistarts: straight-line interpolation, travel-hold-travel curves
-    through a spread of waypoints (d = 1, horizons past twice the window),
+    through a spread of waypoints (horizons past twice the window),
     and ``restarts - 1`` seeded random perturbations.  Raises
     MultistartExhausted when the restarts disagree beyond tolerance and
     none meets the momentum-jump criterion.
@@ -262,12 +242,11 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     q1 = np.atleast_1d(np.asarray(q1, float))
     if n is None:
         n = default_segments(tau, t, sig)
-    d = model.d
     lam = np.linspace(0, 1, n + 1)
     straight = q0[None, :] + lam[:, None] * (q1 - q0)[None, :]
 
     starts = [straight]
-    if d == 1 and n > 3 and t - tau > 2 * sig:
+    if n > 3 and t - tau > 2 * sig:
         lo = min(q0[0], q1[0]) - 1.0
         hi = max(q0[0], q1[0]) + 1.0
         for c in waypoint_curves(q0[0], q1[0], np.linspace(0, 1, n + 1),
@@ -279,7 +258,7 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     for _ in range(n_random):
         pert = straight.copy()
         if n > 1:
-            bump = rng.normal(0.0, amp, (n - 1, d))
+            bump = rng.normal(0.0, amp, (n - 1, 1))
             taper = np.sin(np.pi * lam[1:-1])[:, None]
             pert[1:-1] += bump * taper
         starts.append(pert)
@@ -320,7 +299,7 @@ def reconstruct_trajectory(model: HamiltonianModel, path: BrokenPath,
     from .flow import integrate_flow
     n = path.n
     dt = (path.t - path.tau) / n
-    pts = np.concatenate([path.q0[None], path.nodes.reshape(-1, model.d),
+    pts = np.concatenate([path.q0[None], path.nodes.reshape(-1, 1),
                           path.q1[None]])
     starts = [path.rho0] + [path.p_plus[i] for i in range(n - 1)]
     times, Q, P = [], [], []
@@ -367,9 +346,8 @@ def lagrangian_action(model: HamiltonianModel, times, curve) -> float:
 
 
 def _discrete_action_and_grad(model, tau, t, q0, q1, theta, n):
-    d = model.d
     h = (t - tau) / n
-    pts = np.concatenate([q0[None], theta.reshape(n - 1, d), q1[None]])
+    pts = np.concatenate([q0[None], theta.reshape(n - 1, 1), q1[None]])
     mid_t = tau + h * (np.arange(n) + 0.5)
     mid_q = (pts[1:] + pts[:-1]) / 2
     v = (pts[1:] - pts[:-1]) / h
@@ -384,7 +362,7 @@ def _discrete_action_and_grad(model, tau, t, q0, q1, theta, n):
 
 
 def waypoint_curves(q0, q1, lam, waypoints):
-    """Travel-hold-travel initial curves through each waypoint (d = 1)."""
+    """Travel-hold-travel initial curves through each waypoint."""
     curves = []
     for w in waypoints:
         c = np.empty(len(lam))
@@ -411,23 +389,19 @@ def tonelli_oracle(model: HamiltonianModel, tau: float, t: float, q0, q1,
     """
     if n_segments < 2:
         raise ConfigError("tonelli oracle needs n_segments >= 2")
-    d = model.d
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
     n = n_segments
     lam = np.linspace(0, 1, n + 1)[1:-1]
     straight = (q0[None, :] + lam[:, None] * (q1 - q0)[None, :]).ravel()
-    starts = [straight]
-    if d == 1:
-        lo = min(q0[0], q1[0]) - 1.0
-        hi = max(q0[0], q1[0]) + 1.0
-        for c in waypoint_curves(q0[0], q1[0], lam, np.linspace(lo, hi, 9)):
-            starts.append(c)
+    lo = min(q0[0], q1[0]) - 1.0
+    hi = max(q0[0], q1[0]) + 1.0
+    starts = [straight] + waypoint_curves(q0[0], q1[0], lam, np.linspace(lo, hi, 9))
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts - 1)):
         taper = np.sin(np.pi * lam)
         starts.append(straight + (rng.normal(0.0, 0.3 * (1 + np.linalg.norm(q1 - q0)),
-                                             (n - 1, d)) * taper[:, None]).ravel())
+                                             (n - 1, 1)) * taper[:, None]).ravel())
     best = np.inf
     for x0 in starts:
         out = minimize(lambda x: _discrete_action_and_grad(model, tau, t, q0, q1, x, n),
@@ -448,7 +422,7 @@ def triangle_check(model: HamiltonianModel, t0: float, t1: float, t2: float,
         raise ConfigError("need t0 < t1 < t2")
     q0 = np.atleast_1d(np.asarray(q0, float))
     q2 = np.atleast_1d(np.asarray(q2, float))
-    grid = np.asarray(scan_grid, float).reshape(-1, model.d)
+    grid = np.asarray(scan_grid, float).reshape(-1, 1)
     lhs, _ = minimal_action(model, t0, t2, q0, q2, sigma_eff=sigma_eff)
     v1, _, _, _ = minimal_action_batch(model, t0, t1, np.broadcast_to(q0, grid.shape),
                                        grid, sigma_eff=sigma_eff)

@@ -28,7 +28,7 @@ from .weakkam import (aubry_set, calibrated_curve, critical_value,
                       mane_potential, weak_kam_solve)
 
 _BUILTIN_MODELS = {
-    "free": lambda: free_model(1),
+    "free": free_model,
     "pendulum": pendulum_model,
 }
 
@@ -103,8 +103,7 @@ def _load_model(source) -> tuple[HamiltonianModel, dict]:
     name = str(source)
     if name in _BUILTIN_MODELS:
         model = _BUILTIN_MODELS[name]()
-        return model, {"family": model.family, "d": model.d,
-                       "builtin": name}
+        return model, {"family": model.family, "d": 1, "builtin": name}
     if not os.path.exists(name):
         raise ConfigError(f"model {name!r}: not a builtin and no such file")
     with open(name) as fh:

@@ -1,7 +1,7 @@
 """Hamiltonian flow, variational (monodromy) equation, and twist checks.
 
 The integrator is a classical explicit 4th-order one-step method applied
-jointly to the state, the 2d x 2d monodromy matrix, and the running
+jointly to the state, the 2 x 2 monodromy matrix, and the running
 Hamiltonian action, so derivative and action estimates share the state's
 discretization.  Each stage takes the vector field, the Hessian blocks of
 the variational equation and the action rate from one evaluation of the
@@ -60,10 +60,7 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - self.energy[0])))
 
     def to_csv(self, path):
-        d = self.Q.shape[1]
-        header = ",".join(["t", *(f"q_{k}" for k in range(d)),
-                           *(f"p_{k}" for k in range(d)), "H"])
-        write_csv(path, header, np.column_stack([self.times, self.Q, self.P, self.energy]))
+        write_csv(path, "t,q_0,p_0,H", np.column_stack([self.times, self.Q, self.P, self.energy]))
 
 
 def write_csv(path, header: str, rows):
@@ -88,8 +85,7 @@ class MonodromyResult:
         return np.block([[self.dqQ, self.dpQ], [self.dqP, self.dpP]])
 
     def symplectic_defect(self) -> float:
-        d = self.dqQ.shape[0]
-        J = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
         m = self.matrix
         return float(np.linalg.norm(m.T @ J @ m - J, 2))
 
@@ -97,42 +93,30 @@ class MonodromyResult:
 def _stage(model, t, Q, P, Mono, want_action):
     """One RK4 stage ``(dQ, dP, dM, dW)`` from one jet evaluation.
 
-    ``Mono`` is component-major, ``(2d, 2d, ...)``, so that its updates run
-    along the batch; ``dM = [[H_pq, H_pp], [-H_qq, -H_qp]] Mono``.
+    ``Mono`` is component-major, ``(2, 2, ...)``, so that its updates run
+    along the batch: ``dM = [[H_qp, H_pp], [-H_qq, -H_qp]] Mono``, one
+    update per row.
     """
     Hq, Hp, dW, blocks = model.jet(t, Q, P, action=want_action, hessian=Mono is not None)
     dM = None
     if Mono is not None:
-        Hqq, Hqp, Hpp = blocks
-        d = model.d
-        if d == 1:
-            # scalar blocks: one update per row of the 2 x 2 matrix
-            hqq, hqp, hpp = Hqq[..., 0, 0], Hqp[..., 0, 0], Hpp[..., 0, 0]
-            dM = np.empty_like(Mono)
-            dM[0] = hqp * Mono[0] + hpp * Mono[1]
-            dM[1] = -hqq * Mono[0] - hqp * Mono[1]
-        else:
-            # batch-major (..., d, d) blocks times component-major (d, 2d, ...) rows
-            top, bot = Mono[:d], Mono[d:]
-            prod = "...ik,kj...->ij..."
-            dM = np.concatenate([np.einsum("...ki,kj...->ij...", Hqp, top) + np.einsum(prod, Hpp, bot),
-                                 -np.einsum(prod, Hqq, top) - np.einsum(prod, Hqp, bot)])
+        hqq, hqp, hpp = blocks
+        dM = np.empty_like(Mono)
+        dM[0] = hqp * Mono[0] + hpp * Mono[1]
+        dM[1] = -hqq * Mono[0] - hqp * Mono[1]
     return Hp, -Hq, dM, dW
 
 
 def _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action):
-    """Closed-form flow for ``H = a |p|^2 / 2``: straight lines."""
+    """Closed-form flow for ``H = a p^2 / 2``: straight lines."""
     a = model.params[0]
     span = t - tau
     Q = np.asarray(Q0, float) + span * a * np.asarray(P0, float)
     P = np.array(P0, float, copy=True)
-    d = model.d
     shape = Q.shape[:-1]
     Mono = None
     if want_monodromy:
-        m1 = np.eye(2 * d)
-        m1[:d, d:] = span * a * np.eye(d)
-        Mono = np.broadcast_to(m1, shape + (2 * d, 2 * d)).copy()
+        Mono = np.broadcast_to([[1.0, span * a], [0.0, 1.0]], shape + (2, 2)).copy()
     W = 0.5 * a * span * np.sum(P * P, axis=-1) if want_action else None
     return Q, P, Mono, W, np.zeros(shape, bool)
 
@@ -143,7 +127,7 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     """Integrate a batch of initial conditions from ``tau`` to ``t``.
 
     Returns ``(Q, P, Mono, W, escaped)``; ``Mono`` has shape
-    ``(..., 2d, 2d)`` and ``W`` the accumulated action when requested.
+    ``(..., 2, 2)`` and ``W`` the accumulated action when requested.
     ``escaped`` marks batch entries whose norm passed ``guard`` (their
     remaining evolution is frozen).
     """
@@ -151,13 +135,12 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
         return _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action)
     Q = np.array(Q0, float, copy=True)
     P = np.array(P0, float, copy=True)
-    d = model.d
     shape = Q.shape[:-1]
     Mono = None
     if want_monodromy:
         # component-major while integrating (see _stage), batch-major on return
-        eye = np.eye(2 * d).reshape((2 * d, 2 * d) + (1,) * len(shape))
-        Mono = np.broadcast_to(eye, (2 * d, 2 * d) + shape).copy()
+        eye = np.eye(2).reshape((2, 2) + (1,) * len(shape))
+        Mono = np.broadcast_to(eye, (2, 2) + shape).copy()
     W = np.zeros(shape) if want_action else None
     escaped = np.zeros(shape, bool)
 
@@ -194,11 +177,15 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     return Q, P, Mono, W, escaped
 
 
+def _checked_step(step: float) -> float:
+    if not 0 < step < np.inf:
+        raise ConfigError(f"step must be finite and > 0, got {step}")
+    return step
+
+
 def _steps_for(span: float, target: float = TARGET_STEP) -> int:
     """Fewest uniform steps of at most ``target`` over ``|span|``; one at zero."""
-    if not 0 < target < np.inf:
-        raise ConfigError(f"step must be finite and > 0, got {target}")
-    return max(1, int(np.ceil(abs(span) / target - 1e-12)))
+    return max(1, int(np.ceil(abs(span) / _checked_step(target) - 1e-12)))
 
 
 def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
@@ -209,8 +196,8 @@ def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
     n = _steps_for(t - tau, DEFAULT_STEP if step is None else step)
     h = (t - tau) / n
     times = tau + h * np.arange(n + 1)
-    Q = np.empty((n + 1, model.d))
-    P = np.empty((n + 1, model.d))
+    Q = np.empty((n + 1, 1))
+    P = np.empty((n + 1, 1))
     Q[0], P[0] = x0.q, x0.p
     for i in range(n):
         out = integrate_batch(model, times[i], times[i + 1], Q[i], P[i], 1)
@@ -232,10 +219,9 @@ def monodromy(model: HamiltonianModel, x0, tau: float, t: float,
     Q, P, Mono, _, _ = integrate_batch(model, tau, t, x0.q, x0.p, n, want_monodromy=True)
     if np.max(np.abs(Q)) > OVERFLOW_GUARD or np.max(np.abs(P)) > OVERFLOW_GUARD:
         raise TrajectoryEscape("trajectory escaped during monodromy integration")
-    d = model.d
-    dev = float(np.linalg.norm(Mono - np.eye(2 * d), 2))
-    return MonodromyResult(dqQ=Mono[:d, :d].copy(), dpQ=Mono[:d, d:].copy(),
-                           dqP=Mono[d:, :d].copy(), dpP=Mono[d:, d:].copy(),
+    dev = float(np.linalg.norm(Mono - np.eye(2), 2))
+    return MonodromyResult(dqQ=Mono[:1, :1].copy(), dpQ=Mono[:1, 1:].copy(),
+                           dqP=Mono[1:, :1].copy(), dpP=Mono[1:, 1:].copy(),
                            deviation=dev)
 
 
@@ -257,19 +243,19 @@ def check_twist(model: HamiltonianModel, q, t: float, p_box=(-4.0, 4.0),
     """
     if t <= 0:
         raise ConfigError("twist check needs t > 0")
-    d = model.d
-    q = np.broadcast_to(np.atleast_1d(np.asarray(q, float)), (d,))
+    q = np.broadcast_to(np.atleast_1d(np.asarray(q, float)), (1,))
     rng = np.random.default_rng(seed)
     lo, hi = p_box
-    pa = rng.uniform(lo, hi, (n_samples, d))
-    pb = rng.uniform(lo, hi, (n_samples, d))
+    pa = rng.uniform(lo, hi, (n_samples, 1))
+    pb = rng.uniform(lo, hi, (n_samples, 1))
     # half the pairs probe locally: p' = p + small increment
     half = n_samples // 2
-    pb[:half] = pa[:half] + rng.uniform(-0.05, 0.05, (half, d))
+    pb[:half] = pa[:half] + rng.uniform(-0.05, 0.05, (half, 1))
     keep = np.linalg.norm(pb - pa, axis=1) > 1e-12
     pa, pb = pa[keep], pb[keep]
     Q0 = np.broadcast_to(q, pa.shape)
-    n = max(1, int(np.ceil(t / (DEFAULT_STEP * 5 if step is None else step))))
+    # its own rounding, not _steps_for's: the certified margins stay as they are
+    n = max(1, int(np.ceil(t / _checked_step(DEFAULT_STEP * 5 if step is None else step))))
     Qa = integrate_batch(model, 0.0, t, Q0, pa, n)[0]
     Qb = integrate_batch(model, 0.0, t, Q0, pb, n)[0]
     dp = pb - pa
@@ -299,7 +285,7 @@ def certify_sigma(model: HamiltonianModel, t: float, q=None, p_box=(-4.0, 4.0),
                   n_samples: int = 1000, seed: int = 0) -> TwistWindow:
     """Run a twist scan at horizon ``t``; raise if the margin is negative."""
     if q is None:
-        q = np.zeros(model.d)
+        q = np.zeros(1)
     margins = []
     qs = [q] if np.ndim(q) <= 1 else list(q)
     for qq in qs:

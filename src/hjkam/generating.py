@@ -29,23 +29,13 @@ def shoot_tol(q0, q1) -> np.ndarray:
     return 1e-9 * (1.0 + np.linalg.norm(np.asarray(q1, float) - np.asarray(q0, float), axis=-1))
 
 
-def _solve_step(J, F):
-    if F.shape[-1] == 1:
-        return -F / J[..., 0, 0][..., None]
-    return -np.linalg.solve(J, F[..., None])[..., 0]
-
-
 def _jacobian(model, tau, t, Q0, p, n_steps):
-    d = model.d
+    """End positions and the ``dQ/dp`` monodromy entry, shaped like ``p``."""
     Q, _, Mono, _, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
-    J = Mono[..., :d, d:]
-    if d == 1:
-        dets = np.abs(J[..., 0, 0])
-    else:
-        dets = np.abs(np.linalg.det(J))
-    bad = dets < 1e-14
+    J = Mono[..., 0, 1:]
+    bad = np.abs(J) < 1e-14
     if bad.any():
-        J = J + np.where(bad[..., None, None], 1e-10 * np.eye(d), 0.0)
+        J = J + np.where(bad, 1e-10, 0.0)
     return Q, J
 
 
@@ -71,7 +61,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol, J=None):
         active = res > tol
         if not active.any():
             break
-        step = _solve_step(J, F)
+        step = -F / J
         lam = np.ones_like(res)
         p_try, Ft, rt = p.copy(), F.copy(), res.copy()
         # only the rows still backtracking are integrated on each trial
@@ -206,23 +196,18 @@ def generating_S(model: HamiltonianModel, tau: float, t: float, q0, q1,
 
 def second_diff_probe(model: HamiltonianModel, tau: float, t: float, q0, q1,
                       sigma_eff=None):
-    """Hessian blocks ``(d00 S, d11 S, d01 S)`` from the segment's monodromy.
+    """Second derivatives ``(d00 S, d11 S, d01 S)`` as three floats.
 
-    With ``dqQ, dpQ, dpP`` the blocks of the flow's differential at ``rho0``:
-    ``d00 = dpQ^-1 dqQ``, ``d11 = dpP dpQ^-1`` and ``d01 = -dpQ^-1``, where
-    ``d01[j, i] = d^2 S / dq0_j dq1_i``.
+    With ``dqQ, dpQ, dpP`` the entries of the flow's differential at
+    ``rho0``: ``d00 = dqQ / dpQ``, ``d11 = dpP / dpQ`` and ``d01 = -1 / dpQ``.
     """
-    d = model.d
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
     *_, Mono = generating_batch(model, tau, t, q0, q1, sigma_eff=sigma_eff,
                                 want_monodromy=True)
-    dqQ, dpQ, dpP = Mono[:d, :d], Mono[:d, d:], Mono[d:, d:]
-    dpQ_inv = np.linalg.inv(dpQ)
-    d00, d11, d01 = dpQ_inv @ dqQ, dpP @ dpQ_inv, -dpQ_inv
-    if d == 1:
-        return float(d00[0, 0]), float(d11[0, 0]), float(d01[0, 0])
-    return d00, d11, d01
+    (dqQ, dpQ), (_, dpP) = Mono
+    inv = 1.0 / dpQ
+    return float(inv * dqQ), float(dpP * inv), float(-inv)
 
 
 @dataclass
@@ -255,12 +240,11 @@ def propagate_front(model: HamiltonianModel, initial_graph, t: float) -> Geometr
     """Transport a sampled initial graph ``(q, du0, u0)`` by the flow.
 
     Action values are accumulated with the flow; ``fold_flag`` reports loss
-    of q-injectivity (d = 1: transported positions no longer strictly
-    ordered).
+    of q-injectivity (transported positions no longer strictly ordered).
     """
     q0, du0, u0 = (np.asarray(a, float) for a in initial_graph)
-    if model.d != 1 or q0.ndim != 1:
-        raise ConfigError("front propagation is implemented for d = 1 samples")
+    if q0.ndim != 1:
+        raise ConfigError("front propagation takes 1-d arrays of samples")
     order = np.argsort(q0)
     q0, du0, u0 = q0[order], du0[order], u0[order]
     _check_graph_consistency(q0, du0, u0)
@@ -292,8 +276,6 @@ def classical_cauchy(model: HamiltonianModel, u0_samples, t: float, query_grid,
     must sit at least one in-flow margin inside the sampled window.
     """
     q0, u0, du0 = (np.asarray(a, float) for a in u0_samples)
-    if model.d != 1:
-        raise ConfigError("classical_cauchy is implemented for d = 1")
     order = np.argsort(q0)
     q0, u0, du0 = q0[order], u0[order], du0[order]
     ell = lip_of_samples(q0, du0)

@@ -32,21 +32,20 @@ _MODEL_TOKENS = itertools.count()
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Evaluable Hamiltonian with its jet and declared constants.
+    """Evaluable Hamiltonian on the line or circle (d = 1) with its jet.
 
     ``value(t, q, p)`` and ``jet(t, q, p, action=False, hessian=False)``
-    accept arrays ``q, p`` of shape ``(..., d)`` (``t`` scalar or
-    broadcastable).  ``value`` returns ``H`` of shape ``(...)``.  The jet
-    returns ``(H_q, H_p, L, blocks)``: the gradients, of shape ``(..., d)``
-    each; with ``action``, the action rate ``L = p . H_p - H`` of shape
-    ``(...)``, else None; with ``hessian``, the blocks ``(H_qq, H_qp, H_pp)``
-    of shape ``(..., d, d)`` each (``H_qp[..., i, j]`` is
-    ``d^2 H / dq_i dp_j``), else None.  A term that is not asked for
-    is not computed.  ``H_p`` may be ``p`` itself.  Instances are immutable;
-    evaluation is pure and thread-safe.
+    accept arrays ``q, p`` of shape ``(..., 1)``, the trailing axis holding
+    the one coordinate (``t`` scalar or broadcastable).  ``value`` returns
+    ``H`` of shape ``(...)``.  The jet returns ``(H_q, H_p, L, blocks)``:
+    the gradients, of shape ``(..., 1)`` each; with ``action``, the action
+    rate ``L = p H_p - H`` of shape ``(...)``, else None; with ``hessian``,
+    the second derivatives ``(H_qq, H_qp, H_pp)`` of shape ``(...)`` each,
+    else None.  A term that is not asked for is not computed.  ``H_p`` may
+    be ``p`` itself.  Instances are immutable; evaluation is pure and
+    thread-safe.
     """
 
-    d: int
     value: Callable
     jet: Callable
     m: float
@@ -63,81 +62,65 @@ class HamiltonianModel:
     def cache_key(self) -> tuple:
         if self.family == "custom":
             return ("custom", self.token)
-        return (self.family, self.d, self.params)
+        return (self.family, self.params)
 
     def __repr__(self):
-        return f"HamiltonianModel(family={self.family!r}, d={self.d}, m={self.m:g}, M={self.M:g})"
+        return f"HamiltonianModel(family={self.family!r}, m={self.m:g}, M={self.M:g})"
 
 
-def _fd_grad_factory(value, d, h_fd):
+def _fd_grad_factory(value, h_fd):
     def grad(t, q, p):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
-        Hq = np.empty_like(q)
-        Hp = np.empty_like(p)
-        for k in range(d):
-            hq = h_fd * (1.0 + np.abs(q[..., k]))
-            hp = h_fd * (1.0 + np.abs(p[..., k]))
-            eq = np.zeros(d)
-            eq[k] = 1.0
-            Hq[..., k] = (value(t, q + hq[..., None] * eq, p) - value(t, q - hq[..., None] * eq, p)) / (2 * hq)
-            Hp[..., k] = (value(t, q, p + hp[..., None] * eq) - value(t, q, p - hp[..., None] * eq)) / (2 * hp)
-        return Hq, Hp
+        hq = h_fd * (1.0 + np.abs(q))
+        hp = h_fd * (1.0 + np.abs(p))
+        return ((value(t, q + hq, p) - value(t, q - hq, p))[..., None] / (2 * hq),
+                (value(t, q, p + hp) - value(t, q, p - hp))[..., None] / (2 * hp))
 
     return grad
 
 
-def _fd_hessian_factory(grad, d, h_fd):
+def _fd_hessian_factory(grad, h_fd):
     def hessian(t, q, p):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
-        shape = q.shape[:-1]
-        Hqq = np.empty(shape + (d, d))
-        Hqp = np.empty(shape + (d, d))
-        Hpp = np.empty(shape + (d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = 1.0
-            hq = h_fd * (1.0 + np.abs(q[..., k]))[..., None]
-            hp = h_fd * (1.0 + np.abs(p[..., k]))[..., None]
-            gq_plus = grad(t, q + hq * e, p)
-            gq_minus = grad(t, q - hq * e, p)
-            gp_plus = grad(t, q, p + hp * e)
-            gp_minus = grad(t, q, p - hp * e)
-            # derivatives in q_k and p_k: Hqp[..., i, j] is d^2 H / dq_i dp_j
-            Hqq[..., k, :] = (gq_plus[0] - gq_minus[0]) / (2 * hq)
-            Hqp[..., :, k] = (gp_plus[0] - gp_minus[0]) / (2 * hp)
-            Hpp[..., k, :] = (gp_plus[1] - gp_minus[1]) / (2 * hp)
-        return Hqq, Hqp, Hpp
+        hq = h_fd * (1.0 + np.abs(q))
+        hp = h_fd * (1.0 + np.abs(p))
+        gq_plus, gq_minus = grad(t, q + hq, p), grad(t, q - hq, p)
+        gp_plus, gp_minus = grad(t, q, p + hp), grad(t, q, p - hp)
+        return (((gq_plus[0] - gq_minus[0]) / (2 * hq))[..., 0],
+                ((gp_plus[0] - gp_minus[0]) / (2 * hp))[..., 0],
+                ((gp_plus[1] - gp_minus[1]) / (2 * hp))[..., 0])
 
     return hessian
 
 
-def custom_model(value, d, m, M, grad=None, hessian=None, periodic=False,
+def custom_model(value, m, M, grad=None, hessian=None, periodic=False,
                  autonomous=True, q_homogeneous=False, h_fd=DEFAULT_H_FD):
     """Wrap user callables into a model, with finite-difference fallbacks.
 
-    ``grad(t, q, p)`` returns ``(H_q, H_p)`` and ``hessian(t, q, p)`` the
-    blocks ``(H_qq, H_qp, H_pp)``; either defaults to central differences
-    with step ``h_fd``.  The jet calls ``grad`` once, ``value`` only for the
-    action rate and ``hessian`` only for the blocks.
+    ``grad(t, q, p)`` returns ``(H_q, H_p)``, shaped like ``q``, and
+    ``hessian(t, q, p)`` the second derivatives ``(H_qq, H_qp, H_pp)``,
+    shaped like ``q`` without its coordinate axis; either defaults to
+    central differences with step ``h_fd``.  The jet calls ``grad`` once,
+    ``value`` only for the action rate and ``hessian`` only for the blocks.
     """
     if grad is None:
-        grad = _fd_grad_factory(value, d, h_fd)
-    blocks = hessian if hessian is not None else _fd_hessian_factory(grad, d, h_fd)
+        grad = _fd_grad_factory(value, h_fd)
+    blocks = hessian if hessian is not None else _fd_hessian_factory(grad, h_fd)
 
     def jet(t, q, p, action=False, hessian=False):
         Hq, Hp = grad(t, q, p)
-        L = np.sum(p * Hp, axis=-1) - value(t, q, p) if action else None
+        L = (p * Hp)[..., 0] - value(t, q, p) if action else None
         return Hq, Hp, L, blocks(t, q, p) if hessian else None
 
-    return HamiltonianModel(d=d, value=value, jet=jet, m=m, M=M,
+    return HamiltonianModel(value=value, jet=jet, m=m, M=M,
                             periodic=periodic, autonomous=autonomous,
                             q_homogeneous=q_homogeneous, h_fd=h_fd)
 
 
-def quadratic_model(a: float = 1.0, d: int = 1) -> HamiltonianModel:
-    """Kinetic Hamiltonian ``a |p|^2 / 2``; ``a = 1`` is the free model."""
+def quadratic_model(a: float = 1.0) -> HamiltonianModel:
+    """Kinetic Hamiltonian ``a p^2 / 2``; ``a = 1`` is the free model."""
     if a <= 0:
         raise ConfigError("quadratic model requires a > 0")
 
@@ -145,27 +128,24 @@ def quadratic_model(a: float = 1.0, d: int = 1) -> HamiltonianModel:
         p = np.asarray(p, float)
         return 0.5 * a * np.sum(p * p, axis=-1)
 
-    eye = np.eye(d)
-
     def jet(t, q, p, action=False, hessian=False):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
         L = 0.5 * a * np.sum(p * p, axis=-1) if action else None
         blocks = None
         if hessian:
-            z = np.zeros(q.shape[:-1] + (d, d))
-            blocks = z, z.copy(), np.broadcast_to(a * eye, z.shape).copy()
+            z = np.zeros(q.shape[:-1])
+            blocks = z, z.copy(), np.full(z.shape, a)
         return np.zeros_like(q), a * p, L, blocks
 
-    return HamiltonianModel(d=d, value=value, jet=jet, m=a, M=a,
+    return HamiltonianModel(value=value, jet=jet, m=a, M=a,
                             periodic=True, autonomous=True, q_homogeneous=True,
                             family="quadratic", params=(float(a),))
 
 
-def free_model(d: int = 1) -> HamiltonianModel:
-    """``|p|^2 / 2``."""
-    model = quadratic_model(1.0, d)
-    return replace(model, family="free")
+def free_model() -> HamiltonianModel:
+    """``p^2 / 2``."""
+    return replace(quadratic_model(1.0), family="free")
 
 
 class TrigPolynomial:
@@ -235,13 +215,12 @@ class TrigPolynomial:
 
 
 def _unit_mass_blocks(Hqq):
-    """Blocks ``(H_qq, 0, 1)`` of ``p^2/2 + f(t, q)`` (d = 1), ``(..., 1, 1)`` each."""
-    Hqq = Hqq[..., None, None]
+    """Blocks ``(H_qq, 0, 1)`` of ``p^2/2 + f(t, q)``."""
     return Hqq, np.zeros_like(Hqq), np.ones_like(Hqq)
 
 
 def mechanical_model(V_coeffs, m: Optional[float] = None, M: Optional[float] = None) -> HamiltonianModel:
-    """``p^2/2 + V(q)`` on the circle, V a trigonometric polynomial (d = 1)."""
+    """``p^2/2 + V(q)`` on the circle, V a trigonometric polynomial."""
     V = TrigPolynomial(V_coeffs)
     declared_m = 1.0 if m is None else float(m)
     declared_M = max(1.0, V.max_curvature(), V.bound()) if M is None else float(M)
@@ -256,7 +235,7 @@ def mechanical_model(V_coeffs, m: Optional[float] = None, M: Optional[float] = N
         L = 0.5 * (p * p)[..., 0] - V0 if action else None
         return dV[..., None], p, L, _unit_mass_blocks(d2V) if hessian else None
 
-    return HamiltonianModel(d=1, value=value, jet=jet,
+    return HamiltonianModel(value=value, jet=jet,
                             m=declared_m, M=declared_M, periodic=True, autonomous=True,
                             family="mechanical", params=tuple(map(float, V.coeffs)))
 
@@ -268,7 +247,7 @@ def pendulum_model() -> HamiltonianModel:
 
 def forced_model(V_coeffs, epsilon: float = 0.2, m: Optional[float] = None,
                  M: Optional[float] = None) -> HamiltonianModel:
-    """``p^2/2 + (1 + eps sin(2 pi t)) V(q)``: 1-periodic in time, d = 1."""
+    """``p^2/2 + (1 + eps sin(2 pi t)) V(q)``: 1-periodic in time."""
     V = TrigPolynomial(V_coeffs)
     eps = float(epsilon)
     declared_m = 1.0 if m is None else float(m)
@@ -288,7 +267,7 @@ def forced_model(V_coeffs, epsilon: float = 0.2, m: Optional[float] = None,
         L = 0.5 * (p * p)[..., 0] - gt * V0 if action else None
         return (gt * dV)[..., None], p, L, _unit_mass_blocks(gt * d2V) if hessian else None
 
-    return HamiltonianModel(d=1, value=value, jet=jet,
+    return HamiltonianModel(value=value, jet=jet,
                             m=declared_m, M=declared_M, periodic=True, autonomous=False,
                             family="forced", params=tuple(map(float, V.coeffs)) + (eps,))
 
@@ -304,20 +283,17 @@ def model_from_dict(desc: dict) -> HamiltonianModel:
     family = desc.get("family")
     if family is None:
         raise ConfigError("model description requires a 'family' key")
-    d = int(desc.get("d", 1))
+    if int(desc.get("d", 1)) != 1:
+        raise ConfigError(f"models live on the line or circle: need d = 1, got d = {desc['d']}")
     m = desc.get("m")
     M = desc.get("M")
     if family == "free":
-        model = free_model(d)
+        model = free_model()
     elif family == "quadratic":
-        model = quadratic_model(float(desc.get("a", 1.0)), d)
+        model = quadratic_model(float(desc.get("a", 1.0)))
     elif family == "mechanical":
-        if d != 1:
-            raise ConfigError("mechanical models are 1-dimensional")
         model = mechanical_model(desc.get("V_coeffs", [0.0]), m=m, M=M)
     elif family == "forced":
-        if d != 1:
-            raise ConfigError("forced models are 1-dimensional")
         model = forced_model(desc.get("V_coeffs", [0.0]), epsilon=float(desc.get("epsilon", 0.2)), m=m, M=M)
     else:
         raise ConfigError(f"unknown model family {family!r}")
@@ -338,10 +314,10 @@ def model_from_json(path) -> HamiltonianModel:
     return model_from_dict(desc)
 
 
-def _point(q, d):
+def _point(q):
     q = np.atleast_1d(np.asarray(q, float))
-    if q.shape != (d,):
-        raise ConfigError(f"expected a length-{d} vector, got shape {q.shape}")
+    if q.shape != (1,):
+        raise ConfigError(f"expected a length-1 vector, got shape {q.shape}")
     return q
 
 
@@ -350,8 +326,8 @@ def eval_and_grads(model: HamiltonianModel, t: float, q, p):
 
     Raises NumericalDomain if the evaluator returns a non-finite value.
     """
-    q = _point(q, model.d)
-    p = _point(p, model.d)
+    q = _point(q)
+    p = _point(p)
     if not np.isfinite(t):
         raise ConfigError("time must be finite")
     H = float(model.value(t, q, p))
@@ -407,7 +383,6 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    d = model.d
     if sample_box is None:
         sample_box = ((0.0, 1.0), (-1.0, 1.0), (-3.0, 3.0))
     (t0, t1), (q0, q1), (p0, p1) = sample_box
@@ -415,13 +390,10 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
         raise ConfigError("sample box is degenerate")
     rng = np.random.default_rng(seed)
     ts = rng.uniform(t0, t1, n_samples)
-    qs = rng.uniform(q0, q1, (n_samples, d))
-    ps = rng.uniform(p0, p1, (n_samples, d))
-    # deterministic lattice along each axis, momenta at rest and box edges
-    lin = np.linspace(q0, q1, 17)
-    lat_q = np.zeros((17 * d, d))
-    for k in range(d):
-        lat_q[17 * k:17 * (k + 1), k] = lin
+    qs = rng.uniform(q0, q1, (n_samples, 1))
+    ps = rng.uniform(p0, p1, (n_samples, 1))
+    # deterministic lattice, momenta at rest and box edges
+    lat_q = np.linspace(q0, q1, 17)[:, None]
     lat_t = np.full(len(lat_q), t0)
     lat_p = np.zeros_like(lat_q)
     ts = np.concatenate([ts, lat_t, lat_t])
@@ -433,11 +405,9 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
     M_vals = np.empty(len(ts))
     for i in range(len(ts)):
         H[i] = model.value(ts[i], qs[i], ps[i])
-        Hqq, Hqp, Hpp = (np.asarray(b, float).reshape(d, d)
-                         for b in model.jet(ts[i], qs[i], ps[i], hessian=True)[3])
-        m_vals[i] = np.linalg.eigvalsh(Hpp).min()
-        full = np.block([[Hqq, Hqp], [Hqp.T, Hpp]])
-        M_vals[i] = np.linalg.norm(full, 2)
+        Hqq, Hqp, Hpp = model.jet(ts[i], qs[i], ps[i], hessian=True)[3]
+        m_vals[i] = Hpp
+        M_vals[i] = np.linalg.norm(np.array([[Hqq, Hqp], [Hqp, Hpp]], float), 2)
 
     m_emp = float(m_vals.min())
     M_emp = float(M_vals.max())
@@ -451,11 +421,7 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
 
     periodic_defect = 0.0
     if model.periodic:
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = 1.0
-            periodic_defect = max(periodic_defect,
-                                  float(np.max(np.abs(model.value(ts, qs + e, ps) - H))))
+        periodic_defect = float(np.max(np.abs(model.value(ts, qs + 1.0, ps) - H)))
 
     passes = {
         "H1": M_emp <= model.M + tol_hyp,
@@ -472,31 +438,30 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
 def legendre_batch(model: HamiltonianModel, t, q, v):
     """Vectorized Legendre transform: maximize ``p . v - H(t, q, p)`` over p.
 
-    Returns ``(L, p_star)`` with shapes ``(...)``, ``(..., d)``.  The damped
-    Newton iteration on ``grad_p H = v`` is globally convergent under H2.
+    Returns ``(L, p_star)`` with shapes ``(...)``, ``(..., 1)``.  The damped
+    Newton iteration on ``H_p = v`` is globally convergent under H2.  Each
+    trial takes the residual and ``H_pp`` from one jet evaluation; the
+    accepted rows carry ``H_pp`` into the next Newton step.
     """
     q = np.asarray(q, float)
     v = np.asarray(v, float)
     p = np.zeros_like(v)
 
     def residual(p):
-        return model.jet(t, q, p)[1] - v
+        _, Hp, _, blocks = model.jet(t, q, p, hessian=True)
+        return Hp - v, blocks[2]
 
-    r = residual(p)
+    r, Hpp = residual(p)
     rnorm = np.linalg.norm(r, axis=-1)
     for _ in range(MAX_NEWTON_ITER):
         if np.all(rnorm <= TOL_NEWTON):
             break
-        Hpp = model.jet(t, q, p, hessian=True)[3][2]
-        if model.d == 1:
-            step = -r / Hpp[..., 0, 0][..., None]
-        else:
-            step = -np.linalg.solve(Hpp, r[..., None])[..., 0]
+        step = -r / Hpp[..., None]
         lam = np.ones(rnorm.shape)
         active = rnorm > TOL_NEWTON
         for _bt in range(30):
             p_try = p + lam[..., None] * step
-            r_try = residual(p_try)
+            r_try, Hpp_try = residual(p_try)
             rn_try = np.linalg.norm(r_try, axis=-1)
             better = (rn_try <= (1 - 0.25 * lam) * rnorm) | ~active
             if np.all(better):
@@ -504,6 +469,7 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
             lam = np.where(better, lam, lam * 0.5)
         p = np.where(active[..., None], p_try, p)
         r = np.where(active[..., None], r_try, r)
+        Hpp = np.where(active, Hpp_try, Hpp)
         rnorm = np.where(active, rn_try, rnorm)
     else:
         raise SolverDiverged("Legendre Newton iteration failed",
@@ -514,7 +480,7 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
 
 def legendre(model: HamiltonianModel, t: float, q, v):
     """Legendre transform at a single point: ``(L(t, q, v), p_star)``."""
-    q = _point(q, model.d)
-    v = _point(v, model.d)
+    q = _point(q)
+    v = _point(v)
     L, p = legendre_batch(model, t, q, v)
     return float(L), np.asarray(p, float)

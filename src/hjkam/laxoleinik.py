@@ -54,23 +54,28 @@ _REVERSIBLE = frozenset({"free", "quadratic", "mechanical"})
 
 @dataclass
 class GridFunction:
-    """Scalar samples on the uniform periodic grid of ``[0, 1)^d``."""
+    """Scalar samples on the uniform periodic grid of the circle ``[0, 1)``.
+
+    ``d`` is the dimension of the circle and must be 1.
+    """
 
     d: int
     n_per_dim: int
     values: np.ndarray
 
     def __post_init__(self):
+        if self.d != 1:
+            raise ConfigError(f"grid functions live on the circle: need d = 1, got d = {self.d}")
         self.values = np.asarray(self.values, float)
-        if self.values.shape != (self.n_per_dim,) * self.d:
+        if self.values.shape != (self.n_per_dim,):
             raise ConfigError(f"values shape {self.values.shape} does not match "
-                              f"(n_per_dim,)*d = {(self.n_per_dim,) * self.d}")
+                              f"(n_per_dim,) = {(self.n_per_dim,)}")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("grid function has non-finite values")
 
     @classmethod
     def from_callable(cls, fn, n: int):
-        """Samples of ``fn`` at the ``n`` nodes of the circle (d = 1)."""
+        """Samples of ``fn`` at the ``n`` nodes of the circle."""
         return cls(d=1, n_per_dim=n, values=np.asarray(fn(np.arange(n) / n), float))
 
     @property
@@ -79,22 +84,19 @@ class GridFunction:
 
     @property
     def lip_estimate(self) -> float:
-        lip = 0.0
-        for ax in range(self.d):
-            # adjacent differences and the wrap pair, as np.roll(values, -1) pairs them
-            step = np.diff(self.values, axis=ax, append=self.values.take([0], axis=ax))
-            lip = max(lip, float(np.max(np.abs(step)) * self.n_per_dim))
-        return lip
+        # adjacent differences and the wrap pair, as np.roll(values, -1) pairs them
+        step = np.diff(self.values, append=self.values[:1])
+        return float(np.max(np.abs(step)) * self.n_per_dim)
 
     def osc(self) -> float:
         return float(self.values.max() - self.values.min())
 
     def shifted(self, c: float) -> "GridFunction":
-        return GridFunction(self.d, self.n_per_dim, self.values + c)
+        return GridFunction(1, self.n_per_dim, self.values + c)
 
     def save(self, path):
-        header = json.dumps({"d": self.d, "n_per_dim": self.n_per_dim})
-        body = "\n".join(f"{v:.17g}" for v in self.values.ravel())
+        header = json.dumps({"d": 1, "n_per_dim": self.n_per_dim})
+        body = "\n".join(f"{v:.17g}" for v in self.values)
         with open(path, "w", newline="") as fh:
             fh.write(header + "\n" + body + "\n")
 
@@ -106,25 +108,19 @@ class GridFunction:
             if unknown:
                 raise ConfigError(f"unknown grid header keys: {sorted(unknown)}")
             vals = np.array([float(line) for line in fh if line.strip()])
-        d, n = int(header["d"]), int(header["n_per_dim"])
-        return cls(d=d, n_per_dim=n, values=vals.reshape((n,) * d))
+        return cls(d=int(header.get("d", 1)), n_per_dim=int(header["n_per_dim"]), values=vals)
 
 
 def semiconcavity_constant(u: GridFunction) -> float:
     """Largest centered second difference times ``n^2`` (positive part)."""
-    out = -np.inf
-    n2 = u.n_per_dim ** 2
-    for ax in range(u.d):
-        sd = (np.roll(u.values, -1, axis=ax) - 2 * u.values
-              + np.roll(u.values, 1, axis=ax)) * n2
-        out = max(out, float(sd.max()))
-    return out
+    sd = (np.roll(u.values, -1) - 2 * u.values + np.roll(u.values, 1)) * u.n_per_dim ** 2
+    return float(sd.max())
 
 
 def second_difference_bound(u: GridFunction) -> float:
     """Largest absolute centered second difference times ``n^2``."""
     return max(semiconcavity_constant(u),
-               semiconcavity_constant(GridFunction(u.d, u.n_per_dim, -u.values)))
+               semiconcavity_constant(GridFunction(1, u.n_per_dim, -u.values)))
 
 
 def search_radius(model: HamiltonianModel, dt: float, osc: float, n: int) -> float:
@@ -212,8 +208,6 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     of one read-only array, so they are cached and evicted as one, and
     ``_target_major`` reaches Kt from any window of K.
     """
-    if model.d != 1:
-        raise ConfigError("grid operators are implemented for d = 1")
     sigma = resolve_sigma(model, sigma_eff)
     key = _kernel_key(model, tau, t, n, sigma)
     rows = 1 if model.q_homogeneous else n

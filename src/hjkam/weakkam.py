@@ -66,8 +66,6 @@ class WeakKamResult:
 def _require_torus(model):
     if not (model.periodic and model.autonomous):
         raise ConfigError("periodic autonomous model required")
-    if model.d != 1:
-        raise ConfigError("weak KAM grid computations are implemented for d = 1")
 
 
 def _require_steps(t_step, t_max):
@@ -354,8 +352,6 @@ def calibrated_curve(model: HamiltonianModel, a: float, q0: float, q1: float,
     When no finite horizon attains the infimum below the cap, the best
     capped-horizon orbit is returned (its energy approaches ``a``).
     """
-    if model.d != 1:
-        raise ConfigError("calibrated curves are implemented for d = 1")
     if abs(float(q1) - float(q0)) < 1e-14:
         raise ConfigError("calibrated_curve needs distinct endpoints")
     sig = resolve_sigma(model, sigma_eff)

@@ -12,7 +12,7 @@ SIGMA_PEND = 0.2
 
 @pytest.fixture(scope="session")
 def free():
-    return free_model(1)
+    return free_model()
 
 
 @pytest.fixture(scope="session")

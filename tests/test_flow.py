@@ -105,7 +105,7 @@ def test_certify_pendulum_window(pendulum):
 
 def test_trajectory_escape():
     runaway = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, axis=-1)
-                           - 25.0 * np.sum(q ** 4, axis=-1), d=1, m=1.0, M=1.0)
+                           - 25.0 * np.sum(q ** 4, axis=-1), m=1.0, M=1.0)
     with pytest.raises(TrajectoryEscape) as info:
         integrate_flow(runaway, ([1.0], [1.0]), 0.0, 10.0, step=1e-3)
     assert info.value.exit_time is not None
@@ -140,10 +140,10 @@ def test_stage_evaluates_grad_once_with_action(want_monodromy, want_action, per_
 
     def hessian(t, q, p):
         calls["hessian"] += 1
-        z = np.zeros(q.shape + (1,))
+        z = np.zeros(q.shape[:-1])
         return z, z, np.ones_like(z)
 
-    model = custom_model(value, d=1, m=1, M=1, grad=grad, hessian=hessian, periodic=True)
+    model = custom_model(value, m=1, M=1, grad=grad, hessian=hessian, periodic=True)
     Q, P, Mono, W, _ = integrate_batch(model, 0.0, 1.0, np.zeros((3, 1)), np.ones((3, 1)), 10,
                                        want_monodromy=want_monodromy, want_action=want_action)
     assert tuple(calls.values()) == tuple(4 * 10 * c for c in per_stage)
@@ -161,25 +161,8 @@ def test_step_must_be_finite_and_positive(pendulum, step, tmp_path):
         integrate_flow(pendulum, ([0.3], [1.2]), 0.0, 2.0, step=step)
     with pytest.raises(ConfigError):
         monodromy(pendulum, ([0.3], [1.2]), 0.0, 2.0, step=step)
+    with pytest.raises(ConfigError):
+        check_twist(pendulum, 0.0, 0.2, step=step)
     from hjkam.cli import main
     assert main(["flow", "--model", "pendulum", "--q0", "0.3", "--p0", "1.2", "--t", "2",
                  f"--step={step}", "--out", str(tmp_path)]) == 1
-
-
-def test_monodromy_d2_custom_matches_flow_differences():
-    # the d >= 2 block products and the finite-difference H_qp orientation:
-    # the mixed term couples q_0 into dq_1/dt only
-    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + 0.3 * q[..., 0] * p[..., 1]
-                         + 0.2 * np.cos(2 * np.pi * q[..., 1]), d=2, m=1.0, M=10.0)
-    x = np.array([0.1, 0.2, 0.3, 0.4])
-    mono = monodromy(model, (x[:2], x[2:]), 0.0, 0.5, step=0.01).matrix
-    h = 1e-5
-    J = np.empty((4, 4))
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = h
-        ends = [integrate_flow(model, (y[:2], y[2:]), 0.0, 0.5, step=0.01).terminal
-                for y in (x + e, x - e)]
-        J[:, k] = (np.concatenate([ends[0].q, ends[0].p])
-                   - np.concatenate([ends[1].q, ends[1].p])) / (2 * h)
-    assert np.max(np.abs(mono - J)) < 1e-5

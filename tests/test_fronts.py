@@ -106,7 +106,7 @@ def test_escaping_samples_dropped():
     # samples whose characteristics blow up are dropped and counted
     from hjkam.hamiltonian import custom_model
     runaway = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, axis=-1)
-                           - 25.0 * np.sum(q ** 4, axis=-1), d=1, m=1.0, M=1.0)
+                           - 25.0 * np.sum(q ** 4, axis=-1), m=1.0, M=1.0)
     qs = np.linspace(-2.0, 2.0, 41)
     front = propagate_front(runaway, (qs, np.zeros(41), np.zeros(41)), 3.0)
     assert front.dropped > 0

@@ -9,9 +9,9 @@ from hjkam.hamiltonian import (check_hypotheses, custom_model, eval_and_grads,
 
 
 def test_free_eval():
-    H, Hq, Hp = eval_and_grads(free_model(2), 0.0, [0.0, 0.0], [3.0, 4.0])
+    H, Hq, Hp = eval_and_grads(free_model(), 0.0, [0.0], [5.0])
     assert H == 12.5
-    assert np.allclose(Hp, [3.0, 4.0])
+    assert np.allclose(Hp, [5.0])
     assert np.allclose(Hq, 0.0)
 
 
@@ -25,14 +25,14 @@ def test_pendulum_eval_points(pendulum):
 
 def test_nonfinite_raises():
     bad = custom_model(lambda t, q, p: np.full(np.asarray(p).shape[:-1], np.nan),
-                       d=1, m=1, M=1)
+                       m=1, M=1)
     with pytest.raises(NumericalDomain) as info:
         eval_and_grads(bad, 0.0, [0.0], [1.0])
     assert info.value.point is not None
 
 
 def test_check_hypotheses_free():
-    rep = check_hypotheses(free_model(1), ((0, 0), (-1, 1), (-3, 3)), 100, seed=3)
+    rep = check_hypotheses(free_model(), ((0, 0), (-1, 1), (-3, 3)), 100, seed=3)
     assert rep.all_pass()
     assert abs(rep.m_emp - 1.0) < 1e-9
     assert abs(rep.M_emp - 1.0) < 1e-9
@@ -103,6 +103,34 @@ def test_legendre_biconjugation(pendulum):
         assert abs(sup - H) < 1e-6
 
 
+def test_legendre_one_jet_per_trial():
+    # H = p^2/2 with H_pp reported as `curvature`.  Each Newton trial takes
+    # the residual and H_pp from one jet call (grad and hessian once), plus
+    # one call at the start.  The exact curvature lands in one trial; half
+    # of it overshoots to p = 2 v, is rejected, and lands at lam = 1/2.
+    for curvature, trials in ((1.0, 1), (0.5, 2)):
+        calls = {"value": 0, "grad": 0, "hessian": 0}
+
+        def value(t, q, p):
+            calls["value"] += 1
+            return 0.5 * np.sum(p * p, -1)
+
+        def grad(t, q, p):
+            calls["grad"] += 1
+            return np.zeros_like(q), p
+
+        def hessian(t, q, p):
+            calls["hessian"] += 1
+            z = np.zeros(q.shape[:-1])
+            return z, z, np.full(z.shape, curvature)
+
+        model = custom_model(value, m=1, M=1, grad=grad, hessian=hessian)
+        v = np.array([[0.5], [1.5], [-2.0]])
+        L, p = legendre_batch(model, 0.0, np.zeros((3, 1)), v)
+        assert np.array_equal(p, v) and np.array_equal(L, 0.5 * v[:, 0] ** 2)
+        assert calls == {"value": 1, "grad": 1 + trials, "hessian": 1 + trials}
+
+
 def test_periodicity_exact_and_sampled(pendulum):
     # dyadic points shift exactly; generic points within 1e-12
     q = np.array([[0.25], [0.5], [0.375]])
@@ -123,16 +151,24 @@ def _multi_mode():
     return mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
 
 
-@pytest.mark.parametrize("maker", [lambda: free_model(1), lambda: quadratic_model(2.0),
-                                   pendulum_model, _forced, _multi_mode])
+def _fd_hessian_pendulum():
+    # an analytic grad and no hessian: the blocks come from the
+    # finite-difference fallback
+    return custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(2 * np.pi * q[..., 0]),
+                        m=1.0, M=4 * np.pi ** 2, periodic=True,
+                        grad=lambda t, q, p: (-2 * np.pi * np.sin(2 * np.pi * q), p))
+
+
+@pytest.mark.parametrize("maker", [lambda: free_model(), lambda: quadratic_model(2.0),
+                                   pendulum_model, _forced, _multi_mode, _fd_hessian_pendulum])
 def test_gradient_consistency(maker):
     # every jet output against central differences of value (gradients) and
-    # of the jet's gradients (Hessian blocks), at t != 0 so that the forced
-    # model's time factor is not 1
+    # of the jet's gradients (second derivatives), at t != 0 so that the
+    # forced model's time factor is not 1
     model = maker()
     rng = np.random.default_rng(9)
-    q = rng.uniform(-1, 1, (1000, model.d))
-    p = rng.uniform(-3, 3, (1000, model.d))
+    q = rng.uniform(-1, 1, (1000, 1))
+    p = rng.uniform(-3, 3, (1000, 1))
     t = 0.37
     Hq, Hp, L, (Hqq, Hqp, Hpp) = model.jet(t, q, p, action=True, hessian=True)
     plain = model.jet(t, q, p)
@@ -140,36 +176,19 @@ def test_gradient_consistency(maker):
     assert plain[2:] == (None, None)
     assert np.max(np.abs(L - (np.sum(p * Hp, -1) - model.value(t, q, p)))) < 1e-12
     h = 1e-5
-    for k in range(model.d):
-        e = np.zeros(model.d)
-        e[k] = 1.0
-        fdq = (model.value(t, q + h * e, p) - model.value(t, q - h * e, p)) / (2 * h)
-        fdp = (model.value(t, q, p + h * e) - model.value(t, q, p - h * e)) / (2 * h)
-        assert np.max(np.abs(fdq - Hq[:, k])) < 1e-7
-        assert np.max(np.abs(fdp - Hp[:, k])) < 1e-7
-        dq = [(a - b) / (2 * h) for a, b in zip(model.jet(t, q + h * e, p)[:2],
-                                               model.jet(t, q - h * e, p)[:2])]
-        dp = [(a - b) / (2 * h) for a, b in zip(model.jet(t, q, p + h * e)[:2],
-                                               model.jet(t, q, p - h * e)[:2])]
-        assert np.max(np.abs(dq[0] - Hqq[:, k, :])) < 1e-6
-        assert np.max(np.abs(dq[1] - Hqp[:, k, :])) < 1e-6
-        assert np.max(np.abs(dp[0] - Hqp[:, :, k])) < 1e-6
-        assert np.max(np.abs(dp[1] - Hpp[:, k, :])) < 1e-6
-
-
-def test_fd_jet_hessian_orientation_d2():
-    # the finite-difference fallback keeps H_qp[..., i, j] = d^2 H / dq_i dp_j
-    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + 0.3 * q[..., 0] * p[..., 1]
-                         + np.cos(2 * np.pi * q[..., 1]), d=2, m=1.0, M=40.0)
-    rng = np.random.default_rng(4)
-    q = rng.uniform(-1, 1, (50, 2))
-    p = rng.uniform(-2, 2, (50, 2))
-    Hqq, Hqp, Hpp = model.jet(0.0, q, p, hessian=True)[3]
-    want_qq = np.zeros((50, 2, 2))
-    want_qq[:, 1, 1] = -4 * np.pi ** 2 * np.cos(2 * np.pi * q[:, 1])
-    assert np.max(np.abs(Hqq - want_qq)) < 1e-4
-    assert np.max(np.abs(Hqp - [[0.0, 0.3], [0.0, 0.0]])) < 1e-4
-    assert np.max(np.abs(Hpp - np.eye(2))) < 1e-4
+    fdq = (model.value(t, q + h, p) - model.value(t, q - h, p)) / (2 * h)
+    fdp = (model.value(t, q, p + h) - model.value(t, q, p - h)) / (2 * h)
+    assert np.max(np.abs(fdq - Hq[:, 0])) < 1e-7
+    assert np.max(np.abs(fdp - Hp[:, 0])) < 1e-7
+    dq = [(a - b)[:, 0] / (2 * h) for a, b in zip(model.jet(t, q + h, p)[:2],
+                                                  model.jet(t, q - h, p)[:2])]
+    dp = [(a - b)[:, 0] / (2 * h) for a, b in zip(model.jet(t, q, p + h)[:2],
+                                                  model.jet(t, q, p - h)[:2])]
+    assert Hqq.shape == Hqp.shape == Hpp.shape == (1000,)
+    assert np.max(np.abs(dq[0] - Hqq)) < 1e-6
+    assert np.max(np.abs(dq[1] - Hqp)) < 1e-6
+    assert np.max(np.abs(dp[0] - Hqp)) < 1e-6
+    assert np.max(np.abs(dp[1] - Hpp)) < 1e-6
 
 
 def test_model_from_dict_and_rejection():
@@ -182,6 +201,11 @@ def test_model_from_dict_and_rejection():
         model_from_dict({"d": 1})
     with pytest.raises(ConfigError):
         model_from_dict({"family": "nope"})
+    # the line and circle only: d is 1 or absent
+    with pytest.raises(ConfigError, match="d = 1"):
+        model_from_dict({"family": "free", "d": 2})
+    assert model_from_dict({"family": "free", "d": 1}).family == "free"
+    assert model_from_dict({"family": "free"}).family == "free"
 
 
 def test_m_le_M_for_builtins(pendulum, free, quad2, forced):

@@ -124,7 +124,7 @@ def test_regularize_constant(free):
 
 def test_regularize_hat_bounded():
     from hjkam.hamiltonian import free_model
-    model = free_model(1)
+    model = free_model()
     regs = {}
     for n in (64, 128, 256):
         hat = GridFunction.from_callable(lambda q: np.abs(q - 0.5), n)
@@ -175,9 +175,21 @@ def test_gridfunction_header_rejects_unknown(tmp_path):
         GridFunction.load(path)
 
 
+def test_gridfunction_header_d_must_be_1(tmp_path):
+    # grid functions live on the circle: "d" is 1 or absent
+    path = tmp_path / "grid.gridfn"
+    path.write_text('{"d": 2, "n_per_dim": 2}\n0\n0\n0\n0\n')
+    with pytest.raises(ConfigError, match="d = 1"):
+        GridFunction.load(path)
+    for header in ('{"d": 1, "n_per_dim": 2}', '{"n_per_dim": 2}'):
+        path.write_text(header + "\n0.5\n-1\n")
+        u = GridFunction.load(path)
+        assert u.d == 1 and np.array_equal(u.values, [0.5, -1.0])
+
+
 def test_nonperiodic_model_rejected():
     from hjkam.hamiltonian import custom_model
-    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), d=1, m=1, M=1,
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), m=1, M=1,
                          periodic=False)
     with pytest.raises(ConfigError):
         apply_T(model, GridFunction(1, 16, np.zeros(16)), 0.0, 0.1, sigma_eff=0.25)
@@ -197,10 +209,10 @@ def test_search_radius_exceeded(pendulum, monkeypatch):
 
 def _custom_kinetic(a):
     from hjkam.hamiltonian import custom_model
-    return custom_model(lambda t, q, p: 0.5 * a * np.sum(p * p, -1), d=1, m=a, M=a,
+    return custom_model(lambda t, q, p: 0.5 * a * np.sum(p * p, -1), m=a, M=a,
                         grad=lambda t, q, p: (np.zeros_like(p), a * p),
-                        hessian=lambda t, q, p: (np.zeros(p.shape + (1,)),) * 2
-                        + (np.full(p.shape + (1,), a),), periodic=True)
+                        hessian=lambda t, q, p: (np.zeros(p.shape[:-1]),) * 2
+                        + (np.full(p.shape[:-1], a),), periodic=True)
 
 
 def test_kernel_cache_not_aliased_across_custom_models(monkeypatch):
@@ -544,7 +556,7 @@ def _fd_pendulum():
     # no grad given: custom_model differentiates value by finite differences
     from hjkam.hamiltonian import custom_model
     return custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(2 * np.pi * q[..., 0]),
-                        d=1, m=1.0, M=4 * np.pi ** 2, periodic=True)
+                        m=1.0, M=4 * np.pi ** 2, periodic=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -563,13 +575,11 @@ def test_grad_sups_match_meshgrid(free, pendulum, forced, name, band, tau, dt):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
-def test_lip_estimate_matches_roll(d, n, data):
+@given(n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
+def test_lip_estimate_matches_roll(n, data):
     # adjacent differences plus the wrap pair equal the np.roll formula, bit for bit
-    u = GridFunction(d, n, _draw_values(data, n ** d, -5.0, 5.0).reshape((n,) * d))
-    want = 0.0
-    for ax in range(d):
-        want = max(want, float(np.max(np.abs(np.roll(u.values, -1, axis=ax) - u.values)) * n))
+    u = GridFunction(1, n, _draw_values(data, n, -5.0, 5.0))
+    want = float(np.max(np.abs(np.roll(u.values, -1) - u.values)) * n)
     assert np.float64(u.lip_estimate).tobytes() == np.float64(want).tobytes()
 
 
