@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .action import action_bounds, minimal_action, tonelli_oracle
 from .errors import ExistenceHorizonExceeded
@@ -309,6 +308,7 @@ def criterion_08_critical_value() -> CriterionResult:
 
 def pendulum_weak_kam_oracle(nodes: np.ndarray) -> np.ndarray:
     """Quadrature of u' = sqrt(2 (1 - V)) glued at the downward kink."""
+    from scipy.integrate import cumulative_trapezoid
     fine = np.linspace(0.0, 1.0, 20001)
     slope = np.sqrt(np.maximum(2.0 * (1.0 - np.cos(2 * np.pi * fine)), 0.0))
     up = cumulative_trapezoid(slope, fine, initial=0.0)

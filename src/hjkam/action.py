@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, MultistartExhausted
 from .flow import resolve_sigma, write_csv
@@ -27,6 +26,10 @@ from .hamiltonian import HamiltonianModel, legendre_batch
 
 TOL_CRIT_BASE = 1e-6
 TOL_A_BASE = 1e-6
+# The chain line search's step lengths 1, 1/2, ..., 1/512, in the groups
+# that one solve each tries: the full step, then the halvings that nearly
+# every rejected step needs, then the rest.
+LINE_SEARCH = (np.ones(1), np.ldexp(1.0, -np.arange(1, 4)), np.ldexp(1.0, -np.arange(4, 10)))
 
 
 @dataclass
@@ -156,11 +159,16 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     Only chains whose largest momentum jump exceeds ``tol_crit`` are
     iterated.  Where the regularized Hessian stays indefinite, or the Newton
     direction is not a descent direction, the chain steps along the
-    gradient instead.  Steps are backtracked until the summed chain action
-    meets the Armijo condition; a chain whose line search fails is left
-    where it is.  Returns ``(pts, jumps, S, rho0, rho1)``: the momentum-jump
-    norms (B, n-1) and the per-segment values and momenta of the last
-    evaluation.
+    gradient instead.  A step is damped along the ladder
+    ``lam = 1, 1/2, ..., 1/512`` and takes the first rung whose summed chain
+    action meets the Armijo condition; a chain with no such rung is left
+    where it is.  The rungs go in the three groups of ``LINE_SEARCH``, one
+    ``_segments`` solve per group for every chain still without a step, all
+    warm-started from the chain's current momenta.  A row shoots
+    independently of its batch mates, so a chain takes the step that
+    backtracking one halving per solve would take.  Returns
+    ``(pts, jumps, S, rho0, rho1)``: the momentum-jump norms (B, n-1) and
+    the per-segment values and momenta of the last evaluation.
     """
     n = pts.shape[1] - 1
     S, r0, r1, Mono = _segments(model, tau, t, pts, sigma_eff, step_target,
@@ -179,22 +187,25 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
         delta[ascent] = ga[ascent]
         slope[ascent] = np.sum(ga[ascent] ** 2, axis=(1, 2))
         S_act = S[act].sum(axis=1)
-        lam = np.ones(len(act))
-        todo = np.ones(len(act), bool)
-        for _bt in range(10):
-            k = np.flatnonzero(todo)
+        todo = np.arange(len(act))   # active chains without a step yet
+        for rungs in LINE_SEARCH:
+            # row j of the batch is chain todo[j // m] at rungs[j % m]
+            m = len(rungs)
+            k = np.repeat(todo, m)
+            lam = np.tile(rungs, len(todo))
             trial = pts[act[k]]
-            trial[:, 1:-1] -= lam[k, None, None] * delta[k]
+            trial[:, 1:-1] -= lam[:, None, None] * delta[k]
             St, r0t, r1t, Mt = _segments(model, tau, t, trial, sigma_eff, step_target,
                                          p_init=r0[act[k]], want_monodromy=True)
-            good = St.sum(axis=1) <= S_act[k] - 1e-4 * lam[k] * slope[k]
-            i = act[k[good]]
-            pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[good], St[good], r0t[good],
-                                                  r1t[good], Mt[good])
-            todo[k[good]] = False
-            if not todo.any():
+            good = (St.sum(axis=1) <= S_act[k] - 1e-4 * lam * slope[k]).reshape(-1, m)
+            found = good.any(axis=1)
+            first = np.flatnonzero(found) * m + good.argmax(axis=1)[found]
+            i = act[todo[found]]
+            pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[first], St[first], r0t[first],
+                                                  r1t[first], Mt[first])
+            todo = todo[~found]
+            if not len(todo):
                 break
-            lam[todo] *= 0.5
         stalled[act[todo]] = True
     jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
     return pts, jumps, S, r0, r1
@@ -387,6 +398,7 @@ def tonelli_oracle(model: HamiltonianModel, tau: float, t: float, q0, q1,
     spread of waypoints (long horizons reward parking in cheap regions),
     and seeded random perturbations.
     """
+    from scipy.optimize import minimize
     if n_segments < 2:
         raise ConfigError("tonelli oracle needs n_segments >= 2")
     q0 = np.atleast_1d(np.asarray(q0, float))

@@ -5,9 +5,11 @@ jointly to the state, the 2 x 2 monodromy matrix, and the running
 Hamiltonian action, so derivative and action estimates share the state's
 discretization.  Each stage takes the vector field, the Hessian blocks of
 the variational equation and the action rate from one evaluation of the
-model's jet, asking only for the terms it integrates.  All internals are
-vectorized over a leading batch axis; the public API wraps single
-trajectories.
+model's jet, asking only for the terms it integrates.  The integrated
+components are packed into one component-major array, so that a stage
+input or the step's weighted sum is one numpy operation on the whole state
+whatever the batch size.  All internals are vectorized over the batch
+axes; the public API wraps single trajectories.
 """
 
 from __future__ import annotations
@@ -90,21 +92,28 @@ class MonodromyResult:
         return float(np.linalg.norm(m.T @ J @ m - J, 2))
 
 
-def _stage(model, t, Q, P, Mono, want_action):
-    """One RK4 stage ``(dQ, dP, dM, dW)`` from one jet evaluation.
+def _stage(model, t, Y, K, mono, action, work):
+    """Write the RK4 stage at the packed state ``Y`` into ``K`` from one jet.
 
-    ``Mono`` is component-major, ``(2, 2, ...)``, so that its updates run
-    along the batch: ``dM = [[H_qp, H_pp], [-H_qq, -H_qp]] Mono``, one
-    update per row.
+    ``Y`` and ``K`` are component-major, ``(C, ..., 1)``: ``q``, ``p``, then
+    the monodromy entries ``m00, m01, m10, m11`` when ``mono``, then the
+    action ``W`` when ``action``.  ``K`` gets ``H_p``, ``-H_q``, the two row
+    pairs of ``[[H_qp, H_pp], [-H_qq, -H_qp]] M`` and the action rate ``L``,
+    each update running along the batch; ``work`` holds one row pair.
     """
-    Hq, Hp, dW, blocks = model.jet(t, Q, P, action=want_action, hessian=Mono is not None)
-    dM = None
-    if Mono is not None:
+    Hq, Hp, L, blocks = model.jet(t, Y[0], Y[1], action=action, hessian=mono)
+    K[0] = Hp
+    np.negative(Hq, out=K[1])
+    if mono:
         hqq, hqp, hpp = blocks
-        dM = np.empty_like(Mono)
-        dM[0] = hqp * Mono[0] + hpp * Mono[1]
-        dM[1] = -hqq * Mono[0] - hqp * Mono[1]
-    return Hp, -Hq, dM, dW
+        top, bottom = Y[2:4, ..., 0], Y[4:6, ..., 0]
+        dtop, dbottom = K[2:4, ..., 0], K[4:6, ..., 0]
+        np.multiply(hqp, top, out=dtop)
+        dtop += np.multiply(hpp, bottom, out=work)
+        np.multiply(-hqq, top, out=dbottom)
+        dbottom -= np.multiply(hqp, bottom, out=work)
+    if action:
+        K[-1, ..., 0] = L
 
 
 def _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action):
@@ -126,55 +135,65 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
                     want_action: bool = False, guard: Optional[float] = None):
     """Integrate a batch of initial conditions from ``tau`` to ``t``.
 
-    Returns ``(Q, P, Mono, W, escaped)``; ``Mono`` has shape
-    ``(..., 2, 2)`` and ``W`` the accumulated action when requested.
-    ``escaped`` marks batch entries whose norm passed ``guard`` (their
-    remaining evolution is frozen).
+    ``Q0`` and ``P0`` are ``(..., 1)``.  Returns ``(Q, P, Mono, W,
+    escaped)``: ``Q`` and ``P`` shaped like ``Q0``; ``Mono`` of shape
+    ``(..., 2, 2)`` and ``W`` the accumulated action, of shape ``(...)``,
+    when requested, else None.  ``escaped`` marks batch entries whose norm
+    passed ``guard``; their q, p and action are frozen from the next step
+    on.  The state is integrated packed (see ``_stage``), with the stage
+    buffers allocated once per call and every step updated in place; the
+    per-element arithmetic is the plain RK4 of each component.
     """
     if model.family in ("free", "quadratic"):
         return _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action)
-    Q = np.array(Q0, float, copy=True)
-    P = np.array(P0, float, copy=True)
-    shape = Q.shape[:-1]
-    Mono = None
+    Q0 = np.asarray(Q0, float)
+    shape = Q0.shape[:-1]
+    C = 2 + 4 * want_monodromy + want_action
+    Y = np.empty((C,) + Q0.shape)
+    Y[0] = Q0
+    Y[1] = P0
     if want_monodromy:
-        # component-major while integrating (see _stage), batch-major on return
-        eye = np.eye(2).reshape((2, 2) + (1,) * len(shape))
-        Mono = np.broadcast_to(eye, (2, 2) + shape).copy()
-    W = np.zeros(shape) if want_action else None
+        Y[2:6] = np.reshape([1.0, 0.0, 0.0, 1.0], (4,) + (1,) * Q0.ndim)
+    if want_action:
+        Y[-1] = 0.0
+    # the stage input, the four stages and one monodromy row pair, reused
+    # by every step; the stages are summed in place in K2
+    Z, K1, K2, K3, K4 = (np.empty_like(Y) for _ in range(5))
+    work = np.empty((2,) + shape) if want_monodromy else None
     escaped = np.zeros(shape, bool)
 
     h = (t - tau) / n_steps
     s = tau
     for _ in range(n_steps):
-        k1 = _stage(model, s, Q, P, Mono, want_action)
-        k2 = _stage(model, s + h / 2, Q + h / 2 * k1[0], P + h / 2 * k1[1],
-                    None if Mono is None else Mono + h / 2 * k1[2], want_action)
-        k3 = _stage(model, s + h / 2, Q + h / 2 * k2[0], P + h / 2 * k2[1],
-                    None if Mono is None else Mono + h / 2 * k2[2], want_action)
-        k4 = _stage(model, s + h, Q + h * k3[0], P + h * k3[1],
-                    None if Mono is None else Mono + h * k3[2], want_action)
-        dQ = (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) * (h / 6)
-        dP = (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) * (h / 6)
+        _stage(model, s, Y, K1, want_monodromy, want_action, work)
+        np.add(Y, np.multiply(h / 2, K1, out=Z), out=Z)
+        _stage(model, s + h / 2, Z, K2, want_monodromy, want_action, work)
+        np.add(Y, np.multiply(h / 2, K2, out=Z), out=Z)
+        _stage(model, s + h / 2, Z, K3, want_monodromy, want_action, work)
+        np.add(Y, np.multiply(h, K3, out=Z), out=Z)
+        _stage(model, s + h, Z, K4, want_monodromy, want_action, work)
+        # (K1 + 2 K2 + 2 K3 + K4) h / 6, summed left to right
+        np.add(K1, np.multiply(2, K2, out=K2), out=K2)
+        K2 += np.multiply(2, K3, out=K3)
+        K2 += K4
+        K2 *= h / 6
         if guard is not None and escaped.any():
-            live = ~escaped
-            Q[live] += dQ[live]
-            P[live] += dP[live]
+            # escaped rows keep q, p and W; their monodromy still moves
+            live = np.broadcast_to(~escaped[..., None], Y.shape).copy()
+            if want_monodromy:
+                live[2:6] = True
+            np.add(Y, K2, out=Y, where=live)
         else:
-            Q += dQ
-            P += dP
-        if Mono is not None:
-            Mono += (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) * (h / 6)
-        if W is not None:
-            dW = (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) * (h / 6)
-            W = np.where(escaped, W, W + dW) if guard is not None else W + dW
+            Y += K2
         s += h
         if guard is not None:
-            over = (np.max(np.abs(Q), axis=-1) > guard) | (np.max(np.abs(P), axis=-1) > guard)
-            escaped |= over
-    if Mono is not None:
-        Mono = np.ascontiguousarray(np.moveaxis(Mono, (0, 1), (-2, -1)))
-    return Q, P, Mono, W, escaped
+            escaped |= (np.abs(Y[0, ..., 0]) > guard) | (np.abs(Y[1, ..., 0]) > guard)
+    Mono = None
+    if want_monodromy:
+        Mono = np.ascontiguousarray(
+            np.moveaxis(Y[2:6, ..., 0].reshape((2, 2) + shape), (0, 1), (-2, -1)))
+    W = Y[-1, ..., 0] if want_action else None
+    return Y[0], Y[1], Mono, W, escaped
 
 
 def _checked_step(step: float) -> float:

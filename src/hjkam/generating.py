@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (ConfigError, ExistenceHorizonExceeded, FoldDetected,
                      SigmaExceeded, SolverDiverged)
@@ -275,6 +274,7 @@ def classical_cauchy(model: HamiltonianModel, u0_samples, t: float, query_grid,
     set, in which case the front must still be fold-free.  Query points
     must sit at least one in-flow margin inside the sampled window.
     """
+    from scipy.interpolate import PchipInterpolator
     q0, u0, du0 = (np.asarray(a, float) for a in u0_samples)
     order = np.argsort(q0)
     q0, u0, du0 = q0[order], u0[order], du0[order]

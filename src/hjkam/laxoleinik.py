@@ -102,13 +102,23 @@ class GridFunction:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by ``save``; a malformed one raises ConfigError."""
         with open(path) as fh:
-            header = json.loads(fh.readline())
+            try:
+                header = json.loads(fh.readline())
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"grid header is not JSON: {exc}") from exc
+            if not isinstance(header, dict) or "n_per_dim" not in header:
+                raise ConfigError("grid header must be a JSON object with 'n_per_dim'")
             unknown = set(header) - {"d", "n_per_dim"}
             if unknown:
                 raise ConfigError(f"unknown grid header keys: {sorted(unknown)}")
-            vals = np.array([float(line) for line in fh if line.strip()])
-        return cls(d=int(header.get("d", 1)), n_per_dim=int(header["n_per_dim"]), values=vals)
+            try:
+                d, n = int(header.get("d", 1)), int(header["n_per_dim"])
+                vals = np.array([float(line) for line in fh if line.strip()])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed grid file: {exc}") from exc
+        return cls(d=d, n_per_dim=n, values=vals)
 
 
 def semiconcavity_constant(u: GridFunction) -> float:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import NegativeCycleError, csgraph_from_dense, johnson
 
 from .action import minimal_action, reconstruct_trajectory
 from .errors import ConfigError, LevelBelowCritical, NonConvergence
@@ -276,6 +275,7 @@ def _mane_star(model, a, n, sigma_eff):
     ``-LOOP_TOL``, or a negative cycle found by Johnson's algorithm, means
     the level is sub-critical.  Cached read-only per (model, a, n, sigma).
     """
+    from scipy.sparse.csgraph import NegativeCycleError, csgraph_from_dense, johnson
     sig = resolve_sigma(model, sigma_eff)
     key = (model.cache_key(), round(a, 12), n, round(sig, 12))
     if key in _MANE_CACHE:

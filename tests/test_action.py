@@ -216,3 +216,88 @@ def test_forced_chain_in_time_slots(forced):
     B = broken_action_value(forced, 0.1, 0.7, [0.2], [0.7], path.nodes,
                             sigma_eff=SIGMA_PEND)
     assert abs(A - B) <= 1e-8
+
+
+def _sequential_relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_crit):
+    """Chain relaxation that backtracks one halving per ``_segments`` solve.
+
+    The reference for ``_relax_chain``'s batched ladder.  Also returns, per
+    chain, the most halvings an accepted step took and whether it stalled.
+    """
+    import hjkam.action as act
+    n = pts.shape[1] - 1
+    S, r0, r1, Mono = act._segments(model, tau, t, pts, sigma_eff, step_target,
+                                    want_monodromy=n > 1)
+    stalled = np.zeros(len(pts), bool)
+    halvings = np.zeros(len(pts), int)
+    for _ in range(max_sweeps):
+        g = r1[:, :-1] - r0[:, 1:]
+        gmax = np.linalg.norm(g, axis=-1).max(axis=1, initial=0.0)
+        active = np.flatnonzero((gmax > tol_crit) & ~stalled)
+        if len(active) == 0:
+            break
+        ga = g[active]
+        delta, ok = act._newton_direction(Mono[active], ga)
+        slope = np.sum(ga * delta, axis=(1, 2))
+        ascent = ~ok | ~(slope > 0)
+        delta[ascent] = ga[ascent]
+        slope[ascent] = np.sum(ga[ascent] ** 2, axis=(1, 2))
+        S_act = S[active].sum(axis=1)
+        lam = np.ones(len(active))
+        todo = np.ones(len(active), bool)
+        for bt in range(10):
+            k = np.flatnonzero(todo)
+            trial = pts[active[k]]
+            trial[:, 1:-1] -= lam[k, None, None] * delta[k]
+            St, r0t, r1t, Mt = act._segments(model, tau, t, trial, sigma_eff, step_target,
+                                             p_init=r0[active[k]], want_monodromy=True)
+            good = St.sum(axis=1) <= S_act[k] - 1e-4 * lam[k] * slope[k]
+            i = active[k[good]]
+            pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[good], St[good], r0t[good],
+                                                  r1t[good], Mt[good])
+            halvings[i] = np.maximum(halvings[i], bt)
+            todo[k[good]] = False
+            if not todo.any():
+                break
+            lam[todo] *= 0.5
+        stalled[active[todo]] = True
+    jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
+    return (pts, jumps, S, r0, r1), halvings, stalled
+
+
+@pytest.mark.parametrize("model_name, amp, seed, chains, most_halvings",
+                         [("pendulum", 0.4, 3, 6, 3), ("forced", 0.6, 3, 2, 4)])
+def test_ladder_matches_sequential_backtracking(model_name, amp, seed, chains, most_halvings,
+                                                pendulum, forced, monkeypatch):
+    import hjkam.action as act
+    model = {"pendulum": pendulum, "forced": forced}[model_name]
+    t, n = 1.2, 6
+    lam = np.linspace(0, 1, n + 1)
+    rng = np.random.default_rng(seed)
+    pts = np.repeat((0.1 + 0.5 * lam)[None, :, None], 6, axis=0)
+    pts[:, 1:-1, 0] += rng.normal(0.0, amp, (6, n - 1)) * np.sin(np.pi * lam[1:-1])
+    pts = pts[:chains]
+    # a zero tolerance keeps chain 0 iterating until its line search fails
+    tol = np.full(chains, 1e-6)
+    tol[0] = 0.0
+    args = (model, 0.0, t)
+    ref, halvings, stalled = _sequential_relax(*args, pts.copy(), SIGMA_PEND, 5e-3, 12, tol)
+    # a stalled chain, and a step that only the ladder's last group accepts
+    # (forced) or one that three halvings accept (pendulum)
+    assert stalled.any() and halvings[~stalled].max() == most_halvings
+
+    calls = []
+    segments = act._segments
+
+    def counted(*a, **kw):
+        calls.append(len(a[3]))
+        return segments(*a, **kw)
+
+    monkeypatch.setattr(act, "_segments", counted)
+    new = act._relax_chain(*args, pts.copy(), SIGMA_PEND, 5e-3, 12, tol)
+    for a, b in zip(new, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # one sweep: the initial evaluation, then at most one solve per group
+    calls.clear()
+    act._relax_chain(*args, pts.copy(), SIGMA_PEND, 5e-3, 1, tol)
+    assert calls[0] == chains and len(calls) <= 1 + len(act.LINE_SEARCH)

@@ -178,3 +178,16 @@ def test_export_dataset_gridfunction(tmp_path):
     assert all(line.endswith(",0") for line in lines[1:])
     with pytest.raises(ConfigError):
         export_dataset(u, "yaml", str(tmp_path / "u.yaml"))
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the few functions that use it, so the package
+    # and its CLI start without it
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, hjkam, hjkam.acceptance, hjkam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -166,3 +166,94 @@ def test_step_must_be_finite_and_positive(pendulum, step, tmp_path):
     from hjkam.cli import main
     assert main(["flow", "--model", "pendulum", "--q0", "0.3", "--p0", "1.2", "--t", "2",
                  f"--step={step}", "--out", str(tmp_path)]) == 1
+
+
+def _reference_rk4(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action, guard):
+    """Per-component RK4: q, p, the monodromy and the action as separate arrays.
+
+    This is the arithmetic the packed kernel must reproduce bit for bit.
+    """
+    def stage(s, Q, P, Mono):
+        Hq, Hp, dW, blocks = model.jet(s, Q, P, action=want_action, hessian=Mono is not None)
+        dM = None
+        if Mono is not None:
+            hqq, hqp, hpp = blocks
+            dM = np.empty_like(Mono)
+            dM[0] = hqp * Mono[0] + hpp * Mono[1]
+            dM[1] = -hqq * Mono[0] - hqp * Mono[1]
+        return Hp, -Hq, dM, dW
+
+    Q = np.array(Q0, float, copy=True)
+    P = np.array(P0, float, copy=True)
+    shape = Q.shape[:-1]
+    Mono = None
+    if want_monodromy:
+        eye = np.eye(2).reshape((2, 2) + (1,) * len(shape))
+        Mono = np.broadcast_to(eye, (2, 2) + shape).copy()
+    W = np.zeros(shape) if want_action else None
+    escaped = np.zeros(shape, bool)
+    h = (t - tau) / n_steps
+    s = tau
+    for _ in range(n_steps):
+        k1 = stage(s, Q, P, Mono)
+        k2 = stage(s + h / 2, Q + h / 2 * k1[0], P + h / 2 * k1[1],
+                   None if Mono is None else Mono + h / 2 * k1[2])
+        k3 = stage(s + h / 2, Q + h / 2 * k2[0], P + h / 2 * k2[1],
+                   None if Mono is None else Mono + h / 2 * k2[2])
+        k4 = stage(s + h, Q + h * k3[0], P + h * k3[1],
+                   None if Mono is None else Mono + h * k3[2])
+        dQ = (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) * (h / 6)
+        dP = (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) * (h / 6)
+        if guard is not None and escaped.any():
+            live = ~escaped
+            Q[live] += dQ[live]
+            P[live] += dP[live]
+        else:
+            Q += dQ
+            P += dP
+        if Mono is not None:
+            Mono += (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) * (h / 6)
+        if W is not None:
+            dW = (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) * (h / 6)
+            W = np.where(escaped, W, W + dW) if guard is not None else W + dW
+        s += h
+        if guard is not None:
+            escaped |= (np.max(np.abs(Q), axis=-1) > guard) | (np.max(np.abs(P), axis=-1) > guard)
+    if Mono is not None:
+        Mono = np.moveaxis(Mono, (0, 1), (-2, -1))
+    return Q, P, Mono, W, escaped
+
+
+def _fd_pendulum():
+    # value only: finite-difference gradient and Hessian blocks
+    return custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(2 * np.pi * q[..., 0]),
+                        m=1, M=4 * np.pi ** 2, periodic=True)
+
+
+@pytest.mark.parametrize("model_name", ["pendulum", "forced", "multi", "fd"])
+@pytest.mark.parametrize("want_monodromy, want_action",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_packed_kernel_matches_reference_bits(model_name, want_monodromy, want_action,
+                                              pendulum, forced):
+    from hjkam.flow import integrate_batch
+    from hjkam.hamiltonian import mechanical_model
+    model = {"pendulum": pendulum, "forced": forced, "fd": _fd_pendulum(),
+             "multi": mechanical_model([0.1, 0.5, 0.2, 0.3, -0.1])}[model_name]
+    rng = np.random.default_rng(7)
+    for shape in [(7, 1), (3, 5, 1), (1,)]:
+        Q0 = rng.uniform(-1.0, 1.0, shape)
+        P0 = rng.uniform(-3.0, 3.0, shape)
+        # no guard, a guard that never fires, and one that freezes the rows
+        # leaving [-2, 2]^2 (at least one in every shape but (1,))
+        for guard in (None, 1e8, 2.0):
+            new = integrate_batch(model, 0.1, 0.9, Q0, P0, 13, want_monodromy,
+                                  want_action, guard)
+            ref = _reference_rk4(model, 0.1, 0.9, Q0, P0, 13, want_monodromy,
+                                 want_action, guard)
+            if guard == 2.0 and shape != (1,):
+                assert ref[4].any() and not ref[4].all()
+            for a, b in zip(new, ref):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    a, b = np.asarray(a), np.asarray(b)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()

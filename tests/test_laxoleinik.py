@@ -187,6 +187,20 @@ def test_gridfunction_header_d_must_be_1(tmp_path):
         assert u.d == 1 and np.array_equal(u.values, [0.5, -1.0])
 
 
+@pytest.mark.parametrize("text", ['{"d": 1}\n0\n0\n', 'n_per_dim = 2\n0\n0\n',
+                                  '{"n_per_dim": 2}\n0.5\nabc\n'],
+                         ids=["header-without-n_per_dim", "header-not-json", "value-not-numeric"])
+def test_gridfunction_malformed_file_is_config_error(tmp_path, text, capsys):
+    path = tmp_path / "bad.gridfn"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        GridFunction.load(path)
+    from hjkam.cli import main
+    assert main(["lax", "--model", "free", "--grid", "2", "--sigma-eff", "0.25", "--t", "0.1",
+                 "--u", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_nonperiodic_model_rejected():
     from hjkam.hamiltonian import custom_model
     model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), m=1, M=1,
