@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, MultistartExhausted
-from .flow import resolve_sigma, write_csv
+from .flow import Trajectory, integrate_flow, resolve_sigma, write_csv
 from .generating import KERNEL_STEP, TARGET_STEP, generating_batch
 from .hamiltonian import HamiltonianModel, legendre_batch
 
@@ -307,7 +307,6 @@ def reconstruct_trajectory(model: HamiltonianModel, path: BrokenPath,
     reconstruction stays accurate over horizons where a single shot from
     ``rho0`` would be destroyed by hyperbolic error growth.
     """
-    from .flow import integrate_flow
     n = path.n
     dt = (path.t - path.tau) / n
     pts = np.concatenate([path.q0[None], path.nodes.reshape(-1, 1),
@@ -324,7 +323,6 @@ def reconstruct_trajectory(model: HamiltonianModel, path: BrokenPath,
     times = np.concatenate(times)
     Q = np.concatenate(Q)
     P = np.concatenate(P)
-    from .flow import Trajectory
     energy = np.asarray(model.value(times, Q, P), float)
     return Trajectory(times=times, Q=Q, P=P, energy=energy)
 

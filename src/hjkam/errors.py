@@ -54,7 +54,8 @@ class SearchRadiusExceeded(HjkamError):
 
 
 class LevelBelowCritical(HjkamError):
-    """Mane potential requested below the critical value (diverges)."""
+    """Level too low: a Mane potential below the critical value (diverges),
+    or a calibrated orbit through a point where ``min_p H >= a``."""
 
 
 class NonConvergence(HjkamError):

@@ -273,8 +273,7 @@ def check_twist(model: HamiltonianModel, q, t: float, p_box=(-4.0, 4.0),
     keep = np.linalg.norm(pb - pa, axis=1) > 1e-12
     pa, pb = pa[keep], pb[keep]
     Q0 = np.broadcast_to(q, pa.shape)
-    # its own rounding, not _steps_for's: the certified margins stay as they are
-    n = max(1, int(np.ceil(t / _checked_step(DEFAULT_STEP * 5 if step is None else step))))
+    n = _steps_for(t, DEFAULT_STEP * 5 if step is None else step)
     Qa = integrate_batch(model, 0.0, t, Q0, pa, n)[0]
     Qb = integrate_batch(model, 0.0, t, Q0, pb, n)[0]
     dp = pb - pa

@@ -26,15 +26,17 @@ from typing import Optional
 import numpy as np
 
 from .action import minimal_action, reconstruct_trajectory
-from .errors import ConfigError, LevelBelowCritical, NonConvergence
-from .flow import Trajectory, integrate_batch, resolve_sigma
-from .hamiltonian import HamiltonianModel, check_hypotheses
+from .errors import ConfigError, LevelBelowCritical, NonConvergence, SolverDiverged
+from .flow import Trajectory, integrate_batch, integrate_flow, resolve_sigma
+from .hamiltonian import (MAX_NEWTON_ITER, TOL_NEWTON, HamiltonianModel, check_hypotheses,
+                          legendre_batch)
 from .laxoleinik import (GridFunction, _grad_sups, _min_plus, _pair_actions, action_kernel,
                          apply_T, velocity_radius)
 
 TOL_ALPHA = 1e-2
 TOL_WK = 5e-3
 TOL_ITER = 1e-9
+TOL_LEVEL_QUAD = 1e-13
 MANE_HORIZONS = 8
 # rounding allowance on a self-loop of the kernel graph at the critical level
 LOOP_TOL = 1e-12
@@ -341,70 +343,67 @@ def mane_pair(model: HamiltonianModel, a: float, q0: float, q1: float,
     return float(w @ S[np.ix_(i, j)] @ v)
 
 
+def _level_momentum(model, a, q, sign):
+    """Root ``p_a(q)`` of ``H(q, .) = a`` where ``sign H_p > 0``, at ``q`` of shape (1,).
+
+    Newton from the zero-velocity Legendre point plus ``sign sqrt(2 (a - min_p H)
+    / m)``, on or past the root by ``H_pp >= m``, stops on a step under TOL_NEWTON
+    or one that turns back.  LevelBelowCritical where ``min_p H(q, .) >= a``.
+    """
+    L0, p = legendre_batch(model, 0.0, q, np.zeros(1))
+    gap = a + float(L0)
+    if gap <= 0:
+        raise LevelBelowCritical(f"min_p H({q[0]:.6g}, .) = {-float(L0):.6g} >= a = {a:.6g}")
+    p = p + sign * np.sqrt(2 * gap / model.m)
+    for _ in range(MAX_NEWTON_ITER):
+        dp = (model.value(0.0, q, p) - a) / model.jet(0.0, q, p)[1]
+        p = p - dp
+        if sign * dp[0] <= TOL_NEWTON * (1 + abs(p[0])):
+            return p
+    raise SolverDiverged("level-momentum Newton iteration failed", residual=abs(dp[0]))
+
+
 def calibrated_curve(model: HamiltonianModel, a: float, q0: float, q1: float,
                      horizon_cap: float = 4.0, sigma_eff=None) -> Trajectory:
     """Minimizing orbit of ``inf_t (A^t(q0, q1) + a t)`` on the energy level a.
 
-    Endpoints are positions on the universal cover.  The optimal horizon
-    satisfies ``H(orbit) = a``; the sign change of ``a - H(t)`` is
-    bracketed by doubling the horizon and polished by a secant iteration
-    until ``|a - H| <= 1e-6``.  The orbit is reconstructed at step 1e-3.
-    When no finite horizon attains the infimum below the cap, the best
-    capped-horizon orbit is returned (its energy approaches ``a``).
+    Endpoints are positions on the universal cover.  Such a minimizer moves
+    on ``H = a`` (Carneiro) with the momentum ``p_a(q)``, the root of
+    ``H(q, .) = a`` on the branch of the sign of ``q1 - q0``, over the time
+    ``t* = int_q0^q1 dq / |H_p(q, p_a(q))|`` (adaptive quadrature, absolute
+    and relative tolerance TOL_LEVEL_QUAD); the orbit is the flow of
+    ``(q0, p_a(q0))`` over ``t*`` at step 1e-3.  ``t*`` is infinite where
+    ``min_p H >= a`` on the way (a hilltop at the critical level); then, and
+    when ``t* >= horizon_cap``, the orbit is the minimal-action chain at the
+    cap, whose energy approaches ``a``.  ConfigError for equal endpoints or a
+    non-autonomous model (no energy level); NonConvergence if q1 is missed.
     """
+    from scipy.integrate import quad
+    if not model.autonomous:
+        raise ConfigError("energy level undefined: calibrated_curve needs an autonomous model")
     if abs(float(q1) - float(q0)) < 1e-14:
         raise ConfigError("calibrated_curve needs distinct endpoints")
-    sig = resolve_sigma(model, sigma_eff)
     target = float(q1)
+    sign = 1.0 if target > q0 else -1.0
 
-    def energy_at(t):
-        _, path = minimal_action(model, 0.0, t, [q0], [target], sigma_eff=sig,
-                                 restarts=2)
-        return float(model.value(0.0, np.atleast_1d(q0), path.rho0)), path
-
-    t_lo = min(max(sig / 4, 1e-3), horizon_cap / 4)
-    e_lo, path = energy_at(t_lo)
-    for _ in range(4):
-        # fast connections carry energy above the level; shrink if not
-        if a - e_lo < 0 or t_lo < 1e-6:
-            break
-        t_lo /= 4
-        e_lo, path = energy_at(t_lo)
-    g_lo = a - e_lo
-    t_hi, g_hi, capped = t_lo, g_lo, True
-    while t_hi < horizon_cap * (1 - 1e-12):
-        t_hi = min(2 * t_hi, horizon_cap)
-        e_hi, path = energy_at(t_hi)
-        g_hi = a - e_hi
-        if g_hi >= 0:
-            capped = False
-            break
-        t_lo, g_lo = t_hi, g_hi
-    if capped:
-        t_star = horizon_cap
-        _, path = energy_at(t_star)
+    def time_rate(x):
+        q = np.array([x])
+        return 1.0 / abs(float(model.jet(0.0, q, _level_momentum(model, a, q, sign))[1][0]))
+    try:
+        p0 = _level_momentum(model, a, np.array([float(q0)]), sign)
+        t_star = sign * quad(time_rate, q0, target, epsabs=TOL_LEVEL_QUAD,
+                             epsrel=TOL_LEVEL_QUAD)[0]
+    except LevelBelowCritical:
+        t_star = np.inf
+    if t_star < horizon_cap:
+        traj = integrate_flow(model, (q0, p0), 0.0, t_star)
     else:
-        # secant with bisection safeguard inside the bracket
-        t_a, g_a, t_b, g_b = t_lo, g_lo, t_hi, g_hi
-        t_star = t_b
-        for _ in range(40):
-            if abs(g_b) <= 1e-6 or (t_b - t_a) < 1e-12:
-                break
-            t_next = t_b - g_b * (t_b - t_a) / (g_b - g_a) if g_b != g_a else 0.5 * (t_a + t_b)
-            if not (min(t_a, t_b) < t_next < max(t_a, t_b)):
-                t_next = 0.5 * (t_a + t_b)
-            e_next, path = energy_at(t_next)
-            g_next = a - e_next
-            if g_next < 0:
-                t_a, g_a = t_next, g_next
-            else:
-                t_b, g_b = t_next, g_next
-            t_star = t_next if abs(g_next) < abs(g_b) or g_next >= 0 else t_b
-        _, path = energy_at(t_star)
-    traj = reconstruct_trajectory(model, path)
-    if abs(float(traj.Q[-1, 0]) - target) > 1e-5 * (1 + abs(target)):
-        raise NonConvergence(f"calibrated orbit misses target by "
-                             f"{abs(float(traj.Q[-1, 0]) - target):.2e}")
+        _, path = minimal_action(model, 0.0, horizon_cap, [q0], [target],
+                                 sigma_eff=resolve_sigma(model, sigma_eff), restarts=2)
+        traj = reconstruct_trajectory(model, path)
+    miss = abs(float(traj.Q[-1, 0]) - target)
+    if miss > 1e-5 * (1 + abs(target)):
+        raise NonConvergence(f"calibrated orbit misses target by {miss:.2e}")
     return traj
 
 

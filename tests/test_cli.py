@@ -125,6 +125,14 @@ def test_action_lax_regularize_mane_aubry_calibrate(tmp_path):
     assert summary["energy_deviation"] <= 1e-4
 
 
+def test_calibrate_forced_exits_1(tmp_path, capsys):
+    desc = tmp_path / "forced.json"
+    desc.write_text(json.dumps({"family": "forced", "V_coeffs": [0.0, 0.3]}))
+    assert run_cli(["calibrate", "--model", str(desc), "--sigma-eff", "0.2", "--a", "1.5",
+                    "--q0", "0.15", "--q1", "0.45", "--out", str(tmp_path / "c")]) == 1
+    assert "energy level undefined" in capsys.readouterr().err
+
+
 def test_config_errors_exit_1(tmp_path):
     assert run_cli(["alpha", "--bogus-flag"]) == 1
     bad = tmp_path / "bad.json"

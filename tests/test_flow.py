@@ -3,7 +3,8 @@ import pytest
 
 from conftest import SIGMA_PEND
 from hjkam.errors import ConfigError, TrajectoryEscape
-from hjkam.flow import certify_sigma, check_twist, integrate_flow, monodromy, sigma_bound
+from hjkam.flow import (_steps_for, certify_sigma, check_twist, integrate_flow, monodromy,
+                        sigma_bound)
 from hjkam.hamiltonian import custom_model
 
 
@@ -101,6 +102,15 @@ def test_certify_pendulum_window(pendulum):
         window = certify_sigma(pendulum, SIGMA_PEND, q=q, n_samples=1000)
         assert window.margin >= 0.0
     assert SIGMA_PEND > 100 * sigma_bound(pendulum)
+
+
+def test_twist_scan_uses_the_uniform_step_rule(pendulum):
+    # 0.07 / 0.005 rounds to just above 14: at its default step the scan
+    # takes 14 steps, as every other integrator call does, not 15; a step of
+    # 0.0052 takes 14 under either rounding
+    assert _steps_for(0.07, 0.005) == _steps_for(0.07, 0.0052) == 14
+    assert check_twist(pendulum, [0.0], 0.07) == check_twist(pendulum, [0.0], 0.07,
+                                                              step=0.0052)
 
 
 def test_trajectory_escape():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA_FREE, SIGMA_PEND
+from hjkam.action import minimal_action, reconstruct_trajectory
 from hjkam.errors import ConfigError, LevelBelowCritical, NonConvergence
-from hjkam.hamiltonian import mechanical_model
+from hjkam.hamiltonian import custom_model, mechanical_model
 from hjkam.laxoleinik import GridFunction, action_kernel
 from hjkam.weakkam import (aubry_set, calibrated_curve, critical_value,
                            fixed_point_residual, invariant_set, is_subsolution,
@@ -372,6 +373,75 @@ def test_calibrated_pendulum_energy_and_splitting(pendulum):
         split = (mane_pair(pendulum, 1.0, 0.15, qs, grid_n=64, sigma_eff=SIGMA_PEND)
                  + mane_pair(pendulum, 1.0, qs, 0.45, grid_n=64, sigma_eff=SIGMA_PEND))
         assert abs(split - full) <= 1e-2
+
+
+@pytest.mark.parametrize("q0, q1", [(0.15, 0.45), (0.6, 0.9), (0.45, 0.15)])
+def test_calibrated_separatrix_transit_time(pendulum, q0, q1):
+    # on the separatrix |p| = 2 sin(pi q), whose transit time is a log tangent
+    traj = calibrated_curve(pendulum, 1.0, q0, q1, horizon_cap=3.0, sigma_eff=SIGMA_PEND)
+    exact = abs(np.log(np.tan(np.pi * q1 / 2)) - np.log(np.tan(np.pi * q0 / 2))) / (2 * np.pi)
+    assert abs(traj.times[-1] - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("q0, q1, top", [(-0.2, 0.7, 0.0), (0.15, 1.45, 1.0)])
+def test_calibrated_over_the_hilltop(pendulum, q0, q1, top):
+    # just above the critical level the speed dips to sqrt(2 (a - 1)) at the
+    # hilltop; a 64-node Gauss-Legendre rule missed q1 by 5.9e-2 on (-0.2, 0.7)
+    from scipy.integrate import quad
+    a = 1.001
+    t_ref = quad(lambda q: 1 / np.sqrt(2 * (a - np.cos(2 * np.pi * q))), q0, q1,
+                 points=[top], epsabs=1e-13, epsrel=1e-13)[0]
+    traj = calibrated_curve(pendulum, a, q0, q1, horizon_cap=3.0, sigma_eff=SIGMA_PEND)
+    assert abs(traj.times[-1] - t_ref) <= 1e-9
+    assert abs(traj.Q[-1, 0] - q1) <= 1e-8
+
+
+@pytest.mark.parametrize("q0, q1", [(0.0, 0.3), (-0.2, 0.7)])
+def test_calibrated_through_hilltop_is_capped_chain(pendulum, q0, q1):
+    # at the critical level no orbit on H = 1 passes the hilltop q = 0, so
+    # t* is infinite and the orbit is the minimal-action chain at the cap
+    traj = calibrated_curve(pendulum, 1.0, q0, q1, horizon_cap=3.0, sigma_eff=SIGMA_PEND)
+    _, path = minimal_action(pendulum, 0.0, 3.0, [q0], [q1], sigma_eff=SIGMA_PEND,
+                             restarts=2)
+    ref = reconstruct_trajectory(pendulum, path)
+    for got, want in ((traj.times, ref.times), (traj.Q, ref.Q), (traj.P, ref.P),
+                      (traj.energy, ref.energy)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q0, q1", [(0.1, 0.8), (0.8, 0.1)])
+def test_calibrated_level_newton_off_the_zero_momentum(q0, q1):
+    # H = (p - 0.3)^2 / 2 + p^4 / 8 + cos(2 pi q) / 2: min_p H sits at p != 0
+    # and the level momentum takes Newton steps; the reference brackets it
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    def value(t, q, p):
+        p, q = np.asarray(p)[..., 0], np.asarray(q)[..., 0]
+        return 0.5 * (p - 0.3) ** 2 + p ** 4 / 8 + 0.5 * np.cos(2 * np.pi * q)
+
+    def grad(t, q, p):
+        return -np.pi * np.sin(2 * np.pi * np.asarray(q)), (p - 0.3) + np.asarray(p) ** 3 / 2
+
+    model = custom_model(value, m=1.0, M=60.0, grad=grad, periodic=True)
+    a, sign = 1.5, np.sign(q1 - q0)
+    p_min = brentq(lambda p: p - 0.3 + p ** 3 / 2, -1.0, 1.0)
+
+    def speed(q):
+        lo, hi = sorted((p_min, p_min + 10 * sign))
+        p = brentq(lambda p: value(0, [q], [p]) - a, lo, hi)
+        return abs(p - 0.3 + p ** 3 / 2)
+
+    t_ref = sign * quad(lambda q: 1 / speed(q), q0, q1, epsabs=1e-13, epsrel=1e-13)[0]
+    traj = calibrated_curve(model, a, q0, q1, horizon_cap=4.0, sigma_eff=0.1)
+    assert abs(traj.times[-1] - t_ref) <= 1e-10
+    assert abs(traj.Q[-1, 0] - q1) <= 1e-8
+    assert np.max(np.abs(traj.energy - a)) <= 1e-8
+
+
+def test_calibrated_non_autonomous_raises(forced):
+    with pytest.raises(ConfigError, match="energy level undefined"):
+        calibrated_curve(forced, 1.5, 0.15, 0.45, sigma_eff=SIGMA_PEND)
 
 
 def test_aubry_masks(free, pendulum):
