@@ -21,13 +21,14 @@ origin needs.  Forced and custom models solve every entry.  Each cached
 kernel, stored by source node, is one plane of a read-only array whose
 other plane is its target-major companion: the same entries stored by
 target node, filled only when the kernel is built or grown.  ``T`` and its dual share one
-min-plus routine: a sliding window of the periodically extended operand
-plus (dual: minus) a kernel window, one ``(n, 2 D + 1)`` array reduced
-along its rows in both directions.  Its window is the smaller of two radii:
-``search_radius`` from the a-priori action bounds, and ``velocity_radius``,
-the distance a minimizer can travel when its start momentum is bounded by
-the operand's Lipschitz constant.  A boundary check doubles the window
-whenever the discrete argmin reaches its edge.
+min-plus routine: one strided window of the periodically extended operand
+(reversed for ``T``) plus (dual: minus) a kernel window, one
+``(n, 2 D + 1)`` array reduced along its rows in both directions.  Its
+window is the smaller of two radii: ``search_radius`` from the a-priori
+action bounds, and ``velocity_radius``, the distance a minimizer can travel
+when its start momentum is bounded by the operand's Lipschitz constant.  A
+boundary check doubles the window whenever the discrete argmin reaches its
+edge.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .action import minimal_action_batch
 from .errors import ConfigError, SearchRadiusExceeded
@@ -143,19 +143,31 @@ def search_radius(model: HamiltonianModel, dt: float, osc: float, n: int) -> flo
     return float(np.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n)
 
 
-_Q_GRID = np.broadcast_to((np.arange(64) / 64)[:, None, None], (64, 17, 1))
+# sample positions and momentum steps: columns that broadcast to (64, 17, 1)
+_Q_GRID = (np.arange(64) / 64)[:, None, None]
+_P_STEPS = np.arange(17.0)[:, None]
 
 
 def _grad_sups(model, times, band):
     """``sup |H_q|`` and ``sup |H_p|`` sampled on ``[0, 1) x [-band, band]``.
 
-    The 64 x 17 sample grid is two read-only broadcast views: the positions
-    are built once at import, the 17 momenta are broadcast along them per
-    call.
+    The 64 positions are built at import.  The 17 momenta are
+    ``k (2 band / 16) - band``, the last set to ``band``, which rounds as
+    ``np.linspace(-band, band, 17)`` does.  The closed-form jets take both
+    as columns that broadcast to the 64 x 17 grid, so each term is evaluated
+    once per position or momentum.  A custom ``grad`` may rely on the jet
+    contract's one shape, so it gets both broadcast to ``(64, 17, 1)``.
+    One jet per sample time.
     """
-    P = np.broadcast_to(np.linspace(-band, band, 17)[:, None], _Q_GRID.shape)
-    Hq, Hp, _, _ = zip(*(model.jet(s, _Q_GRID, P) for s in times))
-    return max(float(np.abs(h).max()) for h in Hq), max(float(np.abs(h).max()) for h in Hp)
+    P = _P_STEPS * (2 * band / 16)
+    P -= band
+    P[-1] = band
+    Q = _Q_GRID
+    if model.family == "custom":
+        Q, P = np.broadcast_arrays(Q, P)
+    jets = [model.jet(s, Q, P) for s in times]
+    return (max(float(np.abs(j[0]).max()) for j in jets),
+            max(float(np.abs(j[1]).max()) for j in jets))
 
 
 def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
@@ -269,10 +281,12 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     """Image of ``u`` and, per node, the node theta that attains it.
 
     The candidates form an ``(n, 2 D + 1)`` array over the target node ``j``
-    and the displacement ``dd in [-D, D]``, built with no index array from a
-    sliding window of the operand extended periodically by ``D`` nodes.  The
-    dual subtracts the kernel: ``u(j + dd) - K[j, dd + D]``.  The forward
-    operator reverses the window and adds the target-major companion:
+    and the displacement ``dd in [-D, D]``, built with no index array from
+    one strided view of the operand extended periodically by ``D`` nodes,
+    whose row ``j`` starts at node ``j - D`` and steps up one node at a time
+    (the forward operator's starts at ``j + D`` and steps down).  The dual
+    subtracts the kernel: ``u(j + dd) - K[j, dd + D]``.  The forward
+    operator adds the target-major companion to its reversed window:
     ``u(j - dd) + Kt[j, dd + D]``, which is ``u(theta) + K[theta, dd + D]``
     at ``theta = j - dd``.  A one-row kernel broadcasts in both.  The
     extremum is taken along each row in increasing ``dd``, so ties go to the
@@ -289,16 +303,18 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     D = _quantize(int(np.ceil(R * n)))
     for attempt in range(2):
         K = action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
-        W = 2 * D + 1
-        # row j of the window holds nodes j - D, ..., j + D
-        window = sliding_window_view(u.values.take(np.arange(-D, n + D), mode="wrap"), W)
-        # the window's rows overlap in memory: copied out first, the add runs
-        # in place on contiguous rows, which is faster than through the view
+        # ext holds nodes -D, ..., n + D - 1, in reverse for T, so each row of
+        # the strided window steps forward through it; the rows overlap, so
+        # they are copied out and the add runs in place on contiguous rows,
+        # which is faster than through the view
+        idx = np.arange(-D, n + D)
+        ext = u.values.take(idx if dual else idx[::-1], mode="wrap")
+        s = ext.itemsize
+        cand = np.ndarray((n, 2 * D + 1), float, ext, 0 if dual else (n - 1) * s,
+                          (s if dual else -s, s)).copy()
         if dual:
-            cand = window.copy()
             cand -= K
         else:
-            cand = window[:, ::-1].copy()
             cand += _target_major(K)
         best = (np.argmax if dual else np.argmin)(cand, axis=1)
         if 0 < best.min() and best.max() < 2 * D:

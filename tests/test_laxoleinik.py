@@ -363,21 +363,9 @@ def _recording_kernel(widths):
     return recording
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([8, 16, 32, 64]), t=st.sampled_from([0.1, 0.2]),
-       name=st.sampled_from(["free", "pendulum"]),
-       kind=st.sampled_from(["smooth", "rough", "steps"]), data=st.data())
-def test_min_plus_matches_loop(free, pendulum, n, t, name, kind, data):
-    # values and argmin nodes equal a plain loop bit for bit, on the one-row
-    # (free) and n-row (pendulum) kernels; at n = 8 and 16 the window
-    # 2 D + 1 >= 33 wraps the torus more than once.  Two-valued "steps"
-    # operands often tie exactly on the free model's symmetric kernel
+def _assert_min_plus_matches_loop(model, u, t, sig):
+    # both directions; returns the half-width D of the last kernel read
     import hjkam.laxoleinik as lx
-    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
-    values = {"smooth": _trig_operand, "rough": _draw_values,
-              "steps": lambda data, n: 0.5 * np.asarray(
-                  data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))}
-    u = GridFunction(1, n, values[kind](data, n))
     for dual in (False, True):
         widths = []
         with pytest.MonkeyPatch.context() as mp:
@@ -386,6 +374,34 @@ def test_min_plus_matches_loop(free, pendulum, n, t, name, kind, data):
         want, want_src = _min_plus_by_loop(model, u, t, widths[-1], dual, sig)
         assert np.array_equal(image.values, want)
         assert np.array_equal(src, want_src)
+    return widths[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 16, 32, 64]), t=st.sampled_from([0.1, 0.2]),
+       name=st.sampled_from(["free", "pendulum", "forced"]),
+       kind=st.sampled_from(["smooth", "rough", "steps"]), data=st.data())
+def test_min_plus_matches_loop(free, pendulum, forced, n, t, name, kind, data):
+    # values and argmin nodes equal a plain loop bit for bit, on the one-row
+    # (free) and n-row (pendulum, forced) kernels; the forced model's
+    # velocity radius is sampled at the five slot times.  Two-valued "steps"
+    # operands often tie exactly on the free model's symmetric kernel
+    model, sig = {"free": (free, SIGMA_FREE), "pendulum": (pendulum, SIGMA_PEND),
+                  "forced": (forced, SIGMA_PEND)}[name]
+    values = {"smooth": _trig_operand, "rough": _draw_values,
+              "steps": lambda data, n: 0.5 * np.asarray(
+                  data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))}
+    _assert_min_plus_matches_loop(model, GridFunction(1, n, values[kind](data, n)), t, sig)
+
+
+@pytest.mark.parametrize("name", ["free", "pendulum", "forced"])
+def test_min_plus_window_wraps_torus(request, name):
+    # at n = 8 the window 2 D + 1 >= 33 holds every node more than twice:
+    # the strided window reads the extended operand across several periods
+    sig = SIGMA_FREE if name == "free" else SIGMA_PEND
+    u = GridFunction(1, 8, 0.1 * np.array([3.0, -1.0, 2.0, 0.0, 1.5, -2.0, 0.5, 1.0]))
+    D = _assert_min_plus_matches_loop(request.getfixturevalue(name), u, 0.1, sig)
+    assert 2 * D + 1 > 2 * u.n_per_dim
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -588,6 +604,39 @@ def test_grad_sups_match_meshgrid(free, pendulum, forced, name, band, tau, dt):
     assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
+def _empty_like_pendulum(autonomous):
+    # a custom grad that writes into np.empty_like(q), as the jet contract
+    # allows: it needs q of the full sample shape, not a broadcast-only grid
+    from hjkam.hamiltonian import custom_model
+
+    def g(t):
+        return 1.0 if autonomous else 1.0 + 0.2 * np.sin(2 * np.pi * t)
+
+    def value(t, q, p):
+        return 0.5 * np.sum(p * p, -1) + g(t) * np.cos(2 * np.pi * q[..., 0])
+
+    def grad(t, q, p):
+        Hq, Hp = np.empty_like(q), np.empty_like(q)
+        Hq[...] = -2 * np.pi * g(t) * np.sin(2 * np.pi * q)
+        Hp[...] = p
+        return Hq, Hp
+    return custom_model(value, m=1.0, M=4.8 * np.pi ** 2, grad=grad, periodic=True,
+                        autonomous=autonomous)
+
+
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_velocity_radius_on_custom_grad_shape(monkeypatch, autonomous):
+    # the sample grid hands the jet q and p of one shape; the radius equals
+    # the meshgrid sampling's bit for bit
+    import hjkam.laxoleinik as lx
+    model = _empty_like_pendulum(autonomous)
+    args = [(0.0, 0.1, 0.0, 64), (0.3, 0.5, 2.5, 256), (0.7, 0.75, 11.0, 32)]
+    got = [lx.velocity_radius(model, *a) for a in args]
+    monkeypatch.setattr(lx, "_grad_sups", _grad_sups_meshgrid)
+    want = [lx.velocity_radius(model, *a) for a in args]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
 def test_lip_estimate_matches_roll(n, data):
@@ -654,3 +703,90 @@ def test_target_major_leaves_with_its_kernel(free, monkeypatch):
     assert [p() is None for p in planes] == [True, False, False]
     lx.clear_kernel_cache()
     assert not lx._KERNEL_CACHE and all(p() is None for p in planes)
+
+
+def _grad_sups_linspace(model, times, band):
+    # _grad_sups as it was before the momentum columns: linspace momenta and
+    # the positions as broadcast views of the full grid, the jets zipped
+    Q = np.broadcast_to((np.arange(64) / 64)[:, None, None], (64, 17, 1))
+    P = np.broadcast_to(np.linspace(-band, band, 17)[:, None], Q.shape)
+    Hq, Hp, _, _ = zip(*(model.jet(s, Q, P) for s in times))
+    return max(float(np.abs(h).max()) for h in Hq), max(float(np.abs(h).max()) for h in Hp)
+
+
+def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
+    # _min_plus as it was before the strided window: sliding_window_view of
+    # the extended operand, reversed by a slice for T
+    from numpy.lib.stride_tricks import sliding_window_view
+    import hjkam.laxoleinik as lx
+    n = u.n_per_dim
+    jj = np.arange(n)
+    R = min(lx.search_radius(model, t - tau, u.osc(), n),
+            lx.velocity_radius(model, tau, t, u.lip_estimate, n))
+    D = lx._quantize(int(np.ceil(R * n)))
+    for attempt in range(2):
+        K = lx.action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
+        window = sliding_window_view(u.values.take(np.arange(-D, n + D), mode="wrap"),
+                                     2 * D + 1)
+        if dual:
+            cand = window.copy()
+            cand -= K
+        else:
+            cand = window[:, ::-1].copy()
+            cand += lx._target_major(K)
+        best = (np.argmax if dual else np.argmin)(cand, axis=1)
+        if 0 < best.min() and best.max() < 2 * D:
+            dd = best - D
+            return GridFunction(1, n, cand[jj, best]), (jj + dd if dual else jj - dd) % n
+        D = lx._quantize(2 * D)
+    raise lx.SearchRadiusExceeded(f"reference window still too narrow (D = {D})")
+
+
+def _bytes_with_reference_apply(monkeypatch, solve):
+    # the arrays ``solve`` returns, as bytes, from this module and then with
+    # the reference sampling and window patched in; kernels come from one cache
+    import hjkam.laxoleinik as lx
+    got = [np.asarray(a).tobytes() for a in solve()]
+    monkeypatch.setattr(lx, "_grad_sups", _grad_sups_linspace)
+    monkeypatch.setattr(lx, "_min_plus", _min_plus_sliding)
+    return got, [np.asarray(a).tobytes() for a in solve()]
+
+
+@pytest.mark.parametrize("name", ["pendulum", "two_well"])
+def test_solvers_match_reference_apply_bits(request, monkeypatch, name):
+    # the critical value and weak KAM solutions from three seeded trig
+    # operands equal, byte for byte, those of the reference apply
+    from hjkam.weakkam import critical_value, weak_kam_solve
+    model = _two_well() if name == "two_well" else request.getfixturevalue(name)
+    sig = 0.1 if name == "two_well" else SIGMA_PEND
+    n = 64
+    rng = np.random.default_rng(17)
+    q = np.arange(n) / n
+    seeds = [GridFunction(1, n, sum(0.3 / k * rng.normal()
+                                    * np.cos(2 * np.pi * (k * q + rng.random()))
+                                    for k in range(1, 5))) for _ in range(3)]
+
+    def solve():
+        crit = critical_value(model, grid_n=n, t_step=0.1, sigma_eff=sig)
+        out = [crit.alpha, crit.u_raw.values, crit.history]
+        for u0 in seeds:
+            res = weak_kam_solve(model, grid_n=n, alpha=crit.alpha, t_step=0.1,
+                                 sigma_eff=sig, u0=u0)
+            out += [res.residual, res.u_raw.values, res.history]
+        return out
+
+    got, want = _bytes_with_reference_apply(monkeypatch, solve)
+    assert got == want
+
+
+def test_regularize_forced_matches_reference_apply_bits(forced, monkeypatch):
+    # R^t on the time-forced model: three applies at their own slot times
+    u = GridFunction.from_callable(lambda q: 0.2 * np.cos(2 * np.pi * q)
+                                   + 0.1 * np.abs(q - 0.5), 64)
+
+    def solve():
+        return [regularize_R(forced, u, 0.3, 0.15, sigma_eff=SIGMA_PEND).values,
+                regularize_R_dual(forced, u, 0.3, 0.15, sigma_eff=SIGMA_PEND).values]
+
+    got, want = _bytes_with_reference_apply(monkeypatch, solve)
+    assert got == want
