@@ -38,6 +38,8 @@ _COMMANDS = ("check", "flow", "monodromy", "gen-s", "action", "lax", "regularize
 # certify nothing, so that ``check`` still reports a model whose declared
 # constants are wrong instead of failing on its twist scan
 _WINDOWLESS = ("check", "flow", "monodromy", "accept")
+# the tolerances that ``--tol NAME=VALUE`` sets, read by ``alpha`` and ``weakkam``
+_TOLERANCES = ("tol_alpha", "tol_wk")
 
 
 @dataclass
@@ -59,6 +61,8 @@ class RunConfig:
         if self.grid_n < 2:
             raise ConfigError("grid_n must be at least 2")
         for name, val in self.tolerances.items():
+            if name not in _TOLERANCES:
+                raise ConfigError(f"unknown tolerance {name!r}; known: {', '.join(_TOLERANCES)}")
             if not (isinstance(val, (int, float)) and val > 0):
                 raise ConfigError(f"tolerance {name!r} must be positive")
 

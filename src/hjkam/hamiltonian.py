@@ -40,10 +40,10 @@ class HamiltonianModel:
     ``H`` of shape ``(...)``.  The jet returns ``(H_q, H_p, L, blocks)``:
     the gradients, of shape ``(..., 1)`` each; with ``action``, the action
     rate ``L = p H_p - H`` of shape ``(...)``, else None; with ``hessian``,
-    the second derivatives ``(H_qq, H_qp, H_pp)`` of shape ``(...)`` each,
-    else None.  A term that is not asked for is not computed.  ``H_p`` may
-    be ``p`` itself.  Instances are immutable; evaluation is pure and
-    thread-safe.
+    the second derivatives ``(H_qq, H_qp, H_pp)``, each an array or number
+    that broadcasts to ``(...)``, else None.  A term that is not asked for
+    is not computed.  ``H_p`` may be ``p`` itself.  Instances are immutable;
+    evaluation is pure and thread-safe.
     """
 
     value: Callable
@@ -53,7 +53,6 @@ class HamiltonianModel:
     periodic: bool
     autonomous: bool
     q_homogeneous: bool = False
-    h_fd: float = DEFAULT_H_FD
     family: str = "custom"
     params: tuple = ()
     token: int = field(default_factory=lambda: next(_MODEL_TOKENS), init=False,
@@ -101,9 +100,10 @@ def custom_model(value, m, M, grad=None, hessian=None, periodic=False,
 
     ``grad(t, q, p)`` returns ``(H_q, H_p)``, shaped like ``q``, and
     ``hessian(t, q, p)`` the second derivatives ``(H_qq, H_qp, H_pp)``,
-    shaped like ``q`` without its coordinate axis; either defaults to
-    central differences with step ``h_fd``.  The jet calls ``grad`` once,
-    ``value`` only for the action rate and ``hessian`` only for the blocks.
+    each broadcasting to ``q``'s shape without its coordinate axis (a
+    constant block may be a number); either defaults to central
+    differences with step ``h_fd``.  The jet calls ``grad`` once, ``value``
+    only for the action rate and ``hessian`` only for the blocks.
     """
     if grad is None:
         grad = _fd_grad_factory(value, h_fd)
@@ -116,31 +116,55 @@ def custom_model(value, m, M, grad=None, hessian=None, periodic=False,
 
     return HamiltonianModel(value=value, jet=jet, m=m, M=M,
                             periodic=periodic, autonomous=autonomous,
-                            q_homogeneous=q_homogeneous, h_fd=h_fd)
+                            q_homogeneous=q_homogeneous)
+
+
+def _separable_model(family, params, m, M, a=1.0, V=None, eps=None) -> HamiltonianModel:
+    """``a p^2/2 + g(t) V(q)`` on the circle, ``g(t) = 1 + eps sin(2 pi t)``.
+
+    The kinetic families have no potential ``V``; ``eps`` is None, and ``g``
+    never formed, when the model is autonomous.  The constant blocks are
+    numbers: ``H_qp = 0``, ``H_pp = a``, and ``H_qq = 0`` without ``V``.
+    """
+    half_a = 0.5 * a
+
+    def g(t):
+        return 1.0 + eps * np.sin(2 * np.pi * np.asarray(t, float))
+
+    def value(t, q, p):
+        p = np.asarray(p, float)
+        H = half_a * np.sum(p * p, axis=-1)
+        if V is None:
+            return H
+        Vq = V(np.asarray(q, float)[..., 0])
+        return H + (Vq if eps is None else g(t) * Vq)
+
+    def jet(t, q, p, action=False, hessian=False):
+        q = np.asarray(q, float)
+        p = np.asarray(p, float)
+        Hp = p if a == 1.0 else a * p
+        kinetic = half_a * (p * p)[..., 0] if action else None
+        if V is None:
+            return np.zeros_like(q), Hp, kinetic, (0.0, 0.0, a) if hessian else None
+        dV, V0, d2V = V.jet(q[..., 0], action, hessian)
+        if eps is not None:
+            gt = g(t)
+            dV = gt * dV
+            V0 = gt * V0 if action else None
+            d2V = gt * d2V if hessian else None
+        L = kinetic - V0 if action else None
+        return dV[..., None], Hp, L, (d2V, 0.0, a) if hessian else None
+
+    return HamiltonianModel(value=value, jet=jet, m=m, M=M, periodic=True,
+                            autonomous=eps is None, q_homogeneous=V is None,
+                            family=family, params=params)
 
 
 def quadratic_model(a: float = 1.0) -> HamiltonianModel:
     """Kinetic Hamiltonian ``a p^2 / 2``; ``a = 1`` is the free model."""
     if a <= 0:
         raise ConfigError("quadratic model requires a > 0")
-
-    def value(t, q, p):
-        p = np.asarray(p, float)
-        return 0.5 * a * np.sum(p * p, axis=-1)
-
-    def jet(t, q, p, action=False, hessian=False):
-        q = np.asarray(q, float)
-        p = np.asarray(p, float)
-        L = 0.5 * a * np.sum(p * p, axis=-1) if action else None
-        blocks = None
-        if hessian:
-            z = np.zeros(q.shape[:-1])
-            blocks = z, z.copy(), np.full(z.shape, a)
-        return np.zeros_like(q), a * p, L, blocks
-
-    return HamiltonianModel(value=value, jet=jet, m=a, M=a,
-                            periodic=True, autonomous=True, q_homogeneous=True,
-                            family="quadratic", params=(float(a),))
+    return _separable_model("quadratic", (float(a),), a, a, a)
 
 
 def free_model() -> HamiltonianModel:
@@ -214,30 +238,12 @@ class TrigPolynomial:
         return float(abs(self.c0) + np.sum(np.abs(self.a) + np.abs(self.b)))
 
 
-def _unit_mass_blocks(Hqq):
-    """Blocks ``(H_qq, 0, 1)`` of ``p^2/2 + f(t, q)``."""
-    return Hqq, np.zeros_like(Hqq), np.ones_like(Hqq)
-
-
 def mechanical_model(V_coeffs, m: Optional[float] = None, M: Optional[float] = None) -> HamiltonianModel:
     """``p^2/2 + V(q)`` on the circle, V a trigonometric polynomial."""
     V = TrigPolynomial(V_coeffs)
     declared_m = 1.0 if m is None else float(m)
     declared_M = max(1.0, V.max_curvature(), V.bound()) if M is None else float(M)
-
-    def value(t, q, p):
-        p = np.asarray(p, float)
-        return 0.5 * np.sum(p * p, axis=-1) + V(np.asarray(q, float)[..., 0])
-
-    def jet(t, q, p, action=False, hessian=False):
-        p = np.asarray(p, float)
-        dV, V0, d2V = V.jet(np.asarray(q, float)[..., 0], action, hessian)
-        L = 0.5 * (p * p)[..., 0] - V0 if action else None
-        return dV[..., None], p, L, _unit_mass_blocks(d2V) if hessian else None
-
-    return HamiltonianModel(value=value, jet=jet,
-                            m=declared_m, M=declared_M, periodic=True, autonomous=True,
-                            family="mechanical", params=tuple(map(float, V.coeffs)))
+    return _separable_model("mechanical", tuple(map(float, V.coeffs)), declared_m, declared_M, V=V)
 
 
 def pendulum_model() -> HamiltonianModel:
@@ -252,24 +258,8 @@ def forced_model(V_coeffs, epsilon: float = 0.2, m: Optional[float] = None,
     eps = float(epsilon)
     declared_m = 1.0 if m is None else float(m)
     declared_M = max(1.0, (1 + abs(eps)) * max(V.max_curvature(), V.bound())) if M is None else float(M)
-
-    def g(t):
-        return 1.0 + eps * np.sin(2 * np.pi * np.asarray(t, float))
-
-    def value(t, q, p):
-        p = np.asarray(p, float)
-        return 0.5 * np.sum(p * p, axis=-1) + g(t) * V(np.asarray(q, float)[..., 0])
-
-    def jet(t, q, p, action=False, hessian=False):
-        p = np.asarray(p, float)
-        gt = g(t)
-        dV, V0, d2V = V.jet(np.asarray(q, float)[..., 0], action, hessian)
-        L = 0.5 * (p * p)[..., 0] - gt * V0 if action else None
-        return (gt * dV)[..., None], p, L, _unit_mass_blocks(gt * d2V) if hessian else None
-
-    return HamiltonianModel(value=value, jet=jet,
-                            m=declared_m, M=declared_M, periodic=True, autonomous=False,
-                            family="forced", params=tuple(map(float, V.coeffs)) + (eps,))
+    return _separable_model("forced", tuple(map(float, V.coeffs)) + (eps,), declared_m, declared_M,
+                            V=V, eps=eps)
 
 
 _MODEL_KEYS = {"family", "d", "V_coeffs", "a", "epsilon", "m", "M", "periodic"}
@@ -400,16 +390,15 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
     qs = np.concatenate([qs, lat_q, lat_q])
     ps = np.concatenate([ps, lat_p, np.full_like(lat_p, p1)])
 
-    H = np.empty(len(ts))
-    m_vals = np.empty(len(ts))
-    M_vals = np.empty(len(ts))
-    for i in range(len(ts)):
-        H[i] = model.value(ts[i], qs[i], ps[i])
-        Hqq, Hqp, Hpp = model.jet(ts[i], qs[i], ps[i], hessian=True)[3]
-        m_vals[i] = Hpp
-        M_vals[i] = np.linalg.norm(np.array([[Hqq, Hqp], [Hqp, Hpp]], float), 2)
+    # one sample per row of shape (1, 1): a potential of several modes then
+    # sums them per sample as at a single point, so the reported constants
+    # are those of point evaluations bit for bit
+    t_r, q_r, p_r = ts[:, None], qs[:, None], ps[:, None]
+    H = model.value(t_r, q_r, p_r)[:, 0]
+    Hqq, Hqp, Hpp = (np.broadcast_to(b, t_r.shape) for b in model.jet(t_r, q_r, p_r, hessian=True)[3])
+    M_vals = np.linalg.norm(np.stack([Hqq, Hqp, Hqp, Hpp], axis=-1).reshape(-1, 2, 2), 2, axis=(1, 2))
 
-    m_emp = float(m_vals.min())
+    m_emp = float(Hpp.min())
     M_emp = float(M_vals.max())
     i_worst = int(M_vals.argmax())
     worst = (float(ts[i_worst]), qs[i_worst].copy(), ps[i_worst].copy())
@@ -456,7 +445,7 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
     for _ in range(MAX_NEWTON_ITER):
         if np.all(rnorm <= TOL_NEWTON):
             break
-        step = -r / Hpp[..., None]
+        step = -r / np.asarray(Hpp)[..., None]
         lam = np.ones(rnorm.shape)
         active = rnorm > TOL_NEWTON
         for _bt in range(30):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .action import minimal_action, reconstruct_trajectory
 from .errors import ConfigError, LevelBelowCritical, NonConvergence, SolverDiverged
-from .flow import Trajectory, integrate_batch, integrate_flow, resolve_sigma
+from .flow import Trajectory, _steps_for, integrate_batch, integrate_flow, resolve_sigma
 from .hamiltonian import (MAX_NEWTON_ITER, TOL_NEWTON, HamiltonianModel, check_hypotheses,
                           legendre_batch)
 from .laxoleinik import (GridFunction, _grad_sups, _min_plus, _pair_actions, action_kernel,
@@ -487,12 +487,13 @@ def invariant_set(model: HamiltonianModel, u: GridFunction, t_step: float = 0.2,
         tol_graph = float(np.clip(6.0 * (1.0 + lip_du) / n, 0.02, 0.3))
     pts = seeds.copy()
     alive = np.ones(len(pts), bool)
+    n_sub = _steps_for(t_step)
     for _ in range(n_steps):
         idx = np.flatnonzero(alive)
         if len(idx) == 0:
             break
         Q, P, _, _, _ = integrate_batch(model, 0.0, -t_step, pts[idx, 0:1],
-                                        pts[idx, 1:2], max(1, int(t_step / 2e-3)))
+                                        pts[idx, 1:2], n_sub)
         pts[idx, 0] = Q[:, 0]
         pts[idx, 1] = P[:, 0]
         dist = _graph_distance(pts[idx], graph, n)
@@ -503,8 +504,7 @@ def invariant_set(model: HamiltonianModel, u: GridFunction, t_step: float = 0.2,
     if alive.any():
         for sgn in (+1.0, -1.0):
             Q, P, _, _, _ = integrate_batch(model, 0.0, sgn * t_step,
-                                            survivors[:, 0:1], survivors[:, 1:2],
-                                            max(1, int(t_step / 2e-3)))
+                                            survivors[:, 0:1], survivors[:, 1:2], n_sub)
             moved = np.stack([Q[:, 0], P[:, 0]], axis=1)
             dmin = _graph_distance(moved, survivors, n)
             stable = stable and bool(np.all(dmin <= tol_graph))

@@ -177,6 +177,19 @@ def test_tol_flag_parsing():
                                             "--tol", "oops"]))
 
 
+def test_unknown_tolerance_name_rejected(tmp_path, capsys):
+    # only tol_alpha and tol_wk are read; a misspelt name would otherwise be
+    # recorded in meta.json while the run used the default
+    with pytest.raises(ConfigError, match="tol_alpa"):
+        RunConfig(command="alpha", model_source="free", out_dir=".",
+                  tolerances={"tol_alpa": 1e-9})
+    out = tmp_path / "o"
+    assert run_cli(["alpha", "--model", "free", "--grid", "16",
+                    "--tol", "tol_alpa=1e-9", "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "meta.json").exists()
+
+
 def test_export_dataset_gridfunction(tmp_path):
     u = GridFunction(1, 4, np.zeros(4))
     path = export_dataset(u, "csv", str(tmp_path / "u.csv"))

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from hjkam.errors import ConfigError, NumericalDomain
-from hjkam.hamiltonian import (check_hypotheses, custom_model, eval_and_grads,
-                               forced_model, free_model, legendre, legendre_batch,
-                               mechanical_model, model_from_dict, pendulum_model,
-                               quadratic_model)
+from hjkam.flow import integrate_batch
+from hjkam.hamiltonian import (HypothesisReport, check_hypotheses, custom_model,
+                               eval_and_grads, forced_model, free_model, legendre,
+                               legendre_batch, mechanical_model, model_from_dict,
+                               pendulum_model, quadratic_model)
 
 
 def test_free_eval():
@@ -184,11 +187,103 @@ def test_gradient_consistency(maker):
                                                   model.jet(t, q - h, p)[:2])]
     dp = [(a - b)[:, 0] / (2 * h) for a, b in zip(model.jet(t, q, p + h)[:2],
                                                   model.jet(t, q, p - h)[:2])]
-    assert Hqq.shape == Hqp.shape == Hpp.shape == (1000,)
+    for block in (Hqq, Hqp, Hpp):
+        assert np.broadcast_shapes(np.shape(block), (1000,)) == (1000,)
+    if model.family != "custom":
+        # the constant blocks are numbers: H_qp and H_pp, and H_qq without a potential
+        assert np.ndim(Hqp) == np.ndim(Hpp) == 0
+        assert np.ndim(Hqq) == (0 if model.q_homogeneous else 1)
     assert np.max(np.abs(dq[0] - Hqq)) < 1e-6
     assert np.max(np.abs(dq[1] - Hqp)) < 1e-6
     assert np.max(np.abs(dp[0] - Hqp)) < 1e-6
     assert np.max(np.abs(dp[1] - Hpp)) < 1e-6
+
+
+def _check_hypotheses_loop(model, sample_box=None, n_samples=400, seed=0, tol_hyp=1e-6):
+    """Reference: the hypothesis sample evaluated one point at a time."""
+    if sample_box is None:
+        sample_box = ((0.0, 1.0), (-1.0, 1.0), (-3.0, 3.0))
+    (t0, t1), (q0, q1), (p0, p1) = sample_box
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(t0, t1, n_samples)
+    qs = rng.uniform(q0, q1, (n_samples, 1))
+    ps = rng.uniform(p0, p1, (n_samples, 1))
+    lat_q = np.linspace(q0, q1, 17)[:, None]
+    lat_t = np.full(len(lat_q), t0)
+    lat_p = np.zeros_like(lat_q)
+    ts = np.concatenate([ts, lat_t, lat_t])
+    qs = np.concatenate([qs, lat_q, lat_q])
+    ps = np.concatenate([ps, lat_p, np.full_like(lat_p, p1)])
+    H = np.empty(len(ts))
+    m_vals = np.empty(len(ts))
+    M_vals = np.empty(len(ts))
+    for i in range(len(ts)):
+        H[i] = model.value(ts[i], qs[i], ps[i])
+        Hqq, Hqp, Hpp = model.jet(ts[i], qs[i], ps[i], hessian=True)[3]
+        m_vals[i] = Hpp
+        M_vals[i] = np.linalg.norm(np.array([[Hqq, Hqp], [Hqp, Hpp]], float), 2)
+    m_emp = float(m_vals.min())
+    M_emp = float(M_vals.max())
+    i_worst = int(M_vals.argmax())
+    p_sq = np.sum(ps * ps, axis=1)
+    lower = model.m / 2 * p_sq - model.M
+    upper = model.M / 2 * p_sq + model.M
+    h3 = float(max(np.max(lower - H), np.max(H - upper), 0.0))
+    defect = 0.0
+    if model.periodic:
+        defect = float(np.max(np.abs(model.value(ts, qs + 1.0, ps) - H)))
+    passes = {"H1": M_emp <= model.M + tol_hyp, "H2": m_emp >= model.m - tol_hyp,
+              "H3": h3 <= tol_hyp, "H5": (defect <= 1e-12) if model.periodic else True}
+    return HypothesisReport(passes=passes, m_emp=m_emp, M_emp=M_emp,
+                            worst_point=(float(ts[i_worst]), qs[i_worst].copy(), ps[i_worst].copy()),
+                            n_samples=len(ts), seed=seed, declared_m=model.m, declared_M=model.M,
+                            h3_violation=h3, periodic_defect=defect)
+
+
+@pytest.mark.parametrize("maker", [lambda: free_model(), lambda: quadratic_model(2.0),
+                                   pendulum_model, _forced, _multi_mode, _fd_hessian_pendulum])
+@pytest.mark.parametrize("args", [(), (None, 64, 5), (((0.0, 0.5), (0.0, 1.0), (-2.0, 2.0)), 100, 3)])
+def test_check_hypotheses_matches_point_loop(maker, args):
+    # the one-call sample reports exactly what point-by-point evaluation does
+    model = maker()
+    got = json.dumps(check_hypotheses(model, *args).to_dict())
+    assert got == json.dumps(_check_hypotheses_loop(model, *args).to_dict())
+
+
+def _oscillator(constant_blocks):
+    # H = p^2/2 + w^2 q^2/2, whose blocks (w^2, 0, 1) are constants, returned
+    # as numbers or as filled arrays
+    w2 = 2.25
+
+    def hessian(t, q, p):
+        if constant_blocks:
+            return w2, 0.0, 1.0
+        shape = np.shape(q)[:-1]
+        return np.full(shape, w2), np.zeros(shape), np.ones(shape)
+
+    return custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + 0.5 * w2 * np.sum(q * q, -1),
+                        m=1.0, M=w2, grad=lambda t, q, p: (w2 * q, p), hessian=hessian)
+
+
+def test_custom_constant_blocks():
+    model, filled = _oscillator(True), _oscillator(False)
+    rng = np.random.default_rng(2)
+    q = rng.uniform(-1, 1, (20, 1))
+    p = rng.uniform(-2, 2, (20, 1))
+    t, w = 0.8, 1.5
+    out = integrate_batch(model, 0.0, t, q, p, 400, want_monodromy=True, want_action=True)
+    ref = integrate_batch(filled, 0.0, t, q, p, 400, want_monodromy=True, want_action=True)
+    for a, b in zip(out, ref):
+        assert np.array_equal(a, b)
+    c, s = np.cos(w * t), np.sin(w * t)
+    assert np.max(np.abs(out[2] - [[c, s / w], [-w * s, c]])) < 1e-9
+    assert np.max(np.abs(out[0] - (c * q + s / w * p))) < 1e-9
+    L, p_star = legendre_batch(model, 0.0, q, p)
+    assert np.array_equal(p_star, p)
+    assert np.max(np.abs(L - (0.5 * p[:, 0] ** 2 - 0.5 * w * w * q[:, 0] ** 2))) < 1e-12
+    rep = check_hypotheses(model, ((0, 0), (-1, 1), (-3, 3)), 100)
+    assert rep.all_pass() and rep.m_emp == 1.0 and rep.M_emp == w * w
+    assert rep.to_dict() == check_hypotheses(filled, ((0, 0), (-1, 1), (-3, 3)), 100).to_dict()
 
 
 def test_model_from_dict_and_rejection():

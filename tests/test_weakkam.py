@@ -481,6 +481,25 @@ def test_invariant_sets(free, pendulum):
         assert np.min(np.sqrt(dq ** 2 + (pts[:, 1] - du[i]) ** 2)) <= inv.tol_graph
 
 
+def test_invariant_set_step_rule(pendulum, monkeypatch):
+    # each flow of t_step = 0.7 takes _steps_for's 350 steps of at most
+    # 2e-3, as every other integrator caller does; the truncated quotient
+    # 0.7 / 2e-3 would give 349.  tol_graph keeps every seed, so the two
+    # stability flows run too
+    import hjkam.weakkam as wk
+    steps = []
+    integrate_batch = wk.integrate_batch
+
+    def recording(model, tau, t, Q0, P0, n_steps, *args, **kwargs):
+        steps.append(n_steps)
+        return integrate_batch(model, tau, t, Q0, P0, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(wk, "integrate_batch", recording)
+    u = GridFunction(1, 16, 0.1 * np.cos(2 * np.pi * np.arange(16) / 16))
+    invariant_set(pendulum, u, t_step=0.7, n_steps=2, tol_graph=10.0)
+    assert steps == [350] * 4
+
+
 def test_calibration_on_aubry_nodes(pendulum):
     # T^t u + t alpha = u = dual - t alpha on the marked set
     from hjkam.laxoleinik import apply_T, apply_T_dual
