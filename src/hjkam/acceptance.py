@@ -35,15 +35,16 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0   # set by ``run``
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.number:2d} {self.name}: {self.detail} ({self.seconds:.1f}s)"
 
     def to_dict(self) -> dict:
+        # no wall-clock time: identical runs write identical files
         return {"number": self.number, "name": self.name, "passed": self.passed,
-                "detail": self.detail, "seconds": self.seconds}
+                "detail": self.detail}
 
 
 @functools.cache
@@ -54,7 +55,6 @@ def _pendulum_window() -> float:
 
 def criterion_01_hopf_lax() -> CriterionResult:
     """Quadratic kinetic families reproduce the Hopf-Lax closed form."""
-    t0 = time.time()
     tol = 1e-6
     worst = 0.0
     rng = np.random.default_rng(101)
@@ -70,13 +70,11 @@ def criterion_01_hopf_lax() -> CriterionResult:
             exact = float((q1[i, 0] - q0[i, 0]) ** 2 / (2 * ts[i] * a))
             worst = max(worst, abs(float(S) - exact))
     return CriterionResult(1, "Hopf-Lax exactness", worst <= tol,
-                           f"max |S - closed form| = {worst:.2e} (tol {tol:.0e})",
-                           time.time() - t0)
+                           f"max |S - closed form| = {worst:.2e} (tol {tol:.0e})")
 
 
 def criterion_02_blowup() -> CriterionResult:
     """Existence horizon refusal and the fold of the quadratic front."""
-    t0 = time.time()
     model = free_model()
     qs = np.linspace(-1, 1, 401)
     cauchy_samples = (qs, -qs ** 2, -2 * qs)       # (q, u0, du0)
@@ -104,8 +102,7 @@ def criterion_02_blowup() -> CriterionResult:
     if fold_at is None or abs(fold_at - 0.5) > 0.0100001:
         passed = False
     ok_details.append(f"first fold at t={fold_at}")
-    return CriterionResult(2, "Blow-up exercise", passed, "; ".join(ok_details),
-                           time.time() - t0)
+    return CriterionResult(2, "Blow-up exercise", passed, "; ".join(ok_details))
 
 
 def _derivative_worst(model, sigma, t_lo, t_hi, tau_fn, n_cases, seed):
@@ -129,7 +126,6 @@ def _derivative_worst(model, sigma, t_lo, t_hi, tau_fn, n_cases, seed):
 
 def criterion_03_derivative_identities() -> CriterionResult:
     """fd(dS/dq1) = rho1 and fd(dS/dq0) = -rho0 across built-in models."""
-    t0 = time.time()
     tol = 1e-5
     from .hamiltonian import forced_model
     zero_tau = lambda rng, n: np.zeros(n)
@@ -146,7 +142,7 @@ def criterion_03_derivative_identities() -> CriterionResult:
                                              200, seed=37))
     return CriterionResult(3, "Generating-derivative identities", worst <= tol,
                            f"max defect = {worst:.2e} over 200 cases/model "
-                           f"(tol {tol:.0e})", time.time() - t0)
+                           f"(tol {tol:.0e})")
 
 
 def _pendulum_suite(n_cases=20, seed=11):
@@ -176,7 +172,6 @@ def _suite_minimal_actions():
 
 def criterion_04_action_oracle() -> CriterionResult:
     """Broken-geodesic values match the independent Tonelli minimizer."""
-    t0 = time.time()
     tol = 2e-3
     model = pendulum_model()
     worst = 0.0
@@ -186,12 +181,11 @@ def criterion_04_action_oracle() -> CriterionResult:
         worst = max(worst, abs(A - T))
     return CriterionResult(4, "A-oracle equivalence", worst <= tol,
                            f"max |A - tonelli| = {worst:.2e} over 20 pendulum "
-                           f"cases (tol {tol:.0e})", time.time() - t0)
+                           f"cases (tol {tol:.0e})")
 
 
 def criterion_05_action_bounds() -> CriterionResult:
     """A-priori bounds and refinement independence of the segment count."""
-    t0 = time.time()
     model = pendulum_model()
     sigma = _pendulum_window()
     passed = True
@@ -208,12 +202,11 @@ def criterion_05_action_bounds() -> CriterionResult:
     return CriterionResult(5, "A bounds and n-independence",
                            passed and worst_n <= tol_n,
                            f"bounds hold = {passed}; max |A(n)-A(2n)|/(1+|A|) = "
-                           f"{worst_n:.2e} (tol {tol_n:.0e})", time.time() - t0)
+                           f"{worst_n:.2e} (tol {tol_n:.0e})")
 
 
 def criterion_06_operator_suite() -> CriterionResult:
     """Monotony/translation exactness and first-order operator defects."""
-    t0 = time.time()
     model = pendulum_model()
     sigma = _pendulum_window()
     details = []
@@ -263,12 +256,11 @@ def criterion_06_operator_suite() -> CriterionResult:
     details.append(f"dual pair defects {np.max(td.values - u.values):.1e}/"
                    f"{-np.min(dt_.values - u.values):.1e} (tol {C_dx:.1e})")
     return CriterionResult(6, "Operator property suite", passed,
-                           "; ".join(details), time.time() - t0)
+                           "; ".join(details))
 
 
 def criterion_07_regularization() -> CriterionResult:
     """R^t output curvature is grid-independent while the hat's diverges."""
-    t0 = time.time()
     model = free_model()
     reg_bound = 220.0
     raw_vals, reg_vals = {}, {}
@@ -284,12 +276,11 @@ def criterion_07_regularization() -> CriterionResult:
     return CriterionResult(7, "Regularization", passed,
                            f"raw 2nd diffs {[round(raw_vals[k]) for k in raw_vals]} "
                            f"vs regularized {[round(reg_vals[k], 1) for k in reg_vals]} "
-                           f"(bound {reg_bound})", time.time() - t0)
+                           f"(bound {reg_bound})")
 
 
 def criterion_08_critical_value() -> CriterionResult:
     """alpha equals max V for mechanical models (constant-test oracle)."""
-    t0 = time.time()
     tol = 1e-2
     sigma = _pendulum_window()
     r1 = critical_value(pendulum_model(), grid_n=256, t_step=0.2, t_max=8.0,
@@ -303,7 +294,7 @@ def criterion_08_critical_value() -> CriterionResult:
     passed = e1 <= tol and e2 <= tol
     return CriterionResult(8, "Critical value", passed,
                            f"|alpha-1| = {e1:.2e}, |alpha-0.5| = {e2:.2e} "
-                           f"(tol {tol:.0e})", time.time() - t0)
+                           f"(tol {tol:.0e})")
 
 
 def pendulum_weak_kam_oracle(nodes: np.ndarray) -> np.ndarray:
@@ -320,7 +311,6 @@ def pendulum_weak_kam_oracle(nodes: np.ndarray) -> np.ndarray:
 
 def criterion_09_weak_kam() -> CriterionResult:
     """Fixed-point residuals at two horizons and the ODE oracle distance."""
-    t0 = time.time()
     tol = 5e-3
     sigma = _pendulum_window()
     res = weak_kam_solve(pendulum_model(), grid_n=256, alpha=None, t_step=0.1,
@@ -333,12 +323,11 @@ def criterion_09_weak_kam() -> CriterionResult:
     passed = r1 <= tol and r2 <= tol and dist <= tol
     return CriterionResult(9, "Weak KAM fixed point", passed,
                            f"residuals {r1:.2e}/{r2:.2e}, oracle distance "
-                           f"{dist:.2e} (tol {tol:.0e})", time.time() - t0)
+                           f"{dist:.2e} (tol {tol:.0e})")
 
 
 def criterion_10_mane() -> CriterionResult:
     """Free closed form, triangle inequality, and sub-solution maximality."""
-    t0 = time.time()
     model = free_model()
     n = 128
     a = 0.5
@@ -380,13 +369,11 @@ def criterion_10_mane() -> CriterionResult:
     passed = free_ok and tri_ok and max_ok
     return CriterionResult(10, "Mane field", passed,
                            f"closed-form err {err:.2e}; triangle worst "
-                           f"{tri_worst:.2e}; maximality gap {worst_gap:.2e}",
-                           time.time() - t0)
+                           f"{tri_worst:.2e}; maximality gap {worst_gap:.2e}")
 
 
 def criterion_11_calibration() -> CriterionResult:
     """Calibrated orbits ride the energy level; the potential splits along them."""
-    t0 = time.time()
     model = pendulum_model()
     sigma = _pendulum_window()
     tol_energy = 1e-4
@@ -407,13 +394,11 @@ def criterion_11_calibration() -> CriterionResult:
     passed = worst_e <= tol_energy and worst_split <= tol_split
     return CriterionResult(11, "Calibration and energy", passed,
                            f"max |H-a| = {worst_e:.2e} (tol {tol_energy:.0e}); "
-                           f"splitting defect {worst_split:.2e} (tol {tol_split:.0e})",
-                           time.time() - t0)
+                           f"splitting defect {worst_split:.2e} (tol {tol_split:.0e})")
 
 
 def criterion_12_aubry_invariant() -> CriterionResult:
     """Aubry mask localization and its lift into the invariant set."""
-    t0 = time.time()
     sigma = _pendulum_window()
     n = 128
     model = pendulum_model()
@@ -443,8 +428,7 @@ def criterion_12_aubry_invariant() -> CriterionResult:
     return CriterionResult(12, "Aubry/invariant consistency", passed,
                            f"pendulum mask nodes {marked.tolist()}; survivors "
                            f"{len(pts)} within one cell of (0,0): {conc_ok}; "
-                           f"mask lifts: {lift_ok}; free mask full: {free_ok}",
-                           time.time() - t0)
+                           f"mask lifts: {lift_ok}; free mask full: {free_ok}")
 
 
 CRITERIA = [
@@ -463,13 +447,16 @@ CRITERIA = [
 ]
 
 
+def run(criterion) -> CriterionResult:
+    """Run one criterion and record its wall-clock time."""
+    t0 = time.time()
+    result = criterion()
+    result.seconds = time.time() - t0
+    return result
+
+
 def run_all(only=None):
-    results = []
-    for k, fn in enumerate(CRITERIA, start=1):
-        if only and k not in only:
-            continue
-        results.append(fn())
-    return results
+    return [run(fn) for k, fn in enumerate(CRITERIA, start=1) if not only or k in only]
 
 
 if __name__ == "__main__":

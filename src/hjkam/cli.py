@@ -22,7 +22,7 @@ from .flow import (PhaseState, certify_sigma, default_sigma_eff, integrate_flow,
                    monodromy, sigma_bound, write_csv)
 from .generating import generating_S
 from .hamiltonian import (HamiltonianModel, check_hypotheses, free_model,
-                          model_from_dict, pendulum_model)
+                          model_from_dict, pendulum_model, read_model_file)
 from .laxoleinik import GridFunction, apply_T, apply_T_dual, regularize_R
 from .weakkam import (aubry_set, calibrated_curve, critical_value,
                       mane_potential, weak_kam_solve)
@@ -110,8 +110,7 @@ def _load_model(source) -> tuple[HamiltonianModel, dict]:
         return model, {"family": model.family, "d": 1, "builtin": name}
     if not os.path.exists(name):
         raise ConfigError(f"model {name!r}: not a builtin and no such file")
-    with open(name) as fh:
-        raw = json.load(fh)
+    raw = read_model_file(name)
     return model_from_dict(raw), raw
 
 
@@ -262,13 +261,10 @@ def dispatch(config: RunConfig) -> int:
         results = run_all(only=opts.get("criteria"))
         summary["criteria"] = [r.to_dict() for r in results]
         for r in results:
-            line = f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}"
-            log_lines.append(line)
-            print(line)
-        ok = all(r.passed for r in results)
+            print(r.line())
         write_json(out("acceptance.json"), summary)
         _write_meta(config, raw_desc, sigma_meta, files + [out("acceptance.json")])
-        return 0 if ok else 2
+        return 0 if all(r.passed for r in results) else 2
 
     write_json(out("summary.json"), summary)
     files.append(out("summary.json"))

@@ -178,6 +178,11 @@ class TrigPolynomial:
     Coefficients are packed ``[c0, a1, b1, a2, b2, ...]``.  Calling it
     reduces the argument mod 1 first, so integer shifts are exact; ``jet``
     takes the argument as given.
+
+    Every sum runs elementwise in one fixed order: ``c0`` (for ``V``), the
+    cosine modes k = 1..K, then the sine modes, skipping zero coefficients.
+    So a point's bits depend neither on the other points of its batch nor on
+    the BLAS build.
     """
 
     def __init__(self, coeffs):
@@ -189,47 +194,47 @@ class TrigPolynomial:
         self.a = self.coeffs[1::2]
         self.b = self.coeffs[2::2]
         self.k = np.arange(1, len(self.a) + 1)
-        self._has_b = bool(np.any(self.b != 0.0))
-        self._single = len(self.a) == 1 and not self._has_b
         w = 2 * np.pi * self.k
-        w2 = (2 * np.pi * self.k) ** 2
-        self._wa, self._wb, self._w2a, self._w2b = w * self.a, w * self.b, w2 * self.a, w2 * self.b
-        self._single_d1 = -2 * np.pi * self.a[0]
-        self._single_d2 = -4 * np.pi ** 2 * self.a[0]
+        w2 = w * w
+        # the nonzero terms in summation order, the cosines k = 1..K and then
+        # the sines: (k, sine?, coefficient in V, in V', in V''); a constant
+        # potential keeps one zero cosine, so that every sum has a term
+        self._terms = [(k, sine, c, (w[k - 1] if sine else -w[k - 1]) * c, -w2[k - 1] * c)
+                       for sine, cs in ((False, self.a), (True, self.b))
+                       for k, c in enumerate(cs, 1) if c != 0.0] or [(1, False, 0.0, -0.0, -0.0)]
+        self._has_b = any(sine for _, sine, *_ in self._terms)
 
-    def _theta(self, q):
-        q = np.asarray(q, float)
-        return (2 * np.pi) * q if self._single else (2 * np.pi) * q[..., None] * self.k
-
-    def _value(self, c, s):
-        if self._single:
-            return self.c0 + self.a[0] * c
-        out = self.c0 + c @ self.a
-        return out + s @ self.b if self._has_b else out
+    def _sums(self, q, value, slope, second):
+        """``(V', V, V'')`` at ``q`` as asked for, else None, from one cosine
+        and one sine per mode; a cosine-only potential takes no cosine for
+        ``V'`` and no sine for ``V``."""
+        base = (2 * np.pi) * np.asarray(q, float)
+        want_s = slope or self._has_b
+        want_c = value or second or self._has_b
+        trig = {}
+        V = self.c0 if value else None
+        dV = d2V = None
+        for k, sine, cv, c1, c2 in self._terms:
+            if k not in trig:
+                th = base if k == 1 else base * k
+                trig[k] = np.cos(th) if want_c else None, np.sin(th) if want_s else None
+            # a term's own function (in V and V'') and the other one (in V')
+            own, other = trig[k][::-1] if sine else trig[k]
+            if value:
+                V = V + cv * own
+            if slope:
+                dV = c1 * other if dV is None else dV + c1 * other
+            if second:
+                d2V = c2 * own if d2V is None else d2V + c2 * own
+        return dV, V, d2V
 
     def __call__(self, q):
-        th = self._theta(np.mod(np.asarray(q, float), 1.0))
-        return self._value(np.cos(th), np.sin(th) if self._has_b else None)
+        return self._sums(np.mod(np.asarray(q, float), 1.0), True, False, False)[1]
 
     def jet(self, q, value=False, second=False):
-        """``(V', V, V'')`` at ``q``, not reduced, from one sine and one
-        cosine; ``V`` and ``V''`` are None unless asked for, and a
-        cosine-only potential's ``V'`` takes no cosine."""
-        th = self._theta(q)
-        s = np.sin(th)
-        c = np.cos(th) if value or second or self._has_b else None
-        V = self._value(c, s) if value else None
-        if self._single:
-            return self._single_d1 * s, V, self._single_d2 * c if second else None
-        dV = -s @ self._wa
-        if self._has_b:
-            dV = dV + c @ self._wb
-        d2V = None
-        if second:
-            d2V = -c @ self._w2a
-            if self._has_b:
-                d2V = d2V - s @ self._w2b
-        return dV, V, d2V
+        """``(V', V, V'')`` at ``q``, not reduced; ``V`` and ``V''`` are
+        None unless asked for."""
+        return self._sums(q, value, True, second)
 
     def max_curvature(self) -> float:
         return float(np.sum((2 * np.pi * self.k) ** 2 * (np.abs(self.a) + np.abs(self.b))))
@@ -266,42 +271,53 @@ _MODEL_KEYS = {"family", "d", "V_coeffs", "a", "epsilon", "m", "M", "periodic"}
 
 
 def model_from_dict(desc: dict) -> HamiltonianModel:
-    """Build a model from its JSON description; unknown keys are rejected."""
+    """Build a model from its JSON description, a JSON object; unknown keys
+    and malformed values raise ConfigError."""
+    if not isinstance(desc, dict):
+        raise ConfigError(f"a model description is a JSON object, not {type(desc).__name__}")
     unknown = set(desc) - _MODEL_KEYS
     if unknown:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
     family = desc.get("family")
     if family is None:
         raise ConfigError("model description requires a 'family' key")
-    if int(desc.get("d", 1)) != 1:
-        raise ConfigError(f"models live on the line or circle: need d = 1, got d = {desc['d']}")
     m = desc.get("m")
     M = desc.get("M")
-    if family == "free":
-        model = free_model()
-    elif family == "quadratic":
-        model = quadratic_model(float(desc.get("a", 1.0)))
-    elif family == "mechanical":
-        model = mechanical_model(desc.get("V_coeffs", [0.0]), m=m, M=M)
-    elif family == "forced":
-        model = forced_model(desc.get("V_coeffs", [0.0]), epsilon=float(desc.get("epsilon", 0.2)), m=m, M=M)
-    else:
-        raise ConfigError(f"unknown model family {family!r}")
-    if m is not None or M is not None:
-        model = replace(model, m=model.m if m is None else float(m),
-                        M=model.M if M is None else float(M))
+    try:
+        if int(desc.get("d", 1)) != 1:
+            raise ConfigError(f"models live on the line or circle: need d = 1, got d = {desc['d']}")
+        if family == "free":
+            model = free_model()
+        elif family == "quadratic":
+            model = quadratic_model(float(desc.get("a", 1.0)))
+        elif family == "mechanical":
+            model = mechanical_model(desc.get("V_coeffs", [0.0]), m=m, M=M)
+        elif family == "forced":
+            model = forced_model(desc.get("V_coeffs", [0.0]), epsilon=float(desc.get("epsilon", 0.2)),
+                                 m=m, M=M)
+        else:
+            raise ConfigError(f"unknown model family {family!r}")
+        if m is not None or M is not None:
+            model = replace(model, m=model.m if m is None else float(m),
+                            M=model.M if M is None else float(M))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model description: {exc}") from exc
     if "periodic" in desc and bool(desc["periodic"]) != model.periodic:
         raise ConfigError(f"family {family!r} has periodic={model.periodic}, description disagrees")
     return model
 
 
-def model_from_json(path) -> HamiltonianModel:
+def read_model_file(path) -> dict:
+    """The description in a model JSON file; malformed JSON raises ConfigError."""
     with open(path) as fh:
         try:
-            desc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:
             raise ConfigError(f"malformed model file {path}: {exc}") from exc
-    return model_from_dict(desc)
+
+
+def model_from_json(path) -> HamiltonianModel:
+    return model_from_dict(read_model_file(path))
 
 
 def _point(q):
@@ -390,12 +406,8 @@ def check_hypotheses(model: HamiltonianModel, sample_box=None, n_samples: int = 
     qs = np.concatenate([qs, lat_q, lat_q])
     ps = np.concatenate([ps, lat_p, np.full_like(lat_p, p1)])
 
-    # one sample per row of shape (1, 1): a potential of several modes then
-    # sums them per sample as at a single point, so the reported constants
-    # are those of point evaluations bit for bit
-    t_r, q_r, p_r = ts[:, None], qs[:, None], ps[:, None]
-    H = model.value(t_r, q_r, p_r)[:, 0]
-    Hqq, Hqp, Hpp = (np.broadcast_to(b, t_r.shape) for b in model.jet(t_r, q_r, p_r, hessian=True)[3])
+    H = model.value(ts, qs, ps)
+    Hqq, Hqp, Hpp = (np.broadcast_to(b, ts.shape) for b in model.jet(ts, qs, ps, hessian=True)[3])
     M_vals = np.linalg.norm(np.stack([Hqq, Hqp, Hqp, Hpp], axis=-1).reshape(-1, 2, 2), 2, axis=(1, 2))
 
     m_emp = float(Hpp.min())

@@ -6,12 +6,12 @@ Runs the shared suite from hjkam.acceptance (the same one behind
 
 import pytest
 
-from hjkam.acceptance import CRITERIA
+from hjkam.acceptance import CRITERIA, run
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
                          ids=[fn.__name__.replace("criterion_", "") for fn in CRITERIA])
 def test_acceptance(criterion):
-    result = criterion()
+    result = run(criterion)
     print(result.line())
     assert result.passed, result.detail

@@ -190,6 +190,29 @@ def test_unknown_tolerance_name_rejected(tmp_path, capsys):
     assert not (out / "meta.json").exists()
 
 
+@pytest.mark.parametrize("text, reason", [('{"family": "mechanical", "V_coeffs": [0.0, 1.0', "malformed"),
+                                          ('{"family": "mechanical", "V_coeffs": "abc"}', "bad model"),
+                                          ('[1, 2]', "JSON object")])
+def test_malformed_model_file_exits_1(tmp_path, capsys, text, reason):
+    # truncated JSON, a bad field value and a description that is not an object
+    model_file = tmp_path / "model.json"
+    model_file.write_text(text)
+    assert run_cli(["check", "--model", str(model_file), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and reason in err
+
+
+def test_accept_byte_identical(tmp_path):
+    # acceptance.json holds no timings, so two identical runs write identical files
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert run_cli(["accept", "--criteria", "1,2", "--out", str(out)]) == 0
+    criteria = json.loads((runs[0] / "acceptance.json").read_text())["criteria"]
+    assert [c["number"] for c in criteria] == [1, 2] and all(c["passed"] for c in criteria)
+    for name in ("acceptance.json", "meta.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_export_dataset_gridfunction(tmp_path):
     u = GridFunction(1, 4, np.zeros(4))
     path = export_dataset(u, "csv", str(tmp_path / "u.csv"))

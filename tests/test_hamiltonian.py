@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjkam.errors import ConfigError, NumericalDomain
 from hjkam.flow import integrate_batch
+from hjkam.generating import generating_batch
 from hjkam.hamiltonian import (HypothesisReport, check_hypotheses, custom_model,
                                eval_and_grads, forced_model, free_model, legendre,
                                legendre_batch, mechanical_model, model_from_dict,
@@ -250,6 +252,48 @@ def test_check_hypotheses_matches_point_loop(maker, args):
     assert got == json.dumps(_check_hypotheses_loop(model, *args).to_dict())
 
 
+def _row_bits(out, i):
+    """The bits of row ``i`` of every array in a nested output; numbers whole."""
+    if isinstance(out, tuple):
+        return tuple(_row_bits(x, i) for x in out)
+    if out is None:
+        return None
+    return np.ascontiguousarray(out if np.ndim(out) == 0 else out[i]).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rows_do_not_depend_on_their_batch(data):
+    # a potential of several modes sums them elementwise in one fixed order,
+    # so every row of a batch equals its one-row call bit for bit
+    modes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True))
+    sines = data.draw(st.booleans())
+    amp = st.floats(0.05, 0.3) | st.floats(-0.3, -0.05)
+    coeffs = np.zeros(7)
+    coeffs[0] = data.draw(st.floats(-0.5, 0.5))
+    for k in modes:
+        coeffs[2 * k - 1] = data.draw(amp)
+        if sines:
+            coeffs[2 * k] = data.draw(amp)
+    model = forced_model(coeffs, 0.3) if data.draw(st.booleans()) else mechanical_model(coeffs)
+    n = data.draw(st.integers(2, 40))
+    i = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    q = rng.uniform(-1, 1, (n, 1))
+    p = rng.uniform(-2, 2, (n, 1))
+    q1 = q + rng.uniform(-0.1, 0.1, (n, 1))
+    calls = [lambda q, p, q1: model.value(0.3, q, p)]
+    calls += [lambda q, p, q1, a=a, h=h: model.jet(0.3, q, p, action=a, hessian=h)
+              for a in (False, True) for h in (False, True)]
+    calls += [lambda q, p, q1: integrate_batch(model, 0.1, 0.3, q, p, 20, want_monodromy=True,
+                                               want_action=True),
+              lambda q, p, q1: legendre_batch(model, 0.2, q, p),
+              lambda q, p, q1: generating_batch(model, 0.0, 0.05, q, q1, sigma_eff=0.05,
+                                                want_monodromy=True)]
+    for call in calls:
+        assert _row_bits(call(q, p, q1), i) == _row_bits(call(q[i:i + 1], p[i:i + 1], q1[i:i + 1]), 0)
+
+
 def _oscillator(constant_blocks):
     # H = p^2/2 + w^2 q^2/2, whose blocks (w^2, 0, 1) are constants, returned
     # as numbers or as filled arrays
@@ -301,6 +345,11 @@ def test_model_from_dict_and_rejection():
         model_from_dict({"family": "free", "d": 2})
     assert model_from_dict({"family": "free", "d": 1}).family == "free"
     assert model_from_dict({"family": "free"}).family == "free"
+    # without V_coeffs the potential is the constant [0.0]
+    const = model_from_dict({"family": "mechanical"})
+    q, p = np.array([[0.3], [0.8]]), np.array([[1.0], [-2.0]])
+    assert np.array_equal(const.value(0.0, q, p), [0.5, 2.0])
+    assert np.array_equal(const.jet(0.0, q, p, hessian=True)[0], np.zeros((2, 1)))
 
 
 def test_m_le_M_for_builtins(pendulum, free, quad2, forced):
