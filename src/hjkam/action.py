@@ -284,9 +284,10 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     tol_A = TOL_A_BASE * (1.0 + float(np.abs(values).max()))
     if not ok.any():
         if values.max() - values.min() > tol_A:
+            worst = float(jumps.max())
             raise MultistartExhausted(
                 f"restarts disagree by {values.max() - values.min():.3e} and none "
-                f"meets the jump criterion (worst jump {jumps.max():.3e})")
+                f"meets the jump criterion (worst jump {worst:.3e})", residual=worst)
         ok = np.ones(len(pts), bool)
     # mirror-image minimizers tie up to solver noise: among the starts within
     # a relative 1e-9 of the least value, the first start decides

@@ -46,11 +46,21 @@ class FoldDetected(HjkamError):
 
 
 class MultistartExhausted(HjkamError):
-    """Restarts disagree and none satisfies the optimality criterion."""
+    """Restarts disagree and none satisfies the optimality criterion; the
+    residual is the worst momentum jump."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class SearchRadiusExceeded(HjkamError):
-    """A discrete infimum was attained on the search-radius boundary twice."""
+    """A discrete infimum was attained on the search-radius boundary twice;
+    the residual is the last kernel half-width tried, in cells."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class LevelBelowCritical(HjkamError):

@@ -14,6 +14,7 @@ axes; the public API wraps single trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,9 +88,16 @@ class MonodromyResult:
         return np.block([[self.dqQ, self.dpQ], [self.dqP, self.dpP]])
 
     def symplectic_defect(self) -> float:
-        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        m = self.matrix
-        return float(np.linalg.norm(m.T @ J @ m - J, 2))
+        """``||M^T J M - J||_2``: for a 2 x 2 ``M``, ``M^T J M = det(M) J``,
+        so it is ``|det M - 1|``, with no BLAS or LAPACK call."""
+        (a, b), (c, d) = self.matrix
+        return abs(float(a * d - b * c) - 1.0)
+
+
+def _spectral_norm_2x2(m) -> float:
+    """Largest singular value of a 2 x 2 matrix in closed form, no LAPACK call."""
+    (a, b), (c, d) = m
+    return 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
 
 
 def _stage(model, t, Y, K, mono, action, work):
@@ -238,7 +246,7 @@ def monodromy(model: HamiltonianModel, x0, tau: float, t: float,
     Q, P, Mono, _, _ = integrate_batch(model, tau, t, x0.q, x0.p, n, want_monodromy=True)
     if np.max(np.abs(Q)) > OVERFLOW_GUARD or np.max(np.abs(P)) > OVERFLOW_GUARD:
         raise TrajectoryEscape("trajectory escaped during monodromy integration")
-    dev = float(np.linalg.norm(Mono - np.eye(2), 2))
+    dev = _spectral_norm_2x2(Mono - np.eye(2))
     return MonodromyResult(dqQ=Mono[:1, :1].copy(), dpQ=Mono[:1, 1:].copy(),
                            dqP=Mono[1:, :1].copy(), dpP=Mono[1:, 1:].copy(),
                            deviation=dev)

@@ -26,7 +26,8 @@ min-plus routine: one strided window of the periodically extended operand
 ``(n, 2 D + 1)`` array reduced along its rows in both directions.  Its
 window is the smaller of two radii: ``search_radius`` from the a-priori
 action bounds, and ``velocity_radius``, the distance a minimizer can travel
-when its start momentum is bounded by the operand's Lipschitz constant.  A
+when its start momentum is bounded by the operand's Lipschitz constant; for
+the built-in families its sups are sampled once per model and time slot.  A
 boundary check doubles the window whenever the discrete argmin reaches its
 edge.
 """
@@ -34,6 +35,7 @@ edge.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +48,8 @@ from .generating import KERNEL_STEP, generating_batch
 from .hamiltonian import HamiltonianModel
 
 _KERNEL_CACHE: dict = {}
+# sup |H_q| and sup |H_p| at |p| <= 1, per (model, slot), for the built-in families
+_SUPS_CACHE: dict = {}
 _CACHE_LIMIT = 32
 # autonomous and even in p for every member, so A(x, y) = A(y, x); custom
 # models are never assumed reversible, even when they are
@@ -70,7 +74,7 @@ class GridFunction:
         if self.values.shape != (self.n_per_dim,):
             raise ConfigError(f"values shape {self.values.shape} does not match "
                               f"(n_per_dim,) = {(self.n_per_dim,)}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ConfigError("grid function has non-finite values")
 
     @classmethod
@@ -85,8 +89,8 @@ class GridFunction:
     @property
     def lip_estimate(self) -> float:
         # adjacent differences and the wrap pair, as np.roll(values, -1) pairs them
-        step = np.diff(self.values, append=self.values[:1])
-        return float(np.max(np.abs(step)) * self.n_per_dim)
+        v = self.values
+        return float(np.abs(v[1:] - v[:-1]).max(initial=abs(v[0] - v[-1])) * self.n_per_dim)
 
     def osc(self) -> float:
         return float(self.values.max() - self.values.min())
@@ -140,7 +144,7 @@ def search_radius(model: HamiltonianModel, dt: float, osc: float, n: int) -> flo
     constant ``M``, so it is far wider than the minimizer's travel; the
     operators take the smaller of it and ``velocity_radius``.
     """
-    return float(np.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n)
+    return math.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n
 
 
 # sample positions and momentum steps: columns that broadcast to (64, 17, 1)
@@ -181,17 +185,45 @@ def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
     that band.  Two cells are added: the argmin sits within one cell of
     that start, and one cell is margin.  The sups are sampled from
     ``model.jet`` (at the slot's times when ``H`` depends on time); the
-    operators' boundary check backs the sampling.
+    operators' boundary check backs the sampling.  A custom model is
+    sampled on every call.  In the built-in families ``H_q`` does not
+    depend on ``p`` and ``H_p = a p`` not on ``q``, so the sups at
+    ``|p| <= 1`` are sampled once per model and slot (``_unit_band_sups``)
+    and ``sup |H_p|`` over the band is ``a band``: the sampled momenta
+    reach ``band`` and no further, and correctly rounded products are
+    monotone, so the radius equals that of sampling on every call, bit for
+    bit.
     """
     dt = t - tau
-    times = [tau] if model.autonomous else np.linspace(tau, t, 5)
-    gq, _ = _grad_sups(model, times, lip)
-    _, gp = _grad_sups(model, times, lip + dt * gq)
+    if model.family == "custom":
+        times = _slot_times(model, tau, t)
+        gq = _grad_sups(model, times, lip)[0]
+        gp = _grad_sups(model, times, lip + dt * gq)[1]
+    else:
+        gq, gp1 = _unit_band_sups(model, tau, t)
+        gp = gp1 * (lip + dt * gq)
     return dt * gp + 2.0 / n
+
+
+def _slot_times(model, tau, t):
+    return [tau] if model.autonomous else np.linspace(tau, t, 5)
+
+
+def _unit_band_sups(model, tau, t):
+    """``_grad_sups`` at band 1 over the slot's times, sampled once per
+    (model, slot); bounded like the kernel cache and cleared with it."""
+    key = (model.cache_key(), "auto" if model.autonomous else (tau, t))
+    sups = _SUPS_CACHE.get(key)
+    if sups is None:
+        if len(_SUPS_CACHE) >= _CACHE_LIMIT:
+            _SUPS_CACHE.pop(next(iter(_SUPS_CACHE)))
+        sups = _SUPS_CACHE[key] = _grad_sups(model, _slot_times(model, tau, t), 1.0)
+    return sups
 
 
 def clear_kernel_cache():
     _KERNEL_CACHE.clear()
+    _SUPS_CACHE.clear()
 
 
 def _kernel_key(model, tau, t, n, sigma):
@@ -233,10 +265,12 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     sigma = resolve_sigma(model, sigma_eff)
     key = _kernel_key(model, tau, t, n, sigma)
     rows = 1 if model.q_homogeneous else n
-    cached = _KERNEL_CACHE.get(key, np.empty((rows, 0)))
-    Dc = (cached.shape[1] - 1) // 2
+    cached = _KERNEL_CACHE.get(key)
+    Dc = -1 if cached is None else (cached.shape[1] - 1) // 2
     if Dc >= D:
         return cached[:, Dc - D:Dc + D + 1]
+    if cached is None:
+        cached = np.empty((rows, 0))
     x = np.zeros(1) if rows == 1 else np.arange(n) / n
     dds = np.setdiff1d(np.arange(-D, D + 1), np.arange(-Dc, Dc + 1))
     # time reversal fills dd = -e at the rows j >= e, whose reversed pair
@@ -274,7 +308,7 @@ def _target_major(K):
 
 def _quantize(D: int) -> int:
     # quantized so the cached kernel survives small radius drifts
-    return int(np.ceil(D / 16.0) * 16)
+    return -(-D // 16) * 16
 
 
 def _min_plus(model, u, tau, t, sigma_eff, dual):
@@ -297,11 +331,12 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     if not t > tau:
         raise ConfigError("need t > tau")
     n = u.n_per_dim
-    jj = np.arange(n)
     R = min(search_radius(model, t - tau, u.osc(), n),
             velocity_radius(model, tau, t, u.lip_estimate, n))
-    D = _quantize(int(np.ceil(R * n)))
+    D = _quantize(math.ceil(R * n))
     for attempt in range(2):
+        if attempt:
+            D = _quantize(2 * D)
         K = action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
         # ext holds nodes -D, ..., n + D - 1, in reverse for T, so each row of
         # the strided window steps forward through it; the rows overlap, so
@@ -318,11 +353,11 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
             cand += _target_major(K)
         best = (np.argmax if dual else np.argmin)(cand, axis=1)
         if 0 < best.min() and best.max() < 2 * D:
+            jj = np.arange(n)
             dd = best - D
             return GridFunction(1, n, cand[jj, best]), (jj + dd if dual else jj - dd) % n
-        D = _quantize(2 * D)
     raise SearchRadiusExceeded("discrete infimum still attained on the doubled "
-                               f"search boundary (D = {D})")
+                               f"search boundary (D = {D})", residual=D)
 
 
 def apply_T(model: HamiltonianModel, u: GridFunction, tau: float, t: float,

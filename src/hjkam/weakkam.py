@@ -20,6 +20,7 @@ backward-flowed graph seeds against the graph neighborhood.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,15 +81,20 @@ def _eigen_iterate(model, v, t, shift, t_max, sigma_eff, tol):
 
     Returns the last iterate, the last increment, the ``(time, max, min)``
     history and whether ``ptp(increment) <= tol`` was reached within
-    ``t_max``; it takes at least one step.
+    ``t_max``; it takes at least one step.  The shift is added in place to
+    the fresh image of ``apply_T``, and every iterate must stay finite.
     """
     history = []
     for k in range(1, max(1, int(np.ceil(t_max / t - 1e-9))) + 1):
-        nxt = apply_T(model, v, 0.0, t, sigma_eff=sigma_eff).shifted(shift)
+        nxt = apply_T(model, v, 0.0, t, sigma_eff=sigma_eff)
+        nxt.values += shift
         inc = nxt.values - v.values
         v = nxt
-        history.append((k * t, float(v.values.max()), float(v.values.min())))
-        if np.ptp(inc) <= tol:
+        hi, lo = float(v.values.max()), float(v.values.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ConfigError("grid function has non-finite values")
+        history.append((k * t, hi, lo))
+        if inc.max() - inc.min() <= tol:
             return v, inc, history, True
     return v, inc, history, False
 

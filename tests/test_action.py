@@ -144,9 +144,13 @@ def test_reconstructed_chain_consistency(pendulum):
 
 
 def test_multistart_exhausted(pendulum):
-    with pytest.raises(MultistartExhausted):
+    with pytest.raises(MultistartExhausted) as exc:
         minimal_action(pendulum, 0.0, 2.0, [0.1], [0.8], sigma_eff=SIGMA_PEND,
                        max_sweeps=0, restarts=4)
+    # the error carries the worst momentum jump, the one its message names
+    worst = exc.value.residual
+    assert isinstance(worst, float) and np.isfinite(worst) and worst > 0
+    assert f"worst jump {worst:.3e}" in str(exc.value)
 
 
 def test_minimizer_csv(tmp_path, pendulum):

@@ -68,6 +68,22 @@ def test_symplecticity_random_orbits(pendulum):
         assert mono.symplectic_defect() <= 1e-7
 
 
+def test_monodromy_diagnostics_closed_form():
+    # |det M - 1| and the closed-form ||M - I||_2 agree with the matrix
+    # products and the SVD they replace, on orbits of a multi-mode potential
+    from hjkam.hamiltonian import mechanical_model
+    model = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        x0 = (rng.uniform(0, 1, 1), rng.uniform(-2, 2, 1))
+        mono = monodromy(model, x0, 0.0, rng.uniform(0.05, 1.0))
+        m = mono.matrix
+        svd = np.linalg.norm(m - np.eye(2), 2)
+        assert abs(mono.deviation - svd) <= 4e-15 * svd
+        assert abs(mono.symplectic_defect() - np.linalg.norm(m.T @ J @ m - J, 2)) <= 1e-13
+
+
 def test_step_halving_order4(pendulum):
     x0 = ([0.3], [1.1])
     ref = integrate_flow(pendulum, x0, 0.0, 1.0, step=1e-4)

@@ -217,8 +217,12 @@ def test_search_radius_exceeded(pendulum, monkeypatch):
     monkeypatch.setattr(lx, "search_radius", lambda model, dt, osc, n: 4.0 / n)
     n = 256
     u = GridFunction.from_callable(lambda q: 10.0 * np.cos(2 * np.pi * q), n)
-    with pytest.raises(SearchRadiusExceeded):
+    widths = _record_widths(monkeypatch)
+    with pytest.raises(SearchRadiusExceeded) as exc:
         lx.apply_T(pendulum, u, 0.0, 0.2, sigma_eff=0.2)
+    # the error names the last window tried and carries it as its residual
+    assert widths == [16, 32]
+    assert exc.value.residual == 32 and "(D = 32)" in str(exc.value)
 
 
 def _custom_kinetic(a):
@@ -320,6 +324,9 @@ def test_velocity_radius_matches_wide_window(free, pendulum, n, t, name, rough, 
     import hjkam.laxoleinik as lx
     model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
     u = GridFunction(1, n, _draw_values(data, n) if rough else _trig_operand(data, n))
+    # the sized window is the one that sampling the sups on every call gives
+    assert (lx.velocity_radius(model, 0.0, t, u.lip_estimate, n)
+            == _velocity_radius_sampled(model, 0.0, t, u.lip_estimate, n))
     for op in (apply_T, apply_T_dual):
         sized = op(model, u, 0.0, t, sigma_eff=sig).values
         with pytest.MonkeyPatch.context() as mp:
@@ -637,6 +644,51 @@ def test_velocity_radius_on_custom_grad_shape(monkeypatch, autonomous):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["free", "quadratic", "pendulum", "multi", "forced"]),
+       lip=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       tau=st.floats(0.0, 1.0), tau2=st.floats(0.0, 1.0), dt=st.floats(1e-3, 0.5),
+       n=st.sampled_from([16, 64, 256]))
+def test_velocity_radius_matches_per_call_sampling(free, pendulum, name, lip, tau, tau2,
+                                                   dt, n):
+    # the sups sampled once per model and slot give the radius of sampling
+    # both sups on every call, bit for bit: after another slot's entry, and
+    # then on a warm memo
+    import hjkam.laxoleinik as lx
+    from hjkam.hamiltonian import forced_model, mechanical_model, quadratic_model
+    multi = [0.1, 0.5, 0.3, 0.2, -0.15]  # cosine and sine terms
+    model = {"free": free, "quadratic": quadratic_model(2.0), "pendulum": pendulum,
+             "multi": mechanical_model(multi), "forced": forced_model(multi, epsilon=0.3)}[name]
+    want = [_velocity_radius_sampled(model, s, s + dt, lip, n) for s in (tau2, tau, tau)]
+    lx._SUPS_CACHE.clear()
+    got = [lx.velocity_radius(model, s, s + dt, lip, n) for s in (tau2, tau, tau)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_unit_band_sups_memo(pendulum, monkeypatch):
+    # one entry per model and slot: forced models that differ only in eps
+    # keep apart, the memo keeps within its bound, and clear_kernel_cache
+    # empties it with the kernels
+    import hjkam.laxoleinik as lx
+    from hjkam.hamiltonian import forced_model
+    lx.clear_kernel_cache()
+    weak, strong = (forced_model([0.0, 0.3], epsilon=e) for e in (0.2, 0.3))
+    radii = [lx.velocity_radius(m, 0.0, 0.25, 2.0, 64) for m in (weak, strong)]
+    assert radii == [_velocity_radius_sampled(m, 0.0, 0.25, 2.0, 64) for m in (weak, strong)]
+    assert radii[0] != radii[1] and len(lx._SUPS_CACHE) == 2
+    lx.velocity_radius(pendulum, 0.3, 0.5, 2.0, 64)
+    lx.velocity_radius(pendulum, 0.0, 0.1, 5.0, 64)  # autonomous: one slot
+    assert len(lx._SUPS_CACHE) == 3
+    monkeypatch.setattr(lx, "_CACHE_LIMIT", 4)
+    slots = [(0.1 * k, 0.1 * k + 0.2) for k in range(6)]
+    for tau, t in slots:
+        lx.velocity_radius(weak, tau, t, 1.0, 64)
+        assert len(lx._SUPS_CACHE) <= 4
+    assert list(lx._SUPS_CACHE) == [(weak.cache_key(), s) for s in slots[-4:]]
+    lx.clear_kernel_cache()
+    assert not lx._SUPS_CACHE
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([1, 2, 3, 8, 64]), data=st.data())
 def test_lip_estimate_matches_roll(n, data):
@@ -714,6 +766,17 @@ def _grad_sups_linspace(model, times, band):
     return max(float(np.abs(h).max()) for h in Hq), max(float(np.abs(h).max()) for h in Hp)
 
 
+def _velocity_radius_sampled(model, tau, t, lip, n):
+    # velocity_radius as it was before the per-model sups: both sups sampled
+    # by lx._grad_sups on every call, at the band of lip and at the grown band
+    import hjkam.laxoleinik as lx
+    dt = t - tau
+    times = [tau] if model.autonomous else np.linspace(tau, t, 5)
+    gq = lx._grad_sups(model, times, lip)[0]
+    gp = lx._grad_sups(model, times, lip + dt * gq)[1]
+    return dt * gp + 2.0 / n
+
+
 def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
     # _min_plus as it was before the strided window: sliding_window_view of
     # the extended operand, reversed by a slice for T
@@ -722,7 +785,7 @@ def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
     n = u.n_per_dim
     jj = np.arange(n)
     R = min(lx.search_radius(model, t - tau, u.osc(), n),
-            lx.velocity_radius(model, tau, t, u.lip_estimate, n))
+            _velocity_radius_sampled(model, tau, t, u.lip_estimate, n))
     D = lx._quantize(int(np.ceil(R * n)))
     for attempt in range(2):
         K = lx.action_kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
@@ -742,14 +805,32 @@ def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
     raise lx.SearchRadiusExceeded(f"reference window still too narrow (D = {D})")
 
 
-def _bytes_with_reference_apply(monkeypatch, solve):
-    # the arrays ``solve`` returns, as bytes, from this module and then with
-    # the reference sampling and window patched in; kernels come from one cache
+def _record_widths(monkeypatch):
+    # the kernel half-widths the operators ask action_kernel for, in order
     import hjkam.laxoleinik as lx
-    got = [np.asarray(a).tobytes() for a in solve()]
+    widths, kernel = [], lx.action_kernel
+
+    def recorded(model, tau, t, n, D, sigma_eff=None):
+        widths.append(D)
+        return kernel(model, tau, t, n, D, sigma_eff=sigma_eff)
+
+    monkeypatch.setattr(lx, "action_kernel", recorded)
+    return widths
+
+
+def _bytes_with_reference_apply(monkeypatch, solve):
+    # the arrays ``solve`` returns, as bytes, and the kernel half-widths its
+    # applies ask for: from this module, with the per-model sups sampled
+    # afresh, and then with the reference sampling, radius and window
+    # patched in; kernels come from one cache
+    import hjkam.laxoleinik as lx
+    widths = _record_widths(monkeypatch)
+    lx._SUPS_CACHE.clear()
+    got = [np.asarray(a).tobytes() for a in solve()] + [widths[:]]
+    widths.clear()
     monkeypatch.setattr(lx, "_grad_sups", _grad_sups_linspace)
     monkeypatch.setattr(lx, "_min_plus", _min_plus_sliding)
-    return got, [np.asarray(a).tobytes() for a in solve()]
+    return got, [np.asarray(a).tobytes() for a in solve()] + [widths]
 
 
 @pytest.mark.parametrize("name", ["pendulum", "two_well"])
