@@ -224,6 +224,8 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     Q1 = np.asarray(Q1, float).reshape(-1, 1)
     if n is None:
         n = default_segments(tau, t, sig)
+    elif n < 1:
+        raise ConfigError(f"need at least one segment, got n = {n}")
     lam = np.linspace(0, 1, n + 1)
     pts = Q0[:, None, :] + lam[None, :, None] * (Q1 - Q0)[:, None, :]
     if init_nodes is not None and n > 1:
@@ -253,6 +255,8 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     q1 = np.atleast_1d(np.asarray(q1, float))
     if n is None:
         n = default_segments(tau, t, sig)
+    elif n < 1:
+        raise ConfigError(f"need at least one segment, got n = {n}")
     lam = np.linspace(0, 1, n + 1)
     straight = q0[None, :] + lam[:, None] * (q1 - q0)[None, :]
 

@@ -83,21 +83,18 @@ def write_json(path, payload):
 
 def export_dataset(result, fmt: str, path: str) -> str:
     """Write a result object as ``csv`` or ``json``; returns the path."""
-    try:
-        if fmt == "json":
-            payload = result.to_dict() if hasattr(result, "to_dict") else result
-            write_json(path, payload)
-        elif fmt == "csv":
-            if isinstance(result, GridFunction):
-                write_csv(path, "q,value", np.column_stack([result.nodes, result.values]))
-            elif hasattr(result, "to_csv"):
-                result.to_csv(path)
-            else:
-                raise ConfigError(f"no CSV exporter for {type(result).__name__}")
+    if fmt == "json":
+        payload = result.to_dict() if hasattr(result, "to_dict") else result
+        write_json(path, payload)
+    elif fmt == "csv":
+        if isinstance(result, GridFunction):
+            write_csv(path, "q,value", np.column_stack([result.nodes, result.values]))
+        elif hasattr(result, "to_csv"):
+            result.to_csv(path)
         else:
-            raise ConfigError(f"unknown export format {fmt!r}")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+            raise ConfigError(f"no CSV exporter for {type(result).__name__}")
+    else:
+        raise ConfigError(f"unknown export format {fmt!r}")
     return path
 
 
@@ -135,7 +132,15 @@ def _fvec(text: str) -> np.ndarray:
 
 
 def dispatch(config: RunConfig) -> int:
-    """Run one command, writing a JSON summary plus datasets and meta.json."""
+    """Run one command, writing a JSON summary plus datasets and meta.json;
+    a file that cannot be made, written or read is a ConfigError."""
+    try:
+        return _run_command(config)
+    except OSError as exc:
+        raise ConfigError(f"file error: {exc}") from exc
+
+
+def _run_command(config: RunConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     model, raw_desc = _load_model(config.model_source)
     sigma, sigma_meta = _sigma_policy(model, config)

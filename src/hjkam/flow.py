@@ -9,7 +9,9 @@ model's jet, asking only for the terms it integrates.  The integrated
 components are packed into one component-major array, so that a stage
 input or the step's weighted sum is one numpy operation on the whole state
 whatever the batch size.  All internals are vectorized over the batch
-axes; the public API wraps single trajectories.
+axes; the public API wraps single trajectories.  No row is guarded: its
+callers judge escapes from the result, by the one test ``_escaped``, and
+``integrate_flow`` and ``monodromy`` raise ``TrajectoryEscape`` on it.
 """
 
 from __future__ import annotations
@@ -135,22 +137,22 @@ def _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action):
     if want_monodromy:
         Mono = np.broadcast_to([[1.0, span * a], [0.0, 1.0]], shape + (2, 2)).copy()
     W = 0.5 * a * span * np.sum(P * P, axis=-1) if want_action else None
-    return Q, P, Mono, W, np.zeros(shape, bool)
+    return Q, P, Mono, W
 
 
 def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
                     n_steps: int, want_monodromy: bool = False,
-                    want_action: bool = False, guard: Optional[float] = None):
+                    want_action: bool = False):
     """Integrate a batch of initial conditions from ``tau`` to ``t``.
 
-    ``Q0`` and ``P0`` are ``(..., 1)``.  Returns ``(Q, P, Mono, W,
-    escaped)``: ``Q`` and ``P`` shaped like ``Q0``; ``Mono`` of shape
-    ``(..., 2, 2)`` and ``W`` the accumulated action, of shape ``(...)``,
-    when requested, else None.  ``escaped`` marks batch entries whose norm
-    passed ``guard``; their q, p and action are frozen from the next step
-    on.  The state is integrated packed (see ``_stage``), with the stage
-    buffers allocated once per call and every step updated in place; the
-    per-element arithmetic is the plain RK4 of each component.
+    ``Q0`` and ``P0`` are ``(..., 1)``.  Returns ``(Q, P, Mono, W)``: ``Q``
+    and ``P`` shaped like ``Q0``; ``Mono`` of shape ``(..., 2, 2)`` and
+    ``W`` the accumulated action, of shape ``(...)``, when requested, else
+    None.  No row is guarded: one that blows up runs on to inf or NaN and
+    leaves the other rows' bits alone.  The state is integrated packed (see
+    ``_stage``), with the stage buffers allocated once per call and every
+    step updated in place; the per-element arithmetic is the plain RK4 of
+    each component.
     """
     if model.family in ("free", "quadratic"):
         return _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action)
@@ -168,7 +170,6 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     # by every step; the stages are summed in place in K2
     Z, K1, K2, K3, K4 = (np.empty_like(Y) for _ in range(5))
     work = np.empty((2,) + shape) if want_monodromy else None
-    escaped = np.zeros(shape, bool)
 
     h = (t - tau) / n_steps
     s = tau
@@ -185,23 +186,20 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
         K2 += np.multiply(2, K3, out=K3)
         K2 += K4
         K2 *= h / 6
-        if guard is not None and escaped.any():
-            # escaped rows keep q, p and W; their monodromy still moves
-            live = np.broadcast_to(~escaped[..., None], Y.shape).copy()
-            if want_monodromy:
-                live[2:6] = True
-            np.add(Y, K2, out=Y, where=live)
-        else:
-            Y += K2
+        Y += K2
         s += h
-        if guard is not None:
-            escaped |= (np.abs(Y[0, ..., 0]) > guard) | (np.abs(Y[1, ..., 0]) > guard)
     Mono = None
     if want_monodromy:
         Mono = np.ascontiguousarray(
             np.moveaxis(Y[2:6, ..., 0].reshape((2, 2) + shape), (0, 1), (-2, -1)))
     W = Y[-1, ..., 0] if want_action else None
-    return Y[0], Y[1], Mono, W, escaped
+    return Y[0], Y[1], Mono, W
+
+
+def _escaped(Q, P) -> np.ndarray:
+    """Rows whose ``q`` or ``p`` is non-finite or beyond ``OVERFLOW_GUARD``."""
+    inside = (np.abs(Q) <= OVERFLOW_GUARD) & (np.abs(P) <= OVERFLOW_GUARD)
+    return ~inside.all(axis=-1)
 
 
 def _checked_step(step: float) -> float:
@@ -226,25 +224,27 @@ def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
     Q = np.empty((n + 1, 1))
     P = np.empty((n + 1, 1))
     Q[0], P[0] = x0.q, x0.p
-    for i in range(n):
-        out = integrate_batch(model, times[i], times[i + 1], Q[i], P[i], 1)
-        Q[i + 1], P[i + 1] = out[0], out[1]
-        norm = max(np.max(np.abs(Q[i + 1])), np.max(np.abs(P[i + 1])))
-        if norm > OVERFLOW_GUARD:
-            raise TrajectoryEscape(f"trajectory escaped at t={times[i + 1]:.6g}",
-                                   exit_time=float(times[i + 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            Q[i + 1], P[i + 1] = integrate_batch(model, times[i], times[i + 1],
+                                                 Q[i], P[i], 1)[:2]
+            if _escaped(Q[i + 1], P[i + 1]):
+                raise TrajectoryEscape(f"trajectory escaped at t={times[i + 1]:.6g}",
+                                       exit_time=float(times[i + 1]))
     energy = np.asarray(model.value(times, Q, P), float)
     return Trajectory(times=times, Q=Q, P=P, energy=energy)
 
 
 def monodromy(model: HamiltonianModel, x0, tau: float, t: float,
               step: Optional[float] = None) -> MonodromyResult:
-    """Differential of the flow map along the orbit of ``x0``."""
+    """Differential of the flow map along the orbit of ``x0``; an escaped
+    orbit raises ``TrajectoryEscape``, with no floating-point warning."""
     if not isinstance(x0, PhaseState):
         x0 = PhaseState(*x0)
     n = _steps_for(t - tau, DEFAULT_STEP if step is None else step)
-    Q, P, Mono, _, _ = integrate_batch(model, tau, t, x0.q, x0.p, n, want_monodromy=True)
-    if np.max(np.abs(Q)) > OVERFLOW_GUARD or np.max(np.abs(P)) > OVERFLOW_GUARD:
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, P, Mono, _ = integrate_batch(model, tau, t, x0.q, x0.p, n, want_monodromy=True)
+    if _escaped(Q, P):
         raise TrajectoryEscape("trajectory escaped during monodromy integration")
     dev = _spectral_norm_2x2(Mono - np.eye(2))
     return MonodromyResult(dqQ=Mono[:1, :1].copy(), dpQ=Mono[:1, 1:].copy(),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ConfigError, ExistenceHorizonExceeded, FoldDetected,
                      SigmaExceeded, SolverDiverged)
-from .flow import TARGET_STEP, _steps_for, integrate_batch, resolve_sigma, write_csv
+from .flow import TARGET_STEP, _escaped, _steps_for, integrate_batch, resolve_sigma, write_csv
 from .hamiltonian import HamiltonianModel, legendre_batch
 
 # coarser step of the tabulated grid kernels and their batched pair actions
@@ -30,7 +30,7 @@ def shoot_tol(q0, q1) -> np.ndarray:
 
 def _jacobian(model, tau, t, Q0, p, n_steps):
     """End positions and the ``dQ/dp`` monodromy entry, shaped like ``p``."""
-    Q, _, Mono, _, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
+    Q, _, Mono, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
     J = Mono[..., 0, 1:]
     bad = np.abs(J) < 1e-14
     if bad.any():
@@ -167,9 +167,9 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     p0, res = shoot_batch(model, tau, t, Q0, Q1, sigma_eff=sigma_eff,
                           p_init=p_init, check_sigma=check_sigma,
                           step_target=step_target)
-    Q, P, Mono, W, _ = integrate_batch(model, tau, t, Q0, p0,
-                                       _steps_for(t - tau, step_target),
-                                       want_monodromy=want_monodromy, want_action=True)
+    Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p0,
+                                    _steps_for(t - tau, step_target),
+                                    want_monodromy=want_monodromy, want_action=True)
     return W, p0, P, res, Mono
 
 
@@ -240,6 +240,7 @@ def propagate_front(model: HamiltonianModel, initial_graph, t: float) -> Geometr
 
     Action values are accumulated with the flow; ``fold_flag`` reports loss
     of q-injectivity (transported positions no longer strictly ordered).
+    Escaped samples (see ``flow``) are dropped silently and counted.
     """
     q0, du0, u0 = (np.asarray(a, float) for a in initial_graph)
     if q0.ndim != 1:
@@ -247,16 +248,16 @@ def propagate_front(model: HamiltonianModel, initial_graph, t: float) -> Geometr
     order = np.argsort(q0)
     q0, du0, u0 = q0[order], du0[order], u0[order]
     _check_graph_consistency(q0, du0, u0)
-    Q, P, _, W, escaped = integrate_batch(model, 0.0, t, q0[:, None], du0[:, None],
-                                          _steps_for(t), want_action=True, guard=1e8)
-    keep = ~escaped
-    dropped = int(np.sum(escaped))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, P, _, W = integrate_batch(model, 0.0, t, q0[:, None], du0[:, None],
+                                     _steps_for(t), want_action=True)
+    keep = ~_escaped(Q, P)
     qt = Q[keep, 0]
     pt = P[keep, 0]
     wt = u0[keep] + W[keep]
     fold = bool(np.any(np.diff(qt) <= 1e-12 * (1 + np.abs(qt[:-1]))))
     return GeometricFront(t=t, q=qt, p=pt, w=wt, fold_flag=fold,
-                          dropped=dropped, seeds=q0[keep])
+                          dropped=int(np.sum(~keep)), seeds=q0[keep])
 
 
 def lip_of_samples(x: np.ndarray, y: np.ndarray) -> float:
@@ -278,6 +279,8 @@ def classical_cauchy(model: HamiltonianModel, u0_samples, t: float, query_grid,
     q0, u0, du0 = (np.asarray(a, float) for a in u0_samples)
     order = np.argsort(q0)
     q0, u0, du0 = q0[order], u0[order], du0[order]
+    if len(q0) < 2 or not np.all(np.diff(q0) > 0):
+        raise ConfigError("Cauchy samples need two or more distinct positions")
     ell = lip_of_samples(q0, du0)
     horizon = 1.0 / (4.0 * model.M * (1.0 + ell))
     if abs(t) >= horizon and not allow_past_horizon:

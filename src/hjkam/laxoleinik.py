@@ -70,6 +70,8 @@ class GridFunction:
     def __post_init__(self):
         if self.d != 1:
             raise ConfigError(f"grid functions live on the circle: need d = 1, got d = {self.d}")
+        if not self.n_per_dim >= 1:
+            raise ConfigError(f"need n_per_dim >= 1, got {self.n_per_dim}")
         self.values = np.asarray(self.values, float)
         if self.values.shape != (self.n_per_dim,):
             raise ConfigError(f"values shape {self.values.shape} does not match "
@@ -312,7 +314,7 @@ def _quantize(D: int) -> int:
 
 
 def _min_plus(model, u, tau, t, sigma_eff, dual):
-    """Image of ``u`` and, per node, the node theta that attains it.
+    """Image of ``u`` and, per node, the displacement ``dd`` that attains it.
 
     The candidates form an ``(n, 2 D + 1)`` array over the target node ``j``
     and the displacement ``dd in [-D, D]``, built with no index array from
@@ -324,7 +326,8 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     ``u(j - dd) + Kt[j, dd + D]``, which is ``u(theta) + K[theta, dd + D]``
     at ``theta = j - dd``.  A one-row kernel broadcasts in both.  The
     extremum is taken along each row in increasing ``dd``, so ties go to the
-    most negative displacement.
+    most negative displacement.  The source node is ``(j + dd) % n`` for
+    the dual and ``(j - dd) % n`` for ``T``.
     """
     if not model.periodic:
         raise ConfigError("Lax-Oleinik operators need a periodic model")
@@ -353,9 +356,7 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
             cand += _target_major(K)
         best = (np.argmax if dual else np.argmin)(cand, axis=1)
         if 0 < best.min() and best.max() < 2 * D:
-            jj = np.arange(n)
-            dd = best - D
-            return GridFunction(1, n, cand[jj, best]), (jj + dd if dual else jj - dd) % n
+            return GridFunction(1, n, cand[np.arange(n), best]), best - D
     raise SearchRadiusExceeded("discrete infimum still attained on the doubled "
                                f"search boundary (D = {D})", residual=D)
 

@@ -438,7 +438,8 @@ def aubry_set(model: HamiltonianModel, grid_n: int = 128, sigma_eff=None,
     _require_torus(model)
     t_step = min(t_step, resolve_sigma(model, sigma_eff))
     res = critical_value(model, grid_n=grid_n, t_step=t_step, sigma_eff=sigma_eff)
-    _, src = _min_plus(model, res.u_raw, 0.0, t_step, sigma_eff, dual=False)
+    _, dd = _min_plus(model, res.u_raw, 0.0, t_step, sigma_eff, dual=False)
+    src = (np.arange(grid_n) - dd) % grid_n
     # after n steps every node sits on a cycle, and f^n maps onto the cycles
     for _ in range(int(np.ceil(np.log2(grid_n)))):
         src = src[src]
@@ -498,8 +499,8 @@ def invariant_set(model: HamiltonianModel, u: GridFunction, t_step: float = 0.2,
         idx = np.flatnonzero(alive)
         if len(idx) == 0:
             break
-        Q, P, _, _, _ = integrate_batch(model, 0.0, -t_step, pts[idx, 0:1],
-                                        pts[idx, 1:2], n_sub)
+        Q, P, _, _ = integrate_batch(model, 0.0, -t_step, pts[idx, 0:1],
+                                     pts[idx, 1:2], n_sub)
         pts[idx, 0] = Q[:, 0]
         pts[idx, 1] = P[:, 0]
         dist = _graph_distance(pts[idx], graph, n)
@@ -509,8 +510,8 @@ def invariant_set(model: HamiltonianModel, u: GridFunction, t_step: float = 0.2,
     stable = True
     if alive.any():
         for sgn in (+1.0, -1.0):
-            Q, P, _, _, _ = integrate_batch(model, 0.0, sgn * t_step,
-                                            survivors[:, 0:1], survivors[:, 1:2], n_sub)
+            Q, P, _, _ = integrate_batch(model, 0.0, sgn * t_step,
+                                         survivors[:, 0:1], survivors[:, 1:2], n_sub)
             moved = np.stack([Q[:, 0], P[:, 0]], axis=1)
             dmin = _graph_distance(moved, survivors, n)
             stable = stable and bool(np.all(dmin <= tol_graph))

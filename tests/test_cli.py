@@ -142,6 +142,20 @@ def test_config_errors_exit_1(tmp_path):
                     "--out", str(tmp_path / "o2")]) == 1
 
 
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    # --out names an existing file, so the output directory cannot be made
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert run_cli(["check", "--model", "pendulum", "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "taken" in err
+    # an output file that is a directory cannot be written
+    out = tmp_path / "o"
+    (out / "hypothesis_report.json").mkdir(parents=True)
+    assert run_cli(["check", "--model", "pendulum", "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["alpha", "--t-max", "0"], ["alpha", "--t-step", "0"],
                                   ["weakkam", "--t-step", "0"]])
 def test_nonpositive_step_or_cap_exits_1(tmp_path, argv):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,12 +131,80 @@ def test_twist_scan_uses_the_uniform_step_rule(pendulum):
                                                               step=0.0052)
 
 
+def _runaway():
+    # the quartic runaway: orbits from |q| near 2 blow up within t = 3
+    return custom_model(lambda t, q, p: 0.5 * np.sum(p * p, axis=-1)
+                        - 25.0 * np.sum(q ** 4, axis=-1), m=1.0, M=1.0)
+
+
 def test_trajectory_escape():
-    runaway = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, axis=-1)
-                           - 25.0 * np.sum(q ** 4, axis=-1), m=1.0, M=1.0)
     with pytest.raises(TrajectoryEscape) as info:
-        integrate_flow(runaway, ([1.0], [1.0]), 0.0, 10.0, step=1e-3)
+        integrate_flow(_runaway(), ([1.0], [1.0]), 0.0, 10.0, step=1e-3)
     assert info.value.exit_time is not None
+
+
+def test_default_window_halves_a_failed_candidate():
+    # a pendulum whose hessian under-reports (M_emp = 1) gets the largest
+    # candidate, 1.0, which fails the twist scan; the window is halved until
+    # a scan certifies it
+    from hjkam.flow import default_sigma_eff
+    tp = 2 * np.pi
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(tp * q[..., 0]),
+                         m=1, M=tp ** 2, grad=lambda t, q, p: (-tp * np.sin(tp * q), p),
+                         hessian=lambda t, q, p: (0.0, 0.0, 1.0), periodic=True)
+    assert check_twist(model, 0.0, 1.0) < 0
+    window = default_sigma_eff(model)
+    assert window.t < 1.0 and np.log2(window.t) == round(np.log2(window.t))
+    assert window.margin >= 0
+    assert certify_sigma(model, window.t).margin == window.margin
+
+
+def test_monodromy_escape_is_typed_and_silent():
+    # the orbit overflows to inf and NaN; monodromy raises TrajectoryEscape
+    # and no floating-point warning escapes on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrajectoryEscape):
+            monodromy(_runaway(), ([1.9], [0.0]), 0.0, 0.5)
+    assert not caught
+
+
+def test_trajectory_escape_on_nan():
+    # a vector field that turns NaN past q = 0.5 escapes there; the box
+    # test alone (|q|, |p| > OVERFLOW_GUARD) never sees a NaN
+    def grad(t, q, p):
+        return np.where(q > 0.5, np.nan, 0.0), p
+
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), m=1, M=1, grad=grad,
+                         hessian=lambda t, q, p: (0.0, 0.0, 1.0))
+    with pytest.raises(TrajectoryEscape) as info:
+        integrate_flow(model, ([0.0], [1.0]), 0.0, 2.0, step=0.01)
+    assert 0.5 < info.value.exit_time < 0.6
+
+
+def test_escaped_rows():
+    from hjkam.flow import OVERFLOW_GUARD, _escaped
+    Q = np.array([[0.0], [OVERFLOW_GUARD], [np.inf], [np.nan], [0.0], [-2 * OVERFLOW_GUARD]])
+    P = np.array([[1.0], [-OVERFLOW_GUARD], [0.0], [0.0], [np.nan], [0.0]])
+    assert _escaped(Q, P).tolist() == [False, False, True, True, True, True]
+    assert not _escaped(Q[0], P[0]) and _escaped(Q[3], P[3])
+
+
+def test_escaping_row_leaves_its_batch_alone():
+    # rows that run to inf or NaN do not touch the others' bits
+    from hjkam.flow import _escaped, integrate_batch
+    model = _runaway()
+    Q0 = np.linspace(-2.0, 2.0, 9)[:, None]
+    P0 = np.zeros_like(Q0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, P, _, W = integrate_batch(model, 0.0, 3.0, Q0, P0, 300, want_action=True)
+        solo = [integrate_batch(model, 0.0, 3.0, Q0[i], P0[i], 300, want_action=True)
+                for i in range(len(Q0))]
+    out = _escaped(Q, P)
+    assert out.any() and not out.all()
+    for i in np.flatnonzero(~out):
+        assert (Q[i].tobytes(), P[i].tobytes(), W[i].tobytes()) == tuple(
+            np.asarray(a).tobytes() for a in (solo[i][0], solo[i][1], solo[i][3]))
 
 
 def test_trajectory_csv(tmp_path, pendulum):
@@ -170,8 +240,8 @@ def test_stage_evaluates_grad_once_with_action(want_monodromy, want_action, per_
         return z, z, np.ones_like(z)
 
     model = custom_model(value, m=1, M=1, grad=grad, hessian=hessian, periodic=True)
-    Q, P, Mono, W, _ = integrate_batch(model, 0.0, 1.0, np.zeros((3, 1)), np.ones((3, 1)), 10,
-                                       want_monodromy=want_monodromy, want_action=want_action)
+    Q, P, Mono, W = integrate_batch(model, 0.0, 1.0, np.zeros((3, 1)), np.ones((3, 1)), 10,
+                                    want_monodromy=want_monodromy, want_action=want_action)
     assert tuple(calls.values()) == tuple(4 * 10 * c for c in per_stage)
     assert np.allclose(Q[:, 0], 1.0)
     assert (W is not None) == want_action and (Mono is not None) == want_monodromy
@@ -194,7 +264,7 @@ def test_step_must_be_finite_and_positive(pendulum, step, tmp_path):
                  f"--step={step}", "--out", str(tmp_path)]) == 1
 
 
-def _reference_rk4(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action, guard):
+def _reference_rk4(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action):
     """Per-component RK4: q, p, the monodromy and the action as separate arrays.
 
     This is the arithmetic the packed kernel must reproduce bit for bit.
@@ -217,7 +287,6 @@ def _reference_rk4(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action, 
         eye = np.eye(2).reshape((2, 2) + (1,) * len(shape))
         Mono = np.broadcast_to(eye, (2, 2) + shape).copy()
     W = np.zeros(shape) if want_action else None
-    escaped = np.zeros(shape, bool)
     h = (t - tau) / n_steps
     s = tau
     for _ in range(n_steps):
@@ -228,26 +297,16 @@ def _reference_rk4(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action, 
                    None if Mono is None else Mono + h / 2 * k2[2])
         k4 = stage(s + h, Q + h * k3[0], P + h * k3[1],
                    None if Mono is None else Mono + h * k3[2])
-        dQ = (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) * (h / 6)
-        dP = (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) * (h / 6)
-        if guard is not None and escaped.any():
-            live = ~escaped
-            Q[live] += dQ[live]
-            P[live] += dP[live]
-        else:
-            Q += dQ
-            P += dP
+        Q += (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) * (h / 6)
+        P += (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) * (h / 6)
         if Mono is not None:
             Mono += (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) * (h / 6)
         if W is not None:
-            dW = (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) * (h / 6)
-            W = np.where(escaped, W, W + dW) if guard is not None else W + dW
+            W = W + (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) * (h / 6)
         s += h
-        if guard is not None:
-            escaped |= (np.max(np.abs(Q), axis=-1) > guard) | (np.max(np.abs(P), axis=-1) > guard)
     if Mono is not None:
         Mono = np.moveaxis(Mono, (0, 1), (-2, -1))
-    return Q, P, Mono, W, escaped
+    return Q, P, Mono, W
 
 
 def _fd_pendulum():
@@ -269,17 +328,11 @@ def test_packed_kernel_matches_reference_bits(model_name, want_monodromy, want_a
     for shape in [(7, 1), (3, 5, 1), (1,)]:
         Q0 = rng.uniform(-1.0, 1.0, shape)
         P0 = rng.uniform(-3.0, 3.0, shape)
-        # no guard, a guard that never fires, and one that freezes the rows
-        # leaving [-2, 2]^2 (at least one in every shape but (1,))
-        for guard in (None, 1e8, 2.0):
-            new = integrate_batch(model, 0.1, 0.9, Q0, P0, 13, want_monodromy,
-                                  want_action, guard)
-            ref = _reference_rk4(model, 0.1, 0.9, Q0, P0, 13, want_monodromy,
-                                 want_action, guard)
-            if guard == 2.0 and shape != (1,):
-                assert ref[4].any() and not ref[4].all()
-            for a, b in zip(new, ref):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    a, b = np.asarray(a), np.asarray(b)
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        new = integrate_batch(model, 0.1, 0.9, Q0, P0, 13, want_monodromy, want_action)
+        ref = _reference_rk4(model, 0.1, 0.9, Q0, P0, 13, want_monodromy, want_action)
+        assert len(new) == len(ref) == 4
+        for a, b in zip(new, ref):
+            assert (a is None) == (b is None)
+            if a is not None:
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()

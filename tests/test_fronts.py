@@ -45,6 +45,15 @@ def test_inconsistent_graph_rejected(free):
         propagate_front(free, (qs, -2 * qs, np.cos(qs)), 0.1)
 
 
+@pytest.mark.parametrize("qs", [[-1.0, -0.5, 0.0, 0.0, 0.5, 1.0], [0.0]],
+                         ids=["repeated", "single"])
+def test_cauchy_positions_must_be_distinct(free, qs):
+    # a repeated position, or a lone one, has no slope: Lip(du0) is undefined
+    qs = np.array(qs)
+    with pytest.raises(ConfigError, match="distinct"):
+        classical_cauchy(free, (qs, -qs ** 2, -2 * qs), 0.05, [0.0])
+
+
 def test_horizon_formula(free):
     # Lip(du0) = 2, M = 1: T = 1/12; 0.08 accepted, 0.09 refused
     query = np.linspace(-0.5, 0.5, 21)

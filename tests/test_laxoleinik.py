@@ -168,6 +168,12 @@ def test_gridfunction_io_roundtrip(tmp_path):
     assert np.array_equal(u.values, v.values)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_gridfunction_needs_a_node(n):
+    with pytest.raises(ConfigError, match="n_per_dim >= 1"):
+        GridFunction(1, n, np.zeros(max(n, 0)))
+
+
 def test_gridfunction_header_rejects_unknown(tmp_path):
     path = tmp_path / "bad.gridfn"
     path.write_text('{"d": 1, "n_per_dim": 2, "zzz": 3}\n0\n0\n')
@@ -188,8 +194,9 @@ def test_gridfunction_header_d_must_be_1(tmp_path):
 
 
 @pytest.mark.parametrize("text", ['{"d": 1}\n0\n0\n', 'n_per_dim = 2\n0\n0\n',
-                                  '{"n_per_dim": 2}\n0.5\nabc\n'],
-                         ids=["header-without-n_per_dim", "header-not-json", "value-not-numeric"])
+                                  '{"n_per_dim": 2}\n0.5\nabc\n', '{"n_per_dim": 0}\n'],
+                         ids=["header-without-n_per_dim", "header-not-json", "value-not-numeric",
+                              "no-nodes"])
 def test_gridfunction_malformed_file_is_config_error(tmp_path, text, capsys):
     path = tmp_path / "bad.gridfn"
     path.write_text(text)
@@ -359,6 +366,12 @@ def _min_plus_by_loop(model, u, t, D, dual, sigma):
     return out, src
 
 
+def _source_nodes(dd, dual):
+    # the node theta that attains each image value, from _min_plus's displacements
+    jj = np.arange(len(dd))
+    return (jj + dd if dual else jj - dd) % len(dd)
+
+
 def _recording_kernel(widths):
     # action_kernel that appends each requested half-width D to ``widths``
     import hjkam.laxoleinik as lx
@@ -377,10 +390,10 @@ def _assert_min_plus_matches_loop(model, u, t, sig):
         widths = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lx, "action_kernel", _recording_kernel(widths))
-            image, src = lx._min_plus(model, u, 0.0, t, sig, dual)
+            image, dd = lx._min_plus(model, u, 0.0, t, sig, dual)
         want, want_src = _min_plus_by_loop(model, u, t, widths[-1], dual, sig)
         assert np.array_equal(image.values, want)
-        assert np.array_equal(src, want_src)
+        assert np.array_equal(_source_nodes(dd, dual), want_src)
     return widths[-1]
 
 
@@ -419,10 +432,10 @@ def test_min_plus_ties_go_to_first_displacement(free, monkeypatch, dual):
     u = GridFunction(1, 8, 0.5 * np.array([1, 0, 0, 0, 1, 0, 1, 0]))
     widths = []
     monkeypatch.setattr(lx, "action_kernel", _recording_kernel(widths))
-    image, src = lx._min_plus(free, u, 0.0, 0.1, SIGMA_FREE, dual)
+    image, dd = lx._min_plus(free, u, 0.0, 0.1, SIGMA_FREE, dual)
     want, want_src = _min_plus_by_loop(free, u, 0.1, widths[-1], dual, SIGMA_FREE)
     assert np.array_equal(image.values, want)
-    assert np.array_equal(src, want_src)
+    assert np.array_equal(_source_nodes(dd, dual), want_src)
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -439,12 +452,12 @@ def test_search_radius_doubling(pendulum, monkeypatch, mirror):
     widths = []
     monkeypatch.setattr(lx, "action_kernel", _recording_kernel(widths))
     monkeypatch.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: 2.0 / n)
-    for dual, (image, src) in zip((False, True), want):
+    for dual, (image, dd) in zip((False, True), want):
         widths.clear()
-        got, got_src = lx._min_plus(pendulum, u, 0.0, t, SIGMA_PEND, dual)
+        got, got_dd = lx._min_plus(pendulum, u, 0.0, t, SIGMA_PEND, dual)
         assert widths == [16, 32]
         assert np.array_equal(got.values, image.values)
-        assert np.array_equal(got_src, src)
+        assert np.array_equal(got_dd, dd)
 
 
 @pytest.mark.parametrize("name", ["free", "pendulum"])
@@ -783,7 +796,6 @@ def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
     from numpy.lib.stride_tricks import sliding_window_view
     import hjkam.laxoleinik as lx
     n = u.n_per_dim
-    jj = np.arange(n)
     R = min(lx.search_radius(model, t - tau, u.osc(), n),
             _velocity_radius_sampled(model, tau, t, u.lip_estimate, n))
     D = lx._quantize(int(np.ceil(R * n)))
@@ -799,8 +811,7 @@ def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
             cand += lx._target_major(K)
         best = (np.argmax if dual else np.argmin)(cand, axis=1)
         if 0 < best.min() and best.max() < 2 * D:
-            dd = best - D
-            return GridFunction(1, n, cand[jj, best]), (jj + dd if dual else jj - dd) % n
+            return GridFunction(1, n, cand[np.arange(n), best]), best - D
         D = lx._quantize(2 * D)
     raise lx.SearchRadiusExceeded(f"reference window still too narrow (D = {D})")
 
