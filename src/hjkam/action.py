@@ -88,7 +88,7 @@ def _segments(model, tau, t, pts, sigma_eff, step_target, p_init=None,
 
     def solve(ta, tb, a, b, p0):
         S, r0, r1, _, Mono = generating_batch(
-            model, ta, tb, a, b, sigma_eff=sigma_eff, check_sigma=False, p_init=p0,
+            model, ta, tb, a, b, sigma_eff=sigma_eff, p_init=p0,
             want_monodromy=want_monodromy, step_target=step_target)
         return S, r0, r1, Mono
 
@@ -224,8 +224,8 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     Q1 = np.asarray(Q1, float).reshape(-1, 1)
     if n is None:
         n = default_segments(tau, t, sig)
-    elif n < 1:
-        raise ConfigError(f"need at least one segment, got n = {n}")
+    elif not hasattr(type(n), "__index__") or n < 1:  # the test of operator.index
+        raise ConfigError(f"need an integer count of at least one segment, got n = {n!r}")
     lam = np.linspace(0, 1, n + 1)
     pts = Q0[:, None, :] + lam[None, :, None] * (Q1 - Q0)[:, None, :]
     if init_nodes is not None and n > 1:
@@ -255,8 +255,8 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     q1 = np.atleast_1d(np.asarray(q1, float))
     if n is None:
         n = default_segments(tau, t, sig)
-    elif n < 1:
-        raise ConfigError(f"need at least one segment, got n = {n}")
+    elif not hasattr(type(n), "__index__") or n < 1:  # the test of operator.index
+        raise ConfigError(f"need an integer count of at least one segment, got n = {n!r}")
     lam = np.linspace(0, 1, n + 1)
     straight = q0[None, :] + lam[:, None] * (q1 - q0)[None, :]
 

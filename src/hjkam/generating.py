@@ -88,8 +88,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol, J=None):
 
 
 def shoot_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
-                sigma_eff=None, p_init=None, check_sigma: bool = True,
-                step_target: float = TARGET_STEP):
+                sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
     """Initial momenta joining ``Q0[i] -> Q1[i]`` over ``[tau, t]`` (batch).
 
     Raises SigmaExceeded when the horizon leaves the working twist window
@@ -97,7 +96,7 @@ def shoot_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     """
     span = t - tau
     sig = resolve_sigma(model, sigma_eff)
-    if check_sigma and not (0 < span <= sig * (1 + 1e-12)):
+    if not (0 < span <= sig * (1 + 1e-12)):
         raise SigmaExceeded(f"horizon {span:.6g} outside (0, {sig:.6g}]")
     Q0 = np.asarray(Q0, float)
     Q1 = np.asarray(Q1, float)
@@ -159,14 +158,13 @@ class GeneratingSample:
 
 
 def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
-                     sigma_eff=None, check_sigma: bool = True, p_init=None,
-                     want_monodromy: bool = False, step_target: float = TARGET_STEP):
+                     sigma_eff=None, p_init=None, want_monodromy: bool = False,
+                     step_target: float = TARGET_STEP):
     """Batched generating values; returns (S, rho0, rho1, residual, monodromy)."""
     Q0 = np.asarray(Q0, float)
     Q1 = np.asarray(Q1, float)
     p0, res = shoot_batch(model, tau, t, Q0, Q1, sigma_eff=sigma_eff,
-                          p_init=p_init, check_sigma=check_sigma,
-                          step_target=step_target)
+                          p_init=p_init, step_target=step_target)
     Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p0,
                                     _steps_for(t - tau, step_target),
                                     want_monodromy=want_monodromy, want_action=True)

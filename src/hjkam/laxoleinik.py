@@ -241,7 +241,7 @@ def _pair_actions(model, tau, t, Q0, Q1, sigma):
     """
     if t - tau <= sigma * (1 + 1e-12):
         return generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
-                                check_sigma=False, step_target=KERNEL_STEP)[0]
+                                step_target=KERNEL_STEP)[0]
     return minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma)[0]
 
 

@@ -13,9 +13,10 @@ returned is the one the iteration reaches from its start.  Pair actions
 come from the grid layer's ``_pair_actions`` and every operator step from
 ``apply_T``.  The Mane potential is a shortest path on the kernel graph:
 the nodes are the grid, the edges are kernel entries ``A^h + a h`` over a
-few horizons h, and its all-pairs distances come from Johnson's algorithm,
-whose negative cycles mark the sub-critical levels.  Invariant sets prune
-backward-flowed graph seeds against the graph neighborhood.
+few horizons h, and its all-pairs distances are the graph's min-plus
+closure (Floyd's algorithm), whose negative cycles mark the sub-critical
+levels.  Invariant sets prune backward-flowed graph seeds against the graph
+neighborhood.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ TOL_WK = 5e-3
 TOL_ITER = 1e-9
 TOL_LEVEL_QUAD = 1e-13
 MANE_HORIZONS = 8
-# rounding allowance on a self-loop of the kernel graph at the critical level
+# rounding allowance on a cycle of the kernel graph at the critical level
 LOOP_TOL = 1e-12
 
 
@@ -277,37 +278,30 @@ def _mane_star(model, a, n, sigma_eff):
     """All-pairs shortest paths ``S`` of the kernel graph, and the summed
     edge horizons ``T`` along them.
 
-    ``S[i, j]`` is the grid Mane potential from ``x_i`` to ``x_j``.
-    Self-loops are dropped: at or above the critical level they cost zero
-    up to rounding, and a shortest path never needs one.  A loop below
-    ``-LOOP_TOL``, or a negative cycle found by Johnson's algorithm, means
-    the level is sub-critical.  Cached read-only per (model, a, n, sigma).
+    ``S[i, j]`` is the grid Mane potential from ``x_i`` to ``x_j``, by
+    Floyd's min-plus closure; ``T`` follows each improvement.  Before pivot
+    ``k``, ``S[k, k]`` is the cheapest cycle through ``k`` over the earlier
+    pivots (or its self-loop): below ``-LOOP_TOL`` the level is sub-critical
+    and the closure stops there, before the cycle can grow; otherwise it is
+    dropped, since at or above the critical level a cycle costs zero up to
+    rounding.  Cached read-only per (model, a, n, sigma).
     """
-    from scipy.sparse.csgraph import NegativeCycleError, csgraph_from_dense, johnson
     sig = resolve_sigma(model, sigma_eff)
     key = (model.cache_key(), round(a, 12), n, round(sig, 12))
     if key in _MANE_CACHE:
         return _MANE_CACHE[key]
-    W, H = _kernel_graph(model, a, n, sig)
-    loop = float(np.diag(W).min())
-    if loop < -LOOP_TOL:
-        raise LevelBelowCritical(f"self-loop of cost {loop:.3e} at level a = {a:.6g}: "
-                                 "the level is sub-critical")
-    np.fill_diagonal(W, np.inf)
-    try:
-        S, pred = johnson(csgraph_from_dense(W, null_value=np.inf),
-                          return_predecessors=True)
-    except NegativeCycleError as exc:
-        raise LevelBelowCritical(f"negative cycle in the kernel graph at level "
-                                 f"a = {a:.6g}: the level is sub-critical") from exc
-    # pointer doubling along the predecessor trees; the sources point at
-    # themselves with zero horizon
-    rows = np.arange(n)[:, None]
-    anc = np.where(pred < 0, rows, pred)
-    T = np.where(pred < 0, 0.0, H[anc, np.arange(n)])
-    for _ in range(int(np.ceil(np.log2(n)))):
-        T = T + T[rows, anc]
-        anc = anc[rows, anc]
+    S, T = _kernel_graph(model, a, n, sig)
+    for k in range(n):
+        if S[k, k] < -LOOP_TOL:
+            raise LevelBelowCritical(f"cycle of cost {S[k, k]:.3e} through q = {k / n:.6g} "
+                                     f"at level a = {a:.6g}: the level is sub-critical")
+        S[k, k] = np.inf
+        via = S[:, k, None] + S[k]
+        better = via < S
+        np.copyto(S, via, where=better)
+        np.copyto(T, T[:, k, None] + T[k], where=better)
+    np.fill_diagonal(S, 0.0)
+    np.fill_diagonal(T, 0.0)
     S.flags.writeable = T.flags.writeable = False
     if len(_MANE_CACHE) >= 16:
         _MANE_CACHE.pop(next(iter(_MANE_CACHE)))
@@ -316,7 +310,8 @@ def _mane_star(model, a, n, sigma_eff):
 
 
 def _cell(q, n):
-    """The two grid nodes around ``q`` and their linear interpolation weights."""
+    """The two grid nodes around ``q`` and their linear interpolation weights,
+    applied as explicit two-term sums: a BLAS product rounds by its kernel."""
     x = (float(q) % 1.0) * n
     i = int(np.floor(x))
     return np.array([i % n, (i + 1) % n]), np.array([1.0 - (x - i), x - i])
@@ -334,19 +329,21 @@ def mane_potential(model: HamiltonianModel, a: float, q_base: float,
     _require_torus(model)
     S, T = _mane_star(model, a, grid_n, sigma_eff)
     i, w = _cell(q_base, grid_n)
-    return ManeField(a=a, q_base=float(q_base), phi=GridFunction(1, grid_n, w @ S[i]),
-                     t_argmin=w @ T[i])
+    phi = GridFunction(1, grid_n, w[0] * S[i[0]] + w[1] * S[i[1]])
+    return ManeField(a=a, q_base=float(q_base), phi=phi,
+                     t_argmin=w[0] * T[i[0]] + w[1] * T[i[1]])
 
 
 def mane_pair(model: HamiltonianModel, a: float, q0: float, q1: float,
               grid_n: int = 128, sigma_eff=None) -> float:
     """Mane potential between torus points: a bilinear read of the grid's
-    shortest-path matrix."""
+    shortest-path matrix, the rows around ``q0`` first."""
     _require_torus(model)
     S, _ = _mane_star(model, a, grid_n, sigma_eff)
     i, w = _cell(q0, grid_n)
     j, v = _cell(q1, grid_n)
-    return float(w @ S[np.ix_(i, j)] @ v)
+    row = w[0] * S[i[0], j] + w[1] * S[i[1], j]
+    return float(v[0] * row[0] + v[1] * row[1])
 
 
 def _level_momentum(model, a, q, sign):

@@ -6,7 +6,7 @@ from conftest import SIGMA_FREE, SIGMA_PEND
 from hjkam.action import (TOL_CRIT_BASE, action_bounds, broken_action_value,
                           lagrangian_action, minimal_action, minimal_action_batch,
                           reconstruct_trajectory, tonelli_oracle, triangle_check)
-from hjkam.errors import ConfigError, MultistartExhausted
+from hjkam.errors import ConfigError, MultistartExhausted, SigmaExceeded
 from hjkam.generating import generating_S
 from hjkam.hamiltonian import free_model
 
@@ -153,12 +153,23 @@ def test_multistart_exhausted(pendulum):
     assert f"worst jump {worst:.3e}" in str(exc.value)
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0])
 def test_segment_count_below_one_is_config_error(pendulum, n):
     with pytest.raises(ConfigError, match="segment"):
         minimal_action(pendulum, 0.0, 0.15, [0.1], [0.4], sigma_eff=SIGMA_PEND, n=n)
     with pytest.raises(ConfigError, match="segment"):
         minimal_action_batch(pendulum, 0.0, 0.15, [0.1], [0.4], sigma_eff=SIGMA_PEND, n=n)
+
+
+def test_segments_beyond_window_raise_sigma_exceeded(pendulum):
+    # an explicit segment count whose segments leave the twist window is
+    # refused before any shooting
+    with pytest.raises(SigmaExceeded):
+        broken_action_value(pendulum, 0.0, 2.0, [0.1], [0.8], [[0.4]], sigma_eff=SIGMA_PEND)
+    with pytest.raises(SigmaExceeded):
+        minimal_action(pendulum, 0.0, 2.0, [0.1], [0.8], sigma_eff=SIGMA_PEND, n=4)
+    with pytest.raises(SigmaExceeded):
+        minimal_action_batch(pendulum, 0.0, 1.0, [0.1], [0.8], sigma_eff=SIGMA_PEND, n=1)
 
 
 def test_minimizer_csv(tmp_path, pendulum):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,42 @@ def test_mane_just_below_critical_detected(pendulum):
     alpha = critical_value(pendulum, grid_n=64, t_step=0.1, sigma_eff=SIGMA_PEND).alpha
     with pytest.raises(LevelBelowCritical):
         mane_potential(pendulum, alpha - 1e-3, 0.0, grid_n=64, sigma_eff=SIGMA_PEND)
+
+
+def test_mane_negative_cycle_detected(pendulum, monkeypatch):
+    import hjkam.weakkam as wk
+    # a ring of unit edges with zero self-loops, and one 3-cycle of cost -1.7;
+    # every other cycle costs at least 148
+    n = 512
+    W = np.full((n, n), np.inf)
+    np.fill_diagonal(W, 0.0)
+    W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    W[100, 300], W[300, 450], W[450, 100] = -0.5, -0.5, -0.7
+    monkeypatch.setattr(wk, "_kernel_graph", lambda *args: (W.copy(), np.ones((n, n))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LevelBelowCritical, match="sub-critical"):
+            wk._mane_star(pendulum, 1.0, n, SIGMA_PEND)
+
+
+def test_mane_off_grid_is_two_term_interpolation():
+    from hjkam.weakkam import _cell
+    # several modes, so that the rows carry many distinct bits; an on-grid
+    # base reads its node's row exactly
+    model = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
+    n, a, sig = 32, 1.2, 0.15
+    i, w = _cell(0.137, n)
+    assert 0 < w[1] < 1
+    rows = [mane_potential(model, a, k / n, grid_n=n, sigma_eff=sig) for k in i]
+    field = mane_potential(model, a, 0.137, grid_n=n, sigma_eff=sig)
+    assert np.array_equal(field.phi.values,
+                          w[0] * rows[0].phi.values + w[1] * rows[1].phi.values)
+    assert np.array_equal(field.t_argmin, w[0] * rows[0].t_argmin + w[1] * rows[1].t_argmin)
+    j, v = _cell(0.071, n)
+    S = [[rows[r].phi.values[c] for c in j] for r in range(2)]
+    pair = (v[0] * (w[0] * S[0][0] + w[1] * S[1][0])
+            + v[1] * (w[0] * S[0][1] + w[1] * S[1][1]))
+    assert mane_pair(model, a, 0.137, 0.071, grid_n=n, sigma_eff=sig) == pair
 
 
 def _mane_rows(model, a, n, sigma):
