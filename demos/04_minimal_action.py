@@ -3,7 +3,8 @@
 Chains of short orbit segments extend the generating function past the
 twist window.  Over long horizons the pendulum's minimizers park at the
 potential maximum, where the running cost is -max V; the independent
-Tonelli descent over discrete curves confirms the values.
+Tonelli oracle, Newton on the midpoint-rule action of discrete curves
+extrapolated in the segment count, confirms the values.
 """
 
 import numpy as np

@@ -7,9 +7,9 @@ relaxes a batch of chains: damped Newton on the chain action, with the
 tridiagonal Hessian assembled from each segment's monodromy blocks and an
 Armijo line search on the summed action.  Every evaluation is one
 warm-started ``generating_batch`` call that returns value, end momenta and
-monodromy together.  The Lagrangian-side Tonelli minimizer is kept fully
-independent of this pipeline and serves as the designated brute-force
-oracle.
+monodromy together.  The Tonelli oracle is independent of this pipeline:
+batched Newton on the midpoint-rule Lagrangian action of discrete curves,
+whose Hessian is tridiagonal too, extrapolated to fourth order in the step.
 """
 
 from __future__ import annotations
@@ -19,13 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, MultistartExhausted
+from .errors import ConfigError, MultistartExhausted, SolverDiverged
 from .flow import Trajectory, integrate_flow, resolve_sigma, write_csv
 from .generating import KERNEL_STEP, TARGET_STEP, generating_batch
 from .hamiltonian import HamiltonianModel, legendre_batch
 
 TOL_CRIT_BASE = 1e-6
 TOL_A_BASE = 1e-6
+# the Tonelli oracle's Newton: the gradient sup that stops a curve, a safety cap
+TOL_ORACLE_GRAD = 1e-10
+MAX_ORACLE_ITER = 200
 # The chain line search's step lengths 1, 1/2, ..., 1/512, in the groups
 # that one solve each tries: the full step, then the halvings that nearly
 # every rejected step needs, then the rest.
@@ -344,35 +347,81 @@ def action_bounds(model: HamiltonianModel, tau: float, t: float, q0, q1):
 def lagrangian_action(model: HamiltonianModel, times, curve) -> float:
     """Midpoint-rule Lagrangian action of a piecewise-linear curve."""
     times = np.asarray(times, float)
-    curve = np.asarray(curve, float)
-    if curve.ndim == 1:
-        curve = curve[:, None]
-    if len(times) != len(curve):
+    curve = np.asarray(curve, float).reshape(1, -1)
+    if len(times) != curve.shape[1]:
         raise ConfigError("times and curve must have equal length")
     if np.any(np.diff(times) <= 0):
         raise ConfigError("times must be increasing")
-    dt = np.diff(times)
-    mid_t = times[:-1] + dt / 2
-    mid_q = (curve[1:] + curve[:-1]) / 2
-    v = (curve[1:] - curve[:-1]) / dt[:, None]
-    L, _ = legendre_batch(model, mid_t if not model.autonomous else 0.0, mid_q, v)
-    return float(np.sum(L * dt))
+    return float(_midpoint_action(model, times, curve)[0])
 
 
-def _discrete_action_and_grad(model, tau, t, q0, q1, theta, n):
-    h = (t - tau) / n
-    pts = np.concatenate([q0[None], theta.reshape(n - 1, 1), q1[None]])
-    mid_t = tau + h * (np.arange(n) + 0.5)
-    mid_q = (pts[1:] + pts[:-1]) / 2
-    v = (pts[1:] - pts[:-1]) / h
-    tt = mid_t if not model.autonomous else 0.0
-    L, p_star = legendre_batch(model, tt, mid_q, v)
-    Hq = model.jet(tt, mid_q, p_star)[0]
-    Lq = -Hq
-    value = float(np.sum(L) * h)
-    # d/d theta_k: h/2 (Lq_k-1 + Lq_k) + (p*_{k-1} - p*_k)
-    grad = 0.5 * h * (Lq[:-1] + Lq[1:]) + (p_star[:-1] - p_star[1:])
-    return value, grad.ravel()
+def _midpoint_action(model, times, X, derivs=False):
+    """Midpoint-rule action (B,) of the curves ``X`` (B, n+1) at ``times``.
+
+    With ``derivs``, also the gradient (B, n-1) in the interior nodes and the
+    tridiagonal Hessian's diagonal and off-diagonal, from the jet's blocks
+    at the Legendre point: ``L_vv = 1/H_pp``, ``L_qv = -H_qp/H_pp``,
+    ``L_qq = -H_qq + H_qp^2/H_pp``.
+    """
+    h = np.diff(times)
+    tt = 0.0 if model.autonomous else times[:-1] + h / 2
+    mid = ((X[:, 1:] + X[:, :-1]) / 2)[..., None]
+    L, p = legendre_batch(model, tt, mid, (np.diff(X) / h)[..., None])
+    value = np.sum(L * h, axis=-1)
+    if not derivs:
+        return value
+    Hq, _, _, (Hqq, Hqp, Hpp) = model.jet(tt, mid, p, hessian=True)
+    Lvv = np.broadcast_to(1.0 / Hpp, L.shape)
+    Lqv = -Hqp * Lvv
+    Lqq = -Hqq - Hqp * Lqv
+    half = -h * Hq[..., 0] / 2        # h L_q / 2 on every segment
+    grad = half[:, :-1] + half[:, 1:] + p[:, :-1, 0] - p[:, 1:, 0]
+    a = h * Lqq / 4 + Lvv / h
+    diag = (a + Lqv)[:, :-1] + (a - Lqv)[:, 1:]
+    off = (h * Lqq / 4 - Lvv / h)[:, 1:-1]
+    return value, grad, diag, off
+
+
+def _tonelli_newton(model, tau, t, X):
+    """Damped Newton on the midpoint-rule action of the curves ``X`` (B, n+1).
+
+    ``X`` is updated in place, its endpoints fixed.  Where a pivot is not
+    positive, the row's Hessian diagonal is shifted, doubling from 1e-6 of
+    its largest entry until every pivot is.  Steps halve until the action
+    decreases strictly by the Armijo margin.  A row stops at the gradient
+    sup ``TOL_ORACLE_GRAD``, or when its predicted decrease falls below the
+    value's rounding.  Returns the values and final gradient sups (B,).
+    """
+    times = np.linspace(tau, t, X.shape[1])
+    A, g, diag, off = _midpoint_action(model, times, X, derivs=True)
+    done = np.abs(g).max(axis=1) <= TOL_ORACLE_GRAD
+    for _ in range(MAX_ORACLE_ITER):
+        act = np.flatnonzero(~done)
+        if not len(act):
+            break
+        shift, ok = np.zeros(len(act)), np.zeros(len(act), bool)
+        while not ok.all():
+            d, ok = _thomas_batch(diag[act] + shift[:, None], off[act], g[act])
+            shift = np.where(ok, shift, np.maximum(2 * shift, 1e-6 * np.abs(diag[act]).max(1)))
+        slope = np.sum(g[act] * d, axis=1)
+        lam = np.ones(len(act))
+        todo = np.arange(len(act))
+        while len(todo):
+            rows = act[todo]
+            trial = X[rows]
+            trial[:, 1:-1] -= lam[todo, None] * d[todo]
+            At, gt, dt, ot = _midpoint_action(model, times, trial, derivs=True)
+            good = At < A[rows] - 1e-4 * lam[todo] * slope[todo]
+            i = rows[good]
+            X[i], A[i], g[i], diag[i], off[i] = trial[good], At[good], gt[good], dt[good], ot[good]
+            lam[todo] /= 2
+            floored = lam[todo] * slope[todo] <= np.finfo(float).eps * (1.0 + np.abs(A[rows]))
+            done[rows] = np.where(good, np.abs(gt).max(axis=1) <= TOL_ORACLE_GRAD, floored)
+            todo = todo[~good & ~floored]
+    if not done.all():
+        raise SolverDiverged("tonelli oracle: Newton did not converge",
+                             residual=float(np.abs(g[~done]).max()))
+    return A, np.abs(g).max(axis=1)
 
 
 def waypoint_curves(q0, q1, lam, waypoints):
@@ -391,39 +440,35 @@ def waypoint_curves(q0, q1, lam, waypoints):
 
 
 def tonelli_oracle(model: HamiltonianModel, tau: float, t: float, q0, q1,
-                   n_segments: int = 200, restarts: int = 3, seed: int = 0,
-                   maxiter: int = 200) -> float:
+                   n_segments: int = 200, restarts: int = 3, seed: int = 0) -> float:
     """Brute-force minimal Lagrangian action over discrete Lipschitz curves.
 
-    Deliberately independent of the generating/action pipeline: uniform
-    time grid, forward-difference velocities, limited-memory quasi-Newton.
-    Starts cover the straight line, travel-hold-travel curves through a
-    spread of waypoints (long horizons reward parking in cheap regions),
-    and seeded random perturbations.
+    Deliberately independent of the generating/action pipeline: Newton on
+    the midpoint-rule action of piecewise-linear curves on a uniform grid,
+    over all starts in one batch.  Starts cover the straight line,
+    travel-hold-travel curves through a spread of waypoints (long horizons
+    reward parking in cheap regions), and seeded random perturbations.  The
+    rule is second order, so the best start gives ``T_n``, its linear
+    interpolation ``T_2n``, and ``(4 T_2n - T_n) / 3`` is returned.
     """
-    from scipy.optimize import minimize
-    if n_segments < 2:
-        raise ConfigError("tonelli oracle needs n_segments >= 2")
-    q0 = np.atleast_1d(np.asarray(q0, float))
-    q1 = np.atleast_1d(np.asarray(q1, float))
+    if t <= tau:
+        raise ConfigError("tonelli oracle requires t > tau")
     n = n_segments
-    lam = np.linspace(0, 1, n + 1)[1:-1]
-    straight = (q0[None, :] + lam[:, None] * (q1 - q0)[None, :]).ravel()
-    lo = min(q0[0], q1[0]) - 1.0
-    hi = max(q0[0], q1[0]) + 1.0
-    starts = [straight] + waypoint_curves(q0[0], q1[0], lam, np.linspace(lo, hi, 9))
+    if not hasattr(type(n), "__index__") or n < 2:  # the test of operator.index
+        raise ConfigError(f"tonelli oracle needs an integer n_segments >= 2, got {n!r}")
+    q0, q1 = (float(np.ravel(q)[0]) for q in (q0, q1))
+    lam = np.linspace(0, 1, n + 1)
+    straight = q0 + lam * (q1 - q0)
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts - 1)):
-        taper = np.sin(np.pi * lam)
-        starts.append(straight + (rng.normal(0.0, 0.3 * (1 + np.linalg.norm(q1 - q0)),
-                                             (n - 1, 1)) * taper[:, None]).ravel())
-    best = np.inf
-    for x0 in starts:
-        out = minimize(lambda x: _discrete_action_and_grad(model, tau, t, q0, q1, x, n),
-                       x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-12})
-        best = min(best, float(out.fun))
-    return best
+    X = np.stack([straight]
+                 + waypoint_curves(q0, q1, lam, np.linspace(min(q0, q1) - 1, max(q0, q1) + 1, 9))
+                 + [straight + rng.normal(0.0, 0.3 * (1 + abs(q1 - q0)), n + 1)
+                    * np.sin(np.pi * lam) for _ in range(restarts - 1)])
+    X[:, 0], X[:, -1] = q0, q1
+    T_n, _ = _tonelli_newton(model, tau, t, X)
+    fine = np.interp(np.linspace(0, 1, 2 * n + 1), lam, X[np.argmin(T_n)])[None]
+    T_2n, _ = _tonelli_newton(model, tau, t, fine)
+    return float((4 * T_2n[0] - T_n.min()) / 3)
 
 
 def triangle_check(model: HamiltonianModel, t0: float, t1: float, t2: float,

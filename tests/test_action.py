@@ -62,6 +62,75 @@ def test_oracle_agreement_cases(pendulum):
         assert abs(A - T) <= 2e-3
 
 
+@pytest.mark.parametrize("q0, q1, tau, t", [(0.0, 2.0, 0.0, 2.0), (0.1, 0.7, 0.3, 0.8),
+                                           (0.9, -0.4, -1.0, 0.5)])
+def test_oracle_free_closed_form(free, q0, q1, tau, t):
+    T = tonelli_oracle(free, tau, t, [q0], [q1], n_segments=50, restarts=2)
+    assert abs(T - (q1 - q0) ** 2 / (2 * (t - tau))) <= 1e-12
+
+
+def test_oracle_discretisation_is_second_order(pendulum):
+    # the unextrapolated midpoint values on one branch, refined by linear
+    # interpolation, lose a factor 4 of their error per halving of the step
+    import hjkam.action as act
+    X = np.linspace(0.3, 0.8, 51)[None]
+    values = []
+    for n in (50, 100, 200):
+        X = np.interp(np.linspace(0, 1, n + 1), np.linspace(0, 1, X.shape[1]), X[0])[None]
+        A, _ = act._tonelli_newton(pendulum, 0.0, 2.0, X)
+        values.append(A[0])
+    ratio = (values[0] - values[1]) / (values[1] - values[2])
+    assert 3.5 <= ratio <= 4.5
+
+
+def test_oracle_best_start_meets_gradient_tolerance(pendulum, monkeypatch):
+    import hjkam.action as act
+    solves = []
+    newton = act._tonelli_newton
+
+    def record(*args):
+        out = newton(*args)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(act, "_tonelli_newton", record)
+    tonelli_oracle(pendulum, 0.0, 2.0, [0.3], [0.8], n_segments=200, restarts=3)
+    assert len(solves) == 2
+    for values, gsup in solves:
+        assert gsup[np.argmin(values)] <= 1e-8
+
+
+@pytest.mark.parametrize("t", [0.5, 0.2])
+def test_oracle_horizon_not_after_tau_is_config_error(pendulum, t):
+    with pytest.raises(ConfigError, match="t > tau"):
+        tonelli_oracle(pendulum, 0.5, t, [0.1], [0.4])
+
+
+@pytest.mark.parametrize("n", [200.0, 2.5])
+def test_oracle_segment_count_not_integer_is_config_error(pendulum, n):
+    with pytest.raises(ConfigError, match="n_segments"):
+        tonelli_oracle(pendulum, 0.0, 1.0, [0.1], [0.4], n_segments=n)
+
+
+def test_oracles_run_without_scipy_optimize_or_integrate():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.modules['scipy.optimize'] = None; "
+            "sys.modules['scipy.integrate'] = None; import numpy as np; "
+            "from hjkam import forced_model, pendulum_model, tonelli_oracle; "
+            "from hjkam.acceptance import pendulum_weak_kam_oracle; "
+            "print(tonelli_oracle(pendulum_model(), 0.0, 1.0, [0.1], [0.9]), "
+            "tonelli_oracle(forced_model([0.0, 0.3]), 0.1, 0.7, [0.2], [0.7]), "
+            "pendulum_weak_kam_oracle(np.linspace(0, 1, 5))[2])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    pend, forced, top = map(float, out.stdout.split())
+    assert abs(pend - 0.2635518866) < 1e-8 and np.isfinite(forced)
+    assert abs(top - 2 / np.pi) < 1e-15
+
+
 def test_value_decreases_with_horizon(pendulum):
     # from the well bottom the curve migrates toward the potential maximum
     vals = [tonelli_oracle(pendulum, 0.0, t, [0.5], [0.5],
