@@ -118,10 +118,12 @@ def _stage(model, t, Y, K, mono, action, work):
         hqq, hqp, hpp = blocks
         top, bottom = Y[2:4, ..., 0], Y[4:6, ..., 0]
         dtop, dbottom = K[2:4, ..., 0], K[4:6, ..., 0]
-        np.multiply(hqp, top, out=dtop)
-        dtop += np.multiply(hpp, bottom, out=work)
+        np.multiply(hpp, bottom, out=dtop)
         np.multiply(-hqq, top, out=dbottom)
-        dbottom -= np.multiply(hqp, bottom, out=work)
+        # a number 0.0 block (every built-in family) only adds signed zeros
+        if not (isinstance(hqp, float) and hqp == 0.0):
+            dtop += np.multiply(hqp, top, out=work)
+            dbottom -= np.multiply(hqp, bottom, out=work)
     if action:
         K[-1, ..., 0] = L
 

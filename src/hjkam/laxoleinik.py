@@ -8,22 +8,24 @@ window, a relaxed broken geodesic beyond it.  The action kernel
 ``A_tau^t(theta, theta + dd/n)`` tabulates it once per (model, horizon,
 grid, radius) and is cached; a wider request solves only the new
 displacement columns and splices them around the cached block.  For
-q-homogeneous families a single displacement row suffices.  The free,
-quadratic and mechanical families are autonomous and even in p, so time
-reversal gives ``A(x, y) = A(y, x)``: of the columns a build or growth
-adds, every ``dd >= 0`` entry is solved and an entry ``dd = -e`` at row
-``j >= e`` is copied from ``K[j - e, D + e]``, whose pair lies in the same
-period (for n a power of two it is the same floating-point problem
-reversed).  Rows ``j < e`` are solved: their mirror would cross q = 0 and
-differ from a direct solve by rounding, and row 0 of an even potential
-would lose the bitwise reflection symmetry that the Aubry-set seed at the
-origin needs.  Forced and custom models solve every entry.  Each cached
-kernel, stored by source node, is one plane of a read-only array whose
-other plane is its target-major companion: the same entries stored by
-target node, filled only when the kernel is built or grown.  ``T`` and its dual share one
-min-plus routine: one strided window of the periodically extended operand
-(reversed for ``T``) plus (dual: minus) a kernel window, one
-``(n, 2 D + 1)`` array reduced along its rows in both directions.  Its
+q-homogeneous families a single displacement row suffices.  One entry per
+orbit of the model's symmetries is solved and copied to the rest.  The
+free, quadratic and mechanical families are autonomous and even in p, so
+time reversal gives ``A(x, y) = A(y, x)``, which takes an entry ``(j, dd)``
+to ``(j + dd mod n, -dd)``; mechanical and forced potentials with no sine
+term are even, so reflection gives ``A(x, y) = A(-x, -y)``, which takes it
+to ``(-j mod n, -dd)``.  An orbit stays in its columns ``+-dd``, so a growth
+solves the problems a fresh build does, and its entries hold one solve bit
+for bit (row 0 of an even potential stays symmetric, as the Aubry-set seed
+at the origin needs).  A copy differs from its own direct solve by the
+shooting floor, about 5e-9, or by rounding under reflection alone.  Custom
+models solve every entry.  Each cached kernel, stored by source node, is
+one plane of a read-only array whose other plane is its target-major
+companion: the same entries stored by target node, filled only when the
+kernel is built or grown.  ``T`` and its dual share one min-plus routine:
+one strided window of the periodically extended operand (reversed for
+``T``) plus (dual: minus) a kernel window, one ``(n, 2 D + 1)`` array
+reduced along its rows in both directions.  Its
 window is the smaller of two radii: ``search_radius`` from the a-priori
 action bounds, and ``velocity_radius``, the distance a minimizer can travel
 when its start momentum is bounded by the operand's Lipschitz constant; for
@@ -52,7 +54,7 @@ _KERNEL_CACHE: dict = {}
 _SUPS_CACHE: dict = {}
 _CACHE_LIMIT = 32
 # autonomous and even in p for every member, so A(x, y) = A(y, x); custom
-# models are never assumed reversible, even when they are
+# models are never assumed reversible or even, even when they are
 _REVERSIBLE = frozenset({"free", "quadratic", "mechanical"})
 
 
@@ -252,17 +254,19 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
     Returns shape ``(rows, 2 D + 1)`` with ``rows = 1`` for q-homogeneous
     models.  Cached; when a wider radius is asked, only the displacements
     ``Dc < |dd| <= D`` beyond the cached ``Dc`` are solved, in one batch,
-    and the cached columns are kept as they are.  For the reversible
-    families (``_REVERSIBLE``) the new columns ``dd = -e`` are mirrored,
-    ``K[j, D - e] = K[j - e, D + e]``, at the rows ``j >= e`` and solved at
-    the rows ``j < e``, whose reversed pair wraps across q = 0; so an n-row
-    build solves ``n (D + 1) + D (D + 1) / 2`` entries (for ``D < n``) in
-    place of ``n (2 D + 1)``, and a growth and a fresh build still solve
-    each entry as the same problem.  Each build or growth also
-    fills the target-major companion ``Kt[j, dd + D] = K[(j - dd) % rows,
-    dd + D]`` that the forward operator reads: K and Kt are the two planes
-    of one read-only array, so they are cached and evicted as one, and
-    ``_target_major`` reaches Kt from any window of K.
+    and the cached columns are kept as they are.  An entry ``(j, dd)`` is
+    solved only when it is the least, by row and then ``dd``, of its orbit
+    under the model's symmetries: reflection ``(-j, -dd)`` for mechanical
+    and forced potentials with no sine term, time reversal ``(j + dd, -dd)``
+    for ``_REVERSIBLE``, and ``(-j - dd, dd)`` when both hold, rows mod n;
+    the orbit's other entries copy it.  So an autonomous even n-row build
+    with n even and ``D < n / 2`` solves ``(n / 2 + 1) + D n / 2 +
+    floor(D / 2)`` entries in place of ``n (2 D + 1)``, and a growth and a
+    fresh build still solve each entry as the same problem.  Each build or
+    growth also fills the target-major companion ``Kt[j, dd + D] =
+    K[(j - dd) % rows, dd + D]`` that the forward operator reads: K and Kt
+    are the two planes of one read-only array, so they are cached and
+    evicted as one, and ``_target_major`` reaches Kt from any window of K.
     """
     sigma = resolve_sigma(model, sigma_eff)
     key = _kernel_key(model, tau, t, n, sigma)
@@ -275,17 +279,27 @@ def action_kernel(model: HamiltonianModel, tau: float, t: float, n: int,
         cached = np.empty((rows, 0))
     x = np.zeros(1) if rows == 1 else np.arange(n) / n
     dds = np.setdiff1d(np.arange(-D, D + 1), np.arange(-Dc, Dc + 1))
-    # time reversal fills dd = -e at the rows j >= e, whose reversed pair
-    # K[j - e, D + e] lies in the same period; the rows j < e are solved
-    mirror = ((np.arange(rows)[:, None] + dds >= 0) & (dds < 0)
-              & (model.family in _REVERSIBLE))
+    # each entry (j, dd) is solved or copied from the least flat index, by
+    # row and then dd, of its orbit under the model's symmetries, which keep
+    # the columns +-dd; dds is symmetric about 0, so column len(dds) - 1 - c
+    # holds -dds[c]
+    j, c = np.arange(rows)[:, None], np.arange(len(dds))
+    flat = j * len(dds) + c
+    rep, flip = flat.copy(), len(dds) - 1 - c
+    reverse = model.family in _REVERSIBLE
+    # H(t, -q, -p) = H(t, q, p) when V has no sine term: params pack [c0, a1,
+    # b1, ...], then the forced eps at an odd index
+    reflect = model.family in ("mechanical", "forced") and not any(model.params[2::2])
+    for on, row, col in ((reverse, j + dds, flip), (reflect, -j, flip),
+                         (reverse and reflect, -j - dds, c)):
+        if on:
+            np.minimum(rep, row % rows * len(dds) + col, out=rep)
+    solve = rep == flat
     new = np.empty((rows, len(dds)))
-    Q0 = np.broadcast_to(x[:, None], new.shape)[~mirror][:, None]
-    Q1 = Q0 + np.broadcast_to(dds / n, new.shape)[~mirror][:, None]
-    new[~mirror] = _pair_actions(model, tau, t, Q0, Q1, sigma)
-    # dds is symmetric about 0: column len(dds) - 1 - c holds -dds[c]
-    jm, cm = np.nonzero(mirror)
-    new[jm, cm] = new[jm + dds[cm], len(dds) - 1 - cm]
+    Q0 = np.broadcast_to(x[:, None], new.shape)[solve][:, None]
+    Q1 = Q0 + np.broadcast_to(dds / n, new.shape)[solve][:, None]
+    new[solve] = _pair_actions(model, tau, t, Q0, Q1, sigma)
+    new = new.ravel()[rep]
     half = len(dds) // 2
     planes = np.empty((2, rows, 2 * D + 1))
     np.concatenate([new[:, :half], cached, new[:, half:]], axis=1, out=planes[0])

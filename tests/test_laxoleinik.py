@@ -496,10 +496,12 @@ def test_kernel_grows_by_new_columns(pendulum, monkeypatch, t):
     # their own batch.  Each pair is solved independently of its batch mates
     # (t = 0.1 by the generating function, t = 0.3 by relaxed chains past
     # sigma = 0.2), so the grown kernel equals a fresh build bit for bit.
-    # The pendulum is reversible: of the dd = -e columns only the rows
-    # j < min(e, n) are solved, the rest are mirrored.  D = 8 solves
-    # 9 n + (1 + ... + 8) = 180 entries; the growth 16 n + (9 + ... + 16)
-    # + 8 n = 484
+    # The pendulum is reversible and even: one entry per orbit of
+    # (j, dd) -> (j + dd, -dd), (-j, -dd), (-j - dd, dd) (mod n) is solved.
+    # Column 0 has the n / 2 + 1 orbits of j -> -j; the columns +-e have
+    # n / 2, plus one when e is even, where (-j - e, e) fixes the two rows
+    # 2 j = -e mod n.  D = 8 solves 9 + 8 * 8 + 4 = 77 entries; the growth
+    # 16 * 8 + 8 = 136
     import hjkam.laxoleinik as lx
     n = 16
     solved = []
@@ -513,10 +515,10 @@ def test_kernel_grows_by_new_columns(pendulum, monkeypatch, t):
     lx.clear_kernel_cache()
     small = lx.action_kernel(pendulum, 0.0, t, n, 8, sigma_eff=SIGMA_PEND).copy()
     grown = lx.action_kernel(pendulum, 0.0, t, n, 24, sigma_eff=SIGMA_PEND)
-    assert solved == [180, 484]
+    assert solved == [77, 136]
     assert np.array_equal(grown[:, 16:33], small)
     lx.action_kernel(pendulum, 0.0, t, n, 20, sigma_eff=SIGMA_PEND)
-    assert solved == [180, 484]  # a narrower request is a hit
+    assert solved == [77, 136]  # a narrower request is a hit
     with pytest.raises(ValueError):
         grown[0, 0] = 1.0
     lx.clear_kernel_cache()
@@ -545,9 +547,9 @@ def _two_well():
 
 @pytest.mark.parametrize("name", ["pendulum", "shifted_pendulum", "two_well"])
 def test_kernel_mirror_copies_time_reversal(request, name):
-    # reversible families copy K[j, D - e] = K[j - e, D + e] for j >= e, in a
-    # first build and in a growth; the copies are the direct solves to 1e-8,
-    # and every row j < e, whose reversed pair crosses q = 0, is solved
+    # reversible families copy K[j, D - e] = K[j - e, D + e] (or the other
+    # way), in a first build and in a growth; the copies are the direct
+    # solves to 1e-8
     import hjkam.laxoleinik as lx
     model = _two_well() if name == "two_well" else request.getfixturevalue(name)
     sig = 0.1 if name == "two_well" else SIGMA_PEND
@@ -564,8 +566,8 @@ def test_kernel_mirror_copies_time_reversal(request, name):
 
 
 def test_kernel_mirror_keeps_row_zero_symmetric(pendulum):
-    # cos 2 pi q is even about q = 0, and row 0 is solved in both directions,
-    # so A(0, e/n) and A(0, -e/n) are the same problem mirrored, bit for bit.
+    # cos 2 pi q is even about q = 0, so A(0, e/n) = A(0, -e/n): the one is
+    # copied from the other, bit for bit.
     # The hyperbolic seed at (0, 0) of invariant_set relies on it
     import hjkam.laxoleinik as lx
     n, D = 64, 24
@@ -575,12 +577,19 @@ def test_kernel_mirror_keeps_row_zero_symmetric(pendulum):
         assert np.array_equal(K[0, D + e], K[0, D - e])
 
 
-@pytest.mark.parametrize("name", ["forced", "custom"])
+@pytest.mark.parametrize("name", ["forced_sine", "custom", "forced", "multi"])
 def test_kernel_mirror_skips_other_families(request, monkeypatch, name):
     # forced models are not autonomous, and a custom model is never assumed
-    # reversible even when it is even in p: every entry is solved
+    # reversible or even, even when it is: with a sine term in V every entry
+    # is solved.  The forced fixture's 0.3 cos 2 pi q is even, so (j, dd) and
+    # (-j, -dd) are one orbit, and (0, 0), (n / 2, 0) orbits of their own.
+    # The multi-mode V has sine terms: only time reversal applies, pairing
+    # (j, -e) with (j - e mod n, e) across q = 0 too, so n (D + 1) are solved
     import hjkam.laxoleinik as lx
-    model = request.getfixturevalue("forced") if name == "forced" else _fd_pendulum()
+    from hjkam.hamiltonian import forced_model
+    model = {"forced_sine": lambda: forced_model([0.0, 0.3, 0.2], epsilon=0.2),
+             "custom": _fd_pendulum, "multi": _multi_mode,
+             "forced": lambda: request.getfixturevalue("forced")}[name]()
     n, D = 16, 4
     solved = []
     pair_actions = lx._pair_actions
@@ -592,7 +601,69 @@ def test_kernel_mirror_skips_other_families(request, monkeypatch, name):
     monkeypatch.setattr(lx, "_pair_actions", counting)
     lx.clear_kernel_cache()
     K = lx.action_kernel(model, 0.0, 0.1, n, D, sigma_eff=SIGMA_PEND)
-    assert K.shape == (n, 2 * D + 1) and solved == [n * (2 * D + 1)]
+    want = {"forced": n // 2 + 1 + n * D, "multi": n * (D + 1)}.get(name, n * (2 * D + 1))
+    assert K.shape == (n, 2 * D + 1) and solved == [want]
+
+
+def _multi_mode():
+    from hjkam.hamiltonian import mechanical_model
+    return mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
+
+
+def _kernel_model(request, name):
+    # a kernel test model and its window
+    if name == "two_well":
+        return _two_well(), 0.1
+    if name == "multi":
+        return _multi_mode(), 0.15
+    return request.getfixturevalue(name), SIGMA_PEND
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3])
+@pytest.mark.parametrize("name", ["pendulum", "two_well", "forced"])
+def test_kernel_symmetry_group_is_bitwise(request, name, t):
+    # an even potential gives A(x, y) = A(-x, -y), K[j, dd] = K[-j, -dd]; an
+    # autonomous one also A(x, y) = A(y, x), K[j, dd] = K[j + dd, -dd] (mod
+    # n), so every entry equals its orbit's bit for bit, past q = 0 and in a
+    # growth as in a build.  t = 0.3 lies past the window: chain branch
+    import hjkam.laxoleinik as lx
+    model, sig = _kernel_model(request, name)
+    n, D = 32, 20
+    lx.clear_kernel_cache()
+    lx.action_kernel(model, 0.0, t, n, 4, sigma_eff=sig)
+    K = lx.action_kernel(model, 0.0, t, n, D, sigma_eff=sig)
+    j, dd = np.arange(n)[:, None], np.arange(-D, D + 1)
+    assert np.array_equal(K[-j % n, D - dd], K)
+    if name != "forced":
+        assert np.array_equal(K[(j + dd) % n, D - dd], K)
+
+
+def _assert_kernel_matches_direct(model, t, n, D, sig):
+    # every entry, solved or copied, within 1e-8 of its own direct solve
+    import hjkam.laxoleinik as lx
+    K = lx.action_kernel(model, 0.0, t, n, D, sigma_eff=sig)
+    j, c = np.nonzero(np.ones(K.shape, bool))
+    direct = lx._pair_actions(model, 0.0, t, (j / n)[:, None], (j / n + (c - D) / n)[:, None], sig)
+    assert np.max(np.abs(K[j, c] - direct)) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3])
+@pytest.mark.parametrize("name", ["pendulum", "two_well", "forced", "multi"])
+def test_kernel_copies_match_direct_solves(request, name, t):
+    model, sig = _kernel_model(request, name)
+    _assert_kernel_matches_direct(model, t, 32, 12, sig)
+
+
+@settings(max_examples=12, deadline=None)
+@given(amps=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=3), forced=st.booleans())
+def test_even_potential_copies_match_direct_property(amps, forced):
+    # cosine-only potentials of 1-3 modes, autonomous (reflection and time
+    # reversal) or forced (reflection alone); |a_k| <= 0.3 keeps t = 0.1
+    # inside the Sturm twist window 1.8955 / sqrt(kappa) >= 0.13
+    from hjkam.hamiltonian import forced_model, mechanical_model
+    V = [0.0] + [c for a in amps for c in (a, 0.0)]
+    model = forced_model(V, epsilon=0.2) if forced else mechanical_model(V)
+    _assert_kernel_matches_direct(model, 0.1, 16, 6, 0.1)
 
 
 def _grad_sups_meshgrid(model, times, band):
