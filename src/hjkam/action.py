@@ -76,36 +76,32 @@ def broken_action_value(model: HamiltonianModel, tau: float, t: float, q0, q1,
                            step_target or TARGET_STEP)[0].sum())
 
 
-def _segments(model, tau, t, pts, sigma_eff, step_target, p_init=None,
-              want_monodromy=False):
+def _segments(model, tau, t, pts, sigma_eff, step_target, p_init=None):
     """Value, end momenta and monodromy of every segment of a batch of chains.
 
     ``pts`` is (B, n+1, 1) with endpoints included and ``p_init`` (B, n, 1)
     optional initial momenta to warm-start the shooting.  Returns
     ``(S, rho0, rho1, Mono)`` shaped (B, n), (B, n, 1), (B, n, 1) and
-    (B, n, 2, 2); ``Mono`` is None unless requested.
+    (B, n, 2, 2).
     """
     Bsz, n_plus, _ = pts.shape
     n = n_plus - 1
     dt = (t - tau) / n
 
     def solve(ta, tb, a, b, p0):
-        S, r0, r1, _, Mono = generating_batch(
-            model, ta, tb, a, b, sigma_eff=sigma_eff, p_init=p0,
-            want_monodromy=want_monodromy, step_target=step_target)
+        S, r0, r1, _, Mono = generating_batch(model, ta, tb, a, b, sigma_eff=sigma_eff,
+                                              p_init=p0, step_target=step_target)
         return S, r0, r1, Mono
 
     if model.autonomous:
         def flat(x):
             return None if x is None else x.reshape((Bsz * n,) + x.shape[2:])
         out = solve(0.0, dt, flat(pts[:, :-1]), flat(pts[:, 1:]), flat(p_init))
-        return tuple(None if x is None else x.reshape((Bsz, n) + x.shape[1:])
-                     for x in out)
+        return tuple(x.reshape((Bsz, n) + x.shape[1:]) for x in out)
     # non-autonomous segments live in distinct time slots: one call per slot
     outs = [solve(tau + i * dt, tau + (i + 1) * dt, pts[:, i], pts[:, i + 1],
                   None if p_init is None else p_init[:, i]) for i in range(n)]
-    return tuple(None if col[0] is None else np.stack(col, axis=1)
-                 for col in zip(*outs))
+    return tuple(np.stack(col, axis=1) for col in zip(*outs))
 
 
 def _thomas_batch(diag, off, rhs):
@@ -173,9 +169,7 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     ``(pts, jumps, S, rho0, rho1)``: the momentum-jump norms (B, n-1) and
     the per-segment values and momenta of the last evaluation.
     """
-    n = pts.shape[1] - 1
-    S, r0, r1, Mono = _segments(model, tau, t, pts, sigma_eff, step_target,
-                                want_monodromy=n > 1)
+    S, r0, r1, Mono = _segments(model, tau, t, pts, sigma_eff, step_target)
     stalled = np.zeros(len(pts), bool)
     for _ in range(max_sweeps):
         g = r1[:, :-1] - r0[:, 1:]
@@ -199,7 +193,7 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
             trial = pts[act[k]]
             trial[:, 1:-1] -= lam[:, None, None] * delta[k]
             St, r0t, r1t, Mt = _segments(model, tau, t, trial, sigma_eff, step_target,
-                                         p_init=r0[act[k]], want_monodromy=True)
+                                         p_init=r0[act[k]])
             good = (St.sum(axis=1) <= S_act[k] - 1e-4 * lam * slope[k]).reshape(-1, m)
             found = good.any(axis=1)
             first = np.flatnonzero(found) * m + good.argmax(axis=1)[found]

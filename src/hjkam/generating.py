@@ -3,9 +3,12 @@
 Within the twist window the map ``p -> Q_tau^t(q0, p)`` is strongly
 monotone, so a damped Newton iteration with the ``dQ/dp`` monodromy block
 as Jacobian converges globally.  The generating value is accumulated as an
-extra quadrature component of the same RK4 discretization, which keeps the
-derivative identities ``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` consistent to
-integrator accuracy.
+extra quadrature component of the same RK4 discretization.  A shot lands
+near its target, not on it; ``generating_batch`` corrects the value and
+both momenta to first order in that landing error, through
+``dS/dq1 = rho1`` and the monodromy.  They are then those of the discrete
+orbit that lands exactly, to about 1e-13, and the derivative identities
+``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .hamiltonian import HamiltonianModel, legendre_batch
 # coarser step of the tabulated grid kernels and their batched pair actions
 KERNEL_STEP = 5e-3
 MAX_SHOOT_ITER = 50
+# a generating row that lands within this many shooting tolerances after the
+# pre-solve is corrected with no further pass: the first-order correction
+# leaves about |M11 / M01| e^2 / 2 in S, near 1e-13 at t = 0.1
+LANDING_SLACK = 100
 
 
 def shoot_tol(q0, q1) -> np.ndarray:
@@ -87,57 +94,72 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol, J=None):
     return p, res, J
 
 
-def shoot_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
-                sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
-    """Initial momenta joining ``Q0[i] -> Q1[i]`` over ``[tau, t]`` (batch).
-
-    Raises SigmaExceeded when the horizon leaves the working twist window
-    and SolverDiverged when Newton plus horizon continuation both fail.
-    """
+def _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init):
+    """Checked horizon, ``(B, 1)`` endpoints, their tolerance and start momenta."""
     span = t - tau
     sig = resolve_sigma(model, sigma_eff)
     if not (0 < span <= sig * (1 + 1e-12)):
         raise SigmaExceeded(f"horizon {span:.6g} outside (0, {sig:.6g}]")
-    Q0 = np.asarray(Q0, float)
-    Q1 = np.asarray(Q1, float)
-    single = Q0.ndim == 1
-    if single:
-        Q0 = Q0[None, :]
-        Q1 = Q1[None, :]
-    tol = shoot_tol(Q0, Q1)
+    Q0 = np.atleast_2d(np.asarray(Q0, float))
+    Q1 = np.atleast_2d(np.asarray(Q1, float))
     if p_init is None:
-        v = (Q1 - Q0) / span
-        _, p_init = legendre_batch(model, tau, (Q0 + Q1) / 2, v)
-    n_fine = _steps_for(span, step_target)
-    # coarse pre-solve (the solutions differ at quadrature order only),
-    # then polish on the production grid with the coarse Jacobian
-    J = None
-    if n_fine > 16:
-        p_init, _, J = _newton_shoot(model, tau, t, Q0, Q1, p_init,
-                                     max(8, n_fine // 8), tol)
-    p, res, _ = _newton_shoot(model, tau, t, Q0, Q1, p_init, n_fine, tol, J=J)
-    if np.any(res > tol):
-        bad = res > tol
-        idx = np.where(bad)
-        p_bad = None
-        # continuation in the horizon: tau + span/4, tau + span/2, then t
-        for frac_prev, frac in ((None, 0.25), (0.25, 0.5), (0.5, 1.0)):
-            t_sub = tau + frac * span
-            if p_bad is None:
-                v = (Q1[idx] - Q0[idx]) / (frac * span)
-                _, p_sub = legendre_batch(model, tau, (Q0[idx] + Q1[idx]) / 2, v)
-            else:
-                p_sub = p_bad * (frac_prev / frac)
-            p_bad, res_bad, _ = _newton_shoot(model, tau, t_sub, Q0[idx], Q1[idx],
-                                              p_sub, _steps_for(frac * span, step_target),
-                                              tol[idx])
-        if np.any(res_bad > tol[idx]):
-            raise SolverDiverged("shooting failed after horizon continuation",
-                                 residual=float(np.max(res_bad)))
-        p = np.array(p, copy=True)
-        p[idx] = p_bad
-        res = np.array(res, copy=True)
-        res[idx] = res_bad
+        _, p_init = legendre_batch(model, tau, (Q0 + Q1) / 2, (Q1 - Q0) / span)
+    # a copy: the caller's p_init is never written to
+    return Q0, Q1, shoot_tol(Q0, Q1), np.array(p_init, float, ndmin=2)
+
+
+def _presolve(model, tau, t, Q0, Q1, p, tol, n_fine):
+    """Newton on a coarse grid, or on the fine one when it has at most 16
+    steps; the coarse and fine solutions differ at quadrature order only.
+    Returns the momenta and the chord Jacobian."""
+    n_pre = max(8, n_fine // 8) if n_fine > 16 else n_fine
+    p, _, J = _newton_shoot(model, tau, t, Q0, Q1, p, n_pre, tol)
+    return p, J
+
+
+def _polish(model, tau, t, Q0, Q1, p, tol, J, step_target):
+    """Newton on the production grid from ``p``, warm from the chord ``J``.
+
+    Rows left above ``tol`` are re-solved by continuation in the horizon,
+    through ``tau + span/4`` and ``tau + span/2`` to ``t``; SolverDiverged
+    carries the worst residual of a row that still fails.
+    """
+    span = t - tau
+    p, res, _ = _newton_shoot(model, tau, t, Q0, Q1, p, _steps_for(span, step_target),
+                              tol, J=J)
+    bad = np.flatnonzero(res > tol)
+    if not len(bad):
+        return p, res
+    p_bad = None
+    for frac_prev, frac in ((None, 0.25), (0.25, 0.5), (0.5, 1.0)):
+        t_sub = tau + frac * span
+        if p_bad is None:
+            v = (Q1[bad] - Q0[bad]) / (frac * span)
+            _, p_sub = legendre_batch(model, tau, (Q0[bad] + Q1[bad]) / 2, v)
+        else:
+            p_sub = p_bad * (frac_prev / frac)
+        p_bad, res_bad, _ = _newton_shoot(model, tau, t_sub, Q0[bad], Q1[bad], p_sub,
+                                          _steps_for(frac * span, step_target), tol[bad])
+    if np.any(res_bad > tol[bad]):
+        raise SolverDiverged("shooting failed after horizon continuation",
+                             residual=float(np.max(res_bad)))
+    p, res = p.copy(), res.copy()
+    p[bad], res[bad] = p_bad, res_bad
+    return p, res
+
+
+def shoot_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
+                sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
+    """Initial momenta joining ``Q0[i] -> Q1[i]`` over ``[tau, t]`` (batch).
+
+    Lands each row within ``shoot_tol`` on the production grid.  Raises
+    SigmaExceeded when the horizon leaves the working twist window and
+    SolverDiverged when Newton plus horizon continuation both fail.
+    """
+    single = np.ndim(Q0) == 1
+    Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
+    p, J = _presolve(model, tau, t, Q0, Q1, p, tol, _steps_for(t - tau, step_target))
+    p, res = _polish(model, tau, t, Q0, Q1, p, tol, J, step_target)
     if single:
         return p[0], res[0]
     return p, res
@@ -145,7 +167,11 @@ def shoot_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
 
 @dataclass
 class GeneratingSample:
-    """One evaluation of the generating function with its diagnostics."""
+    """One evaluation of the generating function with its diagnostics.
+
+    ``shoot_residual`` is the landing error ``|q1 - Q|`` that ``S`` and the
+    momenta were corrected for (see ``generating_batch``).
+    """
 
     tau: float
     t: float
@@ -158,17 +184,46 @@ class GeneratingSample:
 
 
 def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
-                     sigma_eff=None, p_init=None, want_monodromy: bool = False,
-                     step_target: float = TARGET_STEP):
-    """Batched generating values; returns (S, rho0, rho1, residual, monodromy)."""
-    Q0 = np.asarray(Q0, float)
-    Q1 = np.asarray(Q1, float)
-    p0, res = shoot_batch(model, tau, t, Q0, Q1, sigma_eff=sigma_eff,
-                          p_init=p_init, step_target=step_target)
-    Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p0,
-                                    _steps_for(t - tau, step_target),
-                                    want_monodromy=want_monodromy, want_action=True)
-    return W, p0, P, res, Mono
+                     sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
+    """Batched generating values; returns ``(S, rho0, rho1, residual, Mono)``.
+
+    The coarse pre-solve, then one pass on the production grid with action
+    and monodromy, whose orbit from ``rho0`` lands at ``Q``.  With the
+    landing error ``e = q1 - Q`` and ``dp = e / M01``, the values are
+    corrected to first order: ``S = W + P e``, ``rho0 = p0 + dp`` and
+    ``rho1 = P + M11 dp`` (``dS/dq1 = rho1``); the error left is about
+    ``|M11 / M01| e^2 / 2`` in ``S``.  Rows landing farther than
+    ``LANDING_SLACK * shoot_tol`` take the Newton step ``p0 + dp`` and one
+    more pass; rows still that far are polished as ``shoot_batch`` polishes,
+    where a row that fails raises SolverDiverged with its residual, and take
+    one more pass.  ``residual`` is ``|e|``, the landing error that was
+    corrected for; ``Mono`` is the flow's differential, (..., 2, 2).
+    """
+    single = np.ndim(Q0) == 1
+    Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
+    n_fine = _steps_for(t - tau, step_target)
+    p, J = _presolve(model, tau, t, Q0, Q1, p, tol, n_fine)
+    Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p, n_fine,
+                                    want_monodromy=True, want_action=True)
+    # a pass carries its own Newton step: one more pass at p0 + dp lands
+    # nearly every far row, for less than a state-only polish and a pass
+    far = np.arange(len(Q0))
+    for polish in (False, True):
+        far = far[np.linalg.norm(Q1[far] - Q[far], axis=-1) > LANDING_SLACK * tol[far]]
+        if not len(far):
+            break
+        if polish:
+            p[far] = _polish(model, tau, t, Q0[far], Q1[far], p[far], tol[far], J[far],
+                             step_target)[0]
+        else:
+            p[far] += (Q1[far] - Q[far]) / Mono[far, 0, 1:]
+        Q[far], P[far], Mono[far], W[far] = integrate_batch(
+            model, tau, t, Q0[far], p[far], n_fine, want_monodromy=True, want_action=True)
+    e = Q1 - Q
+    dp = e / Mono[..., 0, 1:]
+    out = (W + np.sum(P * e, axis=-1), p + dp, P + Mono[..., 1, 1:] * dp,
+           np.linalg.norm(e, axis=-1), Mono)
+    return tuple(x[0] for x in out) if single else out
 
 
 def shoot_rho0(model: HamiltonianModel, tau: float, t: float, q0, q1,
@@ -200,8 +255,7 @@ def second_diff_probe(model: HamiltonianModel, tau: float, t: float, q0, q1,
     """
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
-    *_, Mono = generating_batch(model, tau, t, q0, q1, sigma_eff=sigma_eff,
-                                want_monodromy=True)
+    *_, Mono = generating_batch(model, tau, t, q0, q1, sigma_eff=sigma_eff)
     (dqQ, dpQ), (_, dpP) = Mono
     inv = 1.0 / dpQ
     return float(inv * dqQ), float(dpP * inv), float(-inv)

@@ -18,14 +18,15 @@ to ``(-j mod n, -dd)``.  An orbit stays in its columns ``+-dd``, so a growth
 solves the problems a fresh build does, and its entries hold one solve bit
 for bit (row 0 of an even potential stays symmetric, as the Aubry-set seed
 at the origin needs).  A copy differs from its own direct solve by the
-shooting floor, about 5e-9, or by rounding under reflection alone.  Custom
-models solve every entry.  Each cached kernel, stored by source node, is
-one plane of a read-only array whose other plane is its target-major
-companion: the same entries stored by target node, filled only when the
-kernel is built or grown.  ``T`` and its dual share one min-plus routine:
-one strided window of the periodically extended operand (reversed for
-``T``) plus (dual: minus) a kernel window, one ``(n, 2 D + 1)`` array
-reduced along its rows in both directions.  Its
+integrator's error, since RK4 is not time-symmetric (about 3e-9 at
+``|dd| / n = 3/4`` and ``KERNEL_STEP``), or by rounding under reflection
+alone.  Custom models solve every entry.  Each cached kernel, stored by
+source node, is one plane of a read-only array whose other plane is its
+target-major companion: the same entries stored by target node, filled
+only when the kernel is built or grown.  ``T`` and its dual share one
+min-plus routine: one strided window of the periodically extended operand
+(reversed for ``T``) plus (dual: minus) a kernel window, one
+``(n, 2 D + 1)`` array reduced along its rows in both directions.  Its
 window is the smaller of two radii: ``search_radius`` from the a-priori
 action bounds, and ``velocity_radius``, the distance a minimizer can travel
 when its start momentum is bounded by the operand's Lipschitz constant; for

@@ -310,6 +310,16 @@ def test_forced_chain_in_time_slots(forced):
     assert abs(A - B) <= 1e-8
 
 
+def test_chain_value_equals_broken_action_at_its_nodes(forced):
+    # segment values are corrected for their landing error, so a relaxed
+    # chain's value is the broken action through its own nodes to rounding,
+    # not to the shooting tolerance
+    A, path = minimal_action(forced, 0.1, 1.3, [0.2], [0.7], sigma_eff=SIGMA_PEND)
+    B = broken_action_value(forced, 0.1, 1.3, [0.2], [0.7], path.nodes,
+                            sigma_eff=SIGMA_PEND)
+    assert abs(A - B) <= 1e-10
+
+
 def _sequential_relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_crit):
     """Chain relaxation that backtracks one halving per ``_segments`` solve.
 
@@ -317,9 +327,7 @@ def _sequential_relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, to
     chain, the most halvings an accepted step took and whether it stalled.
     """
     import hjkam.action as act
-    n = pts.shape[1] - 1
-    S, r0, r1, Mono = act._segments(model, tau, t, pts, sigma_eff, step_target,
-                                    want_monodromy=n > 1)
+    S, r0, r1, Mono = act._segments(model, tau, t, pts, sigma_eff, step_target)
     stalled = np.zeros(len(pts), bool)
     halvings = np.zeros(len(pts), int)
     for _ in range(max_sweeps):
@@ -342,7 +350,7 @@ def _sequential_relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, to
             trial = pts[active[k]]
             trial[:, 1:-1] -= lam[k, None, None] * delta[k]
             St, r0t, r1t, Mt = act._segments(model, tau, t, trial, sigma_eff, step_target,
-                                             p_init=r0[active[k]], want_monodromy=True)
+                                             p_init=r0[active[k]])
             good = St.sum(axis=1) <= S_act[k] - 1e-4 * lam[k] * slope[k]
             i = active[k[good]]
             pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[good], St[good], r0t[good],

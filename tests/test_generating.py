@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_FREE, SIGMA_PEND
 from hjkam.errors import SigmaExceeded
-from hjkam.flow import integrate_flow
-from hjkam.generating import (generating_S, generating_batch, second_diff_probe,
-                              shoot_rho0)
+from hjkam.flow import TARGET_STEP, _steps_for, integrate_batch, integrate_flow
+from hjkam.generating import (KERNEL_STEP, generating_S, generating_batch,
+                              second_diff_probe, shoot_rho0)
+from hjkam.hamiltonian import mechanical_model
 
 
 def test_hopf_lax_free(free):
@@ -230,3 +231,86 @@ def test_horizon_continuation_rescues_failed_rows(pendulum, monkeypatch):
     assert np.all(np.abs(Q - Q1)[:, 0] <= tol)
     assert np.array_equal(p[::2], p_direct[::2])
     assert np.max(np.abs(p - p_direct)) <= 1e-9
+
+
+def _tight_reference(model, t, Q0, Q1, step):
+    # full Newton on the landing from the straight-line momentum, with action
+    # and monodromy at every iterate, on the grid of the solve under test
+    n_steps = _steps_for(t, step)
+    p = (Q1 - Q0) / t
+    for _ in range(30):
+        Q, P, Mono, W = integrate_batch(model, 0.0, t, Q0, p, n_steps,
+                                        want_monodromy=True, want_action=True)
+        e = Q1 - Q
+        if np.max(np.abs(e)) < 1e-14:
+            return W, p, P
+        p = p + e / Mono[..., 0, 1:]
+    raise AssertionError(f"reference Newton stopped at |e| = {np.max(np.abs(e)):.1e}")
+
+
+@pytest.mark.parametrize("step", [KERNEL_STEP, TARGET_STEP])
+@pytest.mark.parametrize("name", ["pendulum", "multi"])
+def test_landing_correction_matches_tight_reference(request, name, step):
+    # a shot lands up to 100 shooting tolerances off its target; the values
+    # corrected to first order in that landing error are those of the exact
+    # orbit of the same discretization, to 1e-12
+    if name == "multi":
+        model, sigma = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15]), 0.15
+    else:
+        model, sigma = request.getfixturevalue(name), SIGMA_PEND
+    rng = np.random.default_rng(31)
+    Q0 = rng.uniform(0, 1, (200, 1))
+    Q1 = Q0 + rng.uniform(-0.4, 0.4, (200, 1))
+    S, r0, r1, res, _ = generating_batch(model, 0.0, 0.1, Q0, Q1, sigma_eff=sigma,
+                                         step_target=step)
+    W, p, P = _tight_reference(model, 0.1, Q0, Q1, step)
+    assert np.max(np.abs(S - W)) <= 1e-12
+    assert np.max(np.abs(r0 - p)) <= 1e-12
+    assert np.max(np.abs(r1 - P)) <= 1e-12
+
+
+@pytest.mark.parametrize("slack", [None, 0])
+def test_far_rows_do_not_depend_on_their_batch(monkeypatch, slack):
+    # rows that land beyond LANDING_SLACK tolerances after the coarse
+    # pre-solve (here the wide displacements, |dq| >= 1 at t = 0.05) take a
+    # Newton step and one more pass as a sub-batch; with no slack every row
+    # takes the step, and each that does not then land exactly the polish and
+    # a third pass.  Every row equals its one-row call, and the values do not
+    # depend on the route, to 1e-12
+    import hjkam.generating as g
+    model = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
+    rng = np.random.default_rng(4)
+    Q0 = rng.uniform(-1, 1, (24, 1))
+    wide = np.arange(24) % 2 == 1
+    Q1 = Q0 + np.where(wide[:, None], rng.uniform(1.0, 1.5, (24, 1)),
+                       rng.uniform(-0.1, 0.1, (24, 1)))
+    ref = generating_batch(model, 0.0, 0.05, Q0, Q1, sigma_eff=0.05)
+    integrate, polish = g.integrate_batch, g._polish
+    passes, polished = [], []
+
+    def counted(model, tau, t, Q0_, P0, n_steps, want_monodromy=False, want_action=False):
+        if want_action:
+            passes.append(Q0_.copy())
+        return integrate(model, tau, t, Q0_, P0, n_steps, want_monodromy, want_action)
+
+    def spy(model, tau, t, Q0_, *args):
+        polished.append(Q0_.copy())
+        return polish(model, tau, t, Q0_, *args)
+
+    monkeypatch.setattr(g, "integrate_batch", counted)
+    monkeypatch.setattr(g, "_polish", spy)
+    if slack is not None:
+        monkeypatch.setattr(g, "LANDING_SLACK", slack)
+    batch = generating_batch(model, 0.0, 0.05, Q0, Q1, sigma_eff=0.05)
+    if slack is None:
+        assert len(passes) == 2 and not polished
+        assert len(passes[1]) > 0 and np.isin(passes[1], Q0[wide]).all()
+    else:
+        assert [len(x) for x in passes[:2]] == [24, 24]
+        assert len(passes) == 3 and len(passes[2]) == len(polished[0]) > 12
+    for a, b in zip(batch[:3], ref[:3]):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for i in range(24):
+        one = generating_batch(model, 0.0, 0.05, Q0[i:i + 1], Q1[i:i + 1], sigma_eff=0.05)
+        for a, b in zip(batch, one):
+            assert a[i:i + 1].tobytes() == b.tobytes()

@@ -654,6 +654,14 @@ def test_kernel_copies_match_direct_solves(request, name, t):
     _assert_kernel_matches_direct(model, t, 32, 12, sig)
 
 
+@pytest.mark.parametrize("name", ["two_well", "multi"])
+def test_kernel_copies_match_direct_solves_wide(request, name):
+    # |dd| / n up to 0.75: the momenta, and so the landing error's share
+    # P e of an uncorrected value, are largest here
+    model, sig = _kernel_model(request, name)
+    _assert_kernel_matches_direct(model, 0.1, 16, 12, sig)
+
+
 @settings(max_examples=12, deadline=None)
 @given(amps=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=3), forced=st.booleans())
 def test_even_potential_copies_match_direct_property(amps, forced):
