@@ -8,7 +8,10 @@ near its target, not on it; ``generating_batch`` corrects the value and
 both momenta to first order in that landing error, through
 ``dS/dq1 = rho1`` and the monodromy.  They are then those of the discrete
 orbit that lands exactly, to about 1e-13, and the derivative identities
-``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.
+``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.  So the
+generating values need a landing within ``LANDING_SLACK`` shooting
+tolerances only, and their coarse pre-solve stops at a tenth of that;
+``shoot_batch`` lands within ``shoot_tol`` itself.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ MAX_SHOOT_ITER = 50
 # pre-solve is corrected with no further pass: the first-order correction
 # leaves about |M11 / M01| e^2 / 2 in S, near 1e-13 at t = 0.1
 LANDING_SLACK = 100
+# the generating pre-solve stops at a tenth of the slack, in shooting
+# tolerances: its coarse orbit lands on the fine grid only to quadrature
+# order, so a tighter stop brings hardly a row more within the slack
+PRESOLVE_SLACK = LANDING_SLACK / 10
 
 
 def shoot_tol(q0, q1) -> np.ndarray:
@@ -38,7 +45,8 @@ def shoot_tol(q0, q1) -> np.ndarray:
 def _jacobian(model, tau, t, Q0, p, n_steps):
     """End positions and the ``dQ/dp`` monodromy entry, shaped like ``p``."""
     Q, _, Mono, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
-    J = Mono[..., 0, 1:]
+    # a copy: a view would keep the whole monodromy alive with the chord
+    J = Mono[..., 0, 1:].copy()
     bad = np.abs(J) < 1e-14
     if bad.any():
         J = J + np.where(bad, 1e-10, 0.0)
@@ -187,8 +195,10 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
                      sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
     """Batched generating values; returns ``(S, rho0, rho1, residual, Mono)``.
 
-    The coarse pre-solve, then one pass on the production grid with action
-    and monodromy, whose orbit from ``rho0`` lands at ``Q``.  With the
+    The coarse pre-solve, stopped at ``PRESOLVE_SLACK`` shooting
+    tolerances (the correction below is exact to about 1e-13 within the
+    slack), then one pass on the production grid with action and
+    monodromy, whose orbit from ``rho0`` lands at ``Q``.  With the
     landing error ``e = q1 - Q`` and ``dp = e / M01``, the values are
     corrected to first order: ``S = W + P e``, ``rho0 = p0 + dp`` and
     ``rho1 = P + M11 dp`` (``dS/dq1 = rho1``); the error left is about
@@ -202,7 +212,7 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     single = np.ndim(Q0) == 1
     Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
     n_fine = _steps_for(t - tau, step_target)
-    p, J = _presolve(model, tau, t, Q0, Q1, p, tol, n_fine)
+    p, J = _presolve(model, tau, t, Q0, Q1, p, PRESOLVE_SLACK * tol, n_fine)
     Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p, n_fine,
                                     want_monodromy=True, want_action=True)
     # a pass carries its own Newton step: one more pass at p0 + dp lands

@@ -442,7 +442,11 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
     Returns ``(L, p_star)`` with shapes ``(...)``, ``(..., 1)``.  The damped
     Newton iteration on ``H_p = v`` is globally convergent under H2.  Each
     trial takes the residual and ``H_pp`` from one jet evaluation; the
-    accepted rows carry ``H_pp`` into the next Newton step.
+    accepted rows carry ``H_pp`` into the next Newton step.  A row stops at
+    the residual ``TOL_NEWTON``, or when its damped step falls below the
+    rounding of ``p``, as ``_tonelli_newton``'s rows stop at the rounding
+    of their value: a differenced ``H_p`` can rest above ``TOL_NEWTON`` in
+    its own noise.
     """
     q = np.asarray(q, float)
     v = np.asarray(v, float)
@@ -454,12 +458,13 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
 
     r, Hpp = residual(p)
     rnorm = np.linalg.norm(r, axis=-1)
+    stalled = np.zeros(rnorm.shape, bool)
     for _ in range(MAX_NEWTON_ITER):
-        if np.all(rnorm <= TOL_NEWTON):
+        active = (rnorm > TOL_NEWTON) & ~stalled
+        if not active.any():
             break
         step = -r / np.asarray(Hpp)[..., None]
         lam = np.ones(rnorm.shape)
-        active = rnorm > TOL_NEWTON
         for _bt in range(30):
             p_try = p + lam[..., None] * step
             r_try, Hpp_try = residual(p_try)
@@ -468,13 +473,16 @@ def legendre_batch(model: HamiltonianModel, t, q, v):
             if np.all(better):
                 break
             lam = np.where(better, lam, lam * 0.5)
-        p = np.where(active[..., None], p_try, p)
+        p_new = np.where(active[..., None], p_try, p)
+        moved = np.linalg.norm(p_new - p, axis=-1)
+        p = p_new
         r = np.where(active[..., None], r_try, r)
         Hpp = np.where(active, Hpp_try, Hpp)
         rnorm = np.where(active, rn_try, rnorm)
+        stalled |= active & (moved <= np.finfo(float).eps * (1.0 + np.linalg.norm(p, axis=-1)))
     else:
         raise SolverDiverged("Legendre Newton iteration failed",
-                             residual=float(np.max(rnorm)))
+                             residual=float(np.max(rnorm, where=~stalled, initial=0.0)))
     L = np.sum(p * v, axis=-1) - model.value(t, q, p)
     return L, p
 

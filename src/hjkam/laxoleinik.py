@@ -29,10 +29,12 @@ min-plus routine: one strided window of the periodically extended operand
 ``(n, 2 D + 1)`` array reduced along its rows in both directions.  Its
 window is the smaller of two radii: ``search_radius`` from the a-priori
 action bounds, and ``velocity_radius``, the distance a minimizer can travel
-when its start momentum is bounded by the operand's Lipschitz constant; for
-the built-in families its sups are sampled once per model and time slot.  A
-boundary check doubles the window whenever the discrete argmin reaches its
-edge.
+when its start momentum is bounded by the operand's Lipschitz constant.
+For the built-in families that is the integral of the momentum envelope
+``min(lip + s sup|H_q|, P_E)``, capped by energy conservation at ``P_E`` when
+the model is autonomous, with its sups sampled once per model and time
+slot.  A boundary check doubles the window whenever the discrete argmin
+reaches its edge.
 """
 
 from __future__ import annotations
@@ -185,29 +187,36 @@ def velocity_radius(model: HamiltonianModel, tau: float, t: float, lip: float,
 
     At the argmin the one-sided differences of the action in the free
     endpoint are bounded by ``lip``, the operand's Lipschitz constant, so
-    the minimizer starts with momentum in ``|p| <= lip`` and keeps it in
-    ``|p| <= lip + dt sup|H_q|``; it travels at most ``dt sup|H_p|`` over
-    that band.  Two cells are added: the argmin sits within one cell of
-    that start, and one cell is margin.  The sups are sampled from
-    ``model.jet`` (at the slot's times when ``H`` depends on time); the
-    operators' boundary check backs the sampling.  A custom model is
-    sampled on every call.  In the built-in families ``H_q`` does not
-    depend on ``p`` and ``H_p = a p`` not on ``q``, so the sups at
-    ``|p| <= 1`` are sampled once per model and slot (``_unit_band_sups``)
-    and ``sup |H_p|`` over the band is ``a band``: the sampled momenta
-    reach ``band`` and no further, and correctly rounded products are
-    monotone, so the radius equals that of sampling on every call, bit for
-    bit.
+    the minimizer starts with momentum in ``|p| <= lip``.  Two cells are
+    added to its travel: the argmin sits within one cell of that start, and
+    one cell is margin.  In the built-in families ``H_q`` does not depend
+    on ``p`` and ``H_p = a p`` not on ``q``; ``G = sup |H_q|`` and ``a``
+    are sampled once per model and slot (``_unit_band_sups``).  The
+    momentum then obeys the envelope ``|p(s)| <= min(lip + s G, P_E)``:
+    it grows at most at rate ``G``, and for the autonomous families energy
+    conservation, ``a p^2 / 2 <= a lip^2 / 2 + osc V`` with ``osc V <= G /
+    2`` on the circle, caps it at ``P_E = sqrt(lip^2 + G / a)`` (Fathi,
+    *The Weak KAM Theorem in Lagrangian Dynamics*, ch. 4).  The travel is
+    ``a`` times the envelope's exact integral over ``[0, dt]``:
+    ``dt lip + G dt^2 / 2`` up to ``s* = (P_E - lip) / G``, and ``dt P_E -
+    (P_E - lip)^2 / (2 G)`` beyond it.  A custom model is sampled on every
+    call from ``model.jet`` (at the slot's times when ``H`` depends on
+    time) and travels at most ``dt sup |H_p|`` over the band ``|p| <= lip
+    + dt sup |H_q|``.  The operators' boundary check backs the sampling.
     """
     dt = t - tau
     if model.family == "custom":
         times = _slot_times(model, tau, t)
         gq = _grad_sups(model, times, lip)[0]
         gp = _grad_sups(model, times, lip + dt * gq)[1]
-    else:
-        gq, gp1 = _unit_band_sups(model, tau, t)
-        gp = gp1 * (lip + dt * gq)
-    return dt * gp + 2.0 / n
+        return dt * gp + 2.0 / n
+    G, a = _unit_band_sups(model, tau, t)
+    travel = dt * lip + G * dt * dt / 2
+    if model.autonomous and G > 0:
+        cap = math.sqrt(lip * lip + G / a)
+        if dt > (cap - lip) / G:
+            travel = dt * cap - (cap - lip) ** 2 / (2 * G)
+    return a * travel + 2.0 / n
 
 
 def _slot_times(model, tau, t):

@@ -242,7 +242,10 @@ def _mane_horizons(model, a, n, sig):
     the level's top speed takes for one cell up to ``sig``, and the radius
     in cells at each.  On ``{H <= a}``, ``|p| <= band`` by the convexity
     bound ``H(q, p) >= H(q, 0) + H_p(q, 0) p + m p^2 / 2``; the top speed
-    is ``sup |H_p|`` on that band and ``velocity_radius`` bounds the travel."""
+    is ``sup |H_p|`` on that band.  ``velocity_radius`` bounds the travel
+    from that band as start momentum: for the built-in families by the
+    momentum envelope, whose energy cap binds at the longer horizons of the
+    autonomous ones."""
     q, zero = np.arange(64)[:, None] / 64, np.zeros((64, 1))
     h0 = float(np.min(model.value(0.0, q, zero)))
     g0 = float(np.max(np.abs(model.jet(0.0, q, zero)[1])))

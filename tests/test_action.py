@@ -112,6 +112,17 @@ def test_oracle_segment_count_not_integer_is_config_error(pendulum, n):
         tonelli_oracle(pendulum, 0.0, 1.0, [0.1], [0.4], n_segments=n)
 
 
+def test_oracle_on_finite_difference_model(pendulum):
+    # a differenced H_p rests about 3e-9 above the Legendre residual
+    # TOL_NEWTON at the random starts' momenta near 260: its rows stop when
+    # their damped step falls below the rounding of p, and the oracle meets
+    # the closed-form pendulum's value
+    from hjkam.hamiltonian import custom_model
+    fd = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(2 * np.pi * q[..., 0]),
+                      m=1.0, M=4 * np.pi ** 2, periodic=True)
+    assert abs(tonelli_oracle(fd, 0.0, 1.0, [0.1], [0.9]) - 0.2635518866) < 1e-8
+    assert abs(tonelli_oracle(pendulum, 0.0, 1.0, [0.1], [0.9]) - 0.2635518866) < 1e-8
+
 def test_oracles_run_without_scipy_optimize_or_integrate():
     import os
     import subprocess

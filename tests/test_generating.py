@@ -250,10 +250,13 @@ def _tight_reference(model, t, Q0, Q1, step):
 
 @pytest.mark.parametrize("step", [KERNEL_STEP, TARGET_STEP])
 @pytest.mark.parametrize("name", ["pendulum", "multi"])
-def test_landing_correction_matches_tight_reference(request, name, step):
+def test_landing_correction_matches_tight_reference(request, monkeypatch, name, step):
     # a shot lands up to 100 shooting tolerances off its target; the values
     # corrected to first order in that landing error are those of the exact
-    # orbit of the same discretization, to 1e-12
+    # orbit of the same discretization, to 1e-12.  The pre-solve stops at 10
+    # tolerances; with 100 more rows at |dq| up to 1.4, rows land beyond the
+    # slack and take the far rows' Newton pass
+    import hjkam.generating as g
     if name == "multi":
         model, sigma = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15]), 0.15
     else:
@@ -261,8 +264,20 @@ def test_landing_correction_matches_tight_reference(request, name, step):
     rng = np.random.default_rng(31)
     Q0 = rng.uniform(0, 1, (200, 1))
     Q1 = Q0 + rng.uniform(-0.4, 0.4, (200, 1))
+    wide = rng.uniform(0, 1, (100, 1))
+    Q0, Q1 = np.vstack([Q0, wide]), np.vstack([Q1, wide + rng.uniform(-1.4, 1.4, (100, 1))])
+    far, integrate = [], g.integrate_batch
+
+    def counted(model, tau, t, Q0_, P0, n_steps, want_monodromy=False, want_action=False):
+        if want_action and len(Q0_) < len(Q0):
+            far.append(len(Q0_))
+        return integrate(model, tau, t, Q0_, P0, n_steps, want_monodromy, want_action)
+
+    monkeypatch.setattr(g, "integrate_batch", counted)
     S, r0, r1, res, _ = generating_batch(model, 0.0, 0.1, Q0, Q1, sigma_eff=sigma,
                                          step_target=step)
+    monkeypatch.undo()
+    assert far
     W, p, P = _tight_reference(model, 0.1, Q0, Q1, step)
     assert np.max(np.abs(S - W)) <= 1e-12
     assert np.max(np.abs(r0 - p)) <= 1e-12

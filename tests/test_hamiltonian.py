@@ -95,6 +95,18 @@ def test_legendre_equality_and_inequality(pendulum):
     assert np.all(lhs >= np.sum(p_other * v, axis=-1) - 1e-9)
 
 
+def test_legendre_raises_while_its_steps_still_move_p():
+    # H_pp declared 1000 times too large: every damped step is rejected by
+    # the line search yet still moves p by about 1e-12, so the rows never
+    # stall and the residual stays near |v|
+    from hjkam.errors import SolverDiverged
+    model = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1), m=1.0, M=1.0,
+                         grad=lambda t, q, p: (np.zeros_like(q), p),
+                         hessian=lambda t, q, p: (0.0, 0.0, 1e3))
+    with pytest.raises(SolverDiverged) as info:
+        legendre_batch(model, 0.0, np.zeros((3, 1)), np.array([[0.5], [-0.5], [0.0]]))
+    assert info.value.residual == pytest.approx(0.5, rel=1e-6)
+
 def test_legendre_biconjugation(pendulum):
     # sup_v (p v - L(q, v)) recovers H by a scan-plus-refine oracle
     rng = np.random.default_rng(4)

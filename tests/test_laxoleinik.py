@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,24 +324,51 @@ def _trig_operand(data, n):
     return lip / (2 * np.pi * k) * np.cos(2 * np.pi * (k * q + phase))
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([16, 32, 64]), t=st.sampled_from([0.1, 0.2]),
-       name=st.sampled_from(["free", "pendulum"]), rough=st.booleans(), data=st.data())
-def test_velocity_radius_matches_wide_window(free, pendulum, n, t, name, rough, data):
+def _assert_sized_window_is_wide(model, u, t, sig):
     # the right-sized window finds the same discrete extremum as the window
     # of search_radius alone, bit for bit
     import hjkam.laxoleinik as lx
-    model, sig = (free, SIGMA_FREE) if name == "free" else (pendulum, SIGMA_PEND)
-    u = GridFunction(1, n, _draw_values(data, n) if rough else _trig_operand(data, n))
-    # the sized window is the one that sampling the sups on every call gives
-    assert (lx.velocity_radius(model, 0.0, t, u.lip_estimate, n)
-            == _velocity_radius_sampled(model, 0.0, t, u.lip_estimate, n))
     for op in (apply_T, apply_T_dual):
         sized = op(model, u, 0.0, t, sigma_eff=sig).values
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: np.inf)
             wide = op(model, u, 0.0, t, sigma_eff=sig).values
         assert np.array_equal(sized, wide)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([16, 32, 64]), t=st.sampled_from([0.1, 0.2]),
+       name=st.sampled_from(["free", "pendulum", "forced", "multi"]), rough=st.booleans(),
+       data=st.data())
+def test_velocity_radius_matches_wide_window(free, pendulum, forced, n, t, name, rough, data):
+    # on the one-row free kernel, the even pendulum, the forced model (no
+    # energy cap) and a potential with sine terms; t = 0.2 lies past the
+    # multi-mode window 0.15, which takes its window instead
+    import hjkam.laxoleinik as lx
+    model, sig = {"free": (free, SIGMA_FREE), "pendulum": (pendulum, SIGMA_PEND),
+                  "forced": (forced, SIGMA_PEND), "multi": (_multi_mode(), 0.15)}[name]
+    t = min(t, sig)
+    u = GridFunction(1, n, _draw_values(data, n) if rough else _trig_operand(data, n))
+    # the sized window is the one that sampling the sups on every call gives
+    assert (lx.velocity_radius(model, 0.0, t, u.lip_estimate, n)
+            == _velocity_radius_sampled(model, 0.0, t, u.lip_estimate, n))
+    _assert_sized_window_is_wide(model, u, t, sig)
+
+
+def test_velocity_radius_energy_cap_matches_wide_window(pendulum):
+    # at t = 0.6 the momentum envelope reaches the energy cap P_E by s* =
+    # (P_E - lip) / 2 pi < 0.4: the capped window, past the twist window
+    # (chain branch), still holds every extremum of the wide one
+    import hjkam.laxoleinik as lx
+    n, t = 16, 0.6
+    u = grid_cos(n)
+    lip = u.lip_estimate
+    cap = np.sqrt(lip ** 2 + 2 * np.pi)
+    assert t > (cap - lip) / (2 * np.pi)
+    vel = lx.velocity_radius(pendulum, 0.0, t, lip, n)
+    assert vel == _velocity_radius_sampled(pendulum, 0.0, t, lip, n)
+    assert vel < t * lip + np.pi * t ** 2 + 2.0 / n
+    _assert_sized_window_is_wide(pendulum, u, t, SIGMA_PEND)
 
 
 def _min_plus_by_loop(model, u, t, D, dual, sigma):
@@ -484,10 +513,27 @@ def test_velocity_radius_narrows_window(pendulum):
     from hjkam.laxoleinik import search_radius, velocity_radius
     n, t = 256, 0.2
     u = grid_cos(n)
-    vel = velocity_radius(pendulum, 0.0, t, u.lip_estimate, n)
-    # pendulum: sup|H_q| = 2 pi and H_p = p on the band |p| <= Lip u + 2 pi t
-    assert vel == pytest.approx(t * (u.lip_estimate + 2 * np.pi * t) + 2.0 / n, rel=1e-12)
+    lip = u.lip_estimate
+    vel = velocity_radius(pendulum, 0.0, t, lip, n)
+    # pendulum: sup|H_q| = 2 pi and H_p = p; the envelope min(lip + 2 pi s,
+    # P_E) reaches the energy cap P_E = sqrt(lip^2 + 2 pi) at s* < t
+    cap = np.sqrt(lip ** 2 + 2 * np.pi)
+    s_star = (cap - lip) / (2 * np.pi)
+    assert s_star < t
+    assert vel == pytest.approx(t * cap - (cap - lip) ** 2 / (4 * np.pi) + 2.0 / n, rel=1e-12)
     assert vel < search_radius(pendulum, t, u.osc(), n) / 2
+
+
+def test_aubry_set_kernel_width(pendulum, monkeypatch):
+    # aubry_cold's solve: the widest kernel that the envelope's window asks
+    # for is D = 64; charging the top momentum lip + dt sup|H_q| over the
+    # whole horizon asked for D = 80
+    from hjkam.laxoleinik import clear_kernel_cache
+    from hjkam.weakkam import aubry_set
+    clear_kernel_cache()
+    widths = _record_widths(monkeypatch)
+    aubry_set(pendulum, grid_n=256, sigma_eff=SIGMA_PEND)
+    assert widths and max(widths) <= 64
 
 
 @pytest.mark.parametrize("t", [0.1, 0.3])
@@ -859,14 +905,25 @@ def _grad_sups_linspace(model, times, band):
 
 
 def _velocity_radius_sampled(model, tau, t, lip, n):
-    # velocity_radius as it was before the per-model sups: both sups sampled
-    # by lx._grad_sups on every call, at the band of lip and at the grown band
+    # velocity_radius with both sups sampled by lx._grad_sups on every call.
+    # Built-in families: G = sup|H_q| and a = sup|H_p| at |p| <= 1, and the
+    # travel a times the integral of the momentum envelope min(lip + s G,
+    # P_E) over [0, dt], capped at P_E = sqrt(lip^2 + G / a) only when
+    # autonomous.  Custom models: dt sup|H_p| on the band lip + dt sup|H_q|
     import hjkam.laxoleinik as lx
     dt = t - tau
     times = [tau] if model.autonomous else np.linspace(tau, t, 5)
     gq = lx._grad_sups(model, times, lip)[0]
-    gp = lx._grad_sups(model, times, lip + dt * gq)[1]
-    return dt * gp + 2.0 / n
+    if model.family == "custom":
+        gp = lx._grad_sups(model, times, lip + dt * gq)[1]
+        return dt * gp + 2.0 / n
+    a = lx._grad_sups(model, times, 1.0)[1]
+    travel = dt * lip + gq * dt * dt / 2
+    if model.autonomous and gq > 0:
+        cap = math.sqrt(lip * lip + gq / a)
+        if dt > (cap - lip) / gq:
+            travel = dt * cap - (cap - lip) ** 2 / (2 * gq)
+    return a * travel + 2.0 / n
 
 
 def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
