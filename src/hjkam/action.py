@@ -139,7 +139,6 @@ def _newton_direction(Mono, g):
     definite after regularization.
     """
     b = Mono[..., 0, 1]
-    b = np.where(np.abs(b) < 1e-14, 1e-14, b)
     diag = Mono[:, :-1, 1, 1] / b[:, :-1] + Mono[:, 1:, 0, 0] / b[:, 1:]
     off = -1.0 / b[:, 1:-1]
     shift = np.zeros(len(g))

@@ -1,17 +1,17 @@
 """Short-time two-point boundary solver and the generating function.
 
 Within the twist window the map ``p -> Q_tau^t(q0, p)`` is strongly
-monotone, so a damped Newton iteration with the ``dQ/dp`` monodromy block
-as Jacobian converges globally.  The generating value is accumulated as an
-extra quadrature component of the same RK4 discretization.  A shot lands
-near its target, not on it; ``generating_batch`` corrects the value and
-both momenta to first order in that landing error, through
+monotone, with ``dQ/dp >= m t / 2``, so a damped Newton iteration with the
+``dQ/dp`` monodromy block as Jacobian converges globally: every shot,
+``shoot_batch``'s too, takes one pipeline and no fallback.  The generating
+value is an extra quadrature component of the same RK4 discretization.  A
+shot lands near its target, not on it; ``generating_batch`` corrects the
+value and both momenta to first order in that landing error, through
 ``dS/dq1 = rho1`` and the monodromy.  They are then those of the discrete
 orbit that lands exactly, to about 1e-13, and the derivative identities
-``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.  So the
-generating values need a landing within ``LANDING_SLACK`` shooting
-tolerances only, and their coarse pre-solve stops at a tenth of that;
-``shoot_batch`` lands within ``shoot_tol`` itself.
+``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.  So a
+landing within ``LANDING_SLACK`` shooting tolerances suffices, and the
+coarse pre-solve stops at a tenth of that.
 """
 
 from __future__ import annotations
@@ -46,28 +46,21 @@ def _jacobian(model, tau, t, Q0, p, n_steps):
     """End positions and the ``dQ/dp`` monodromy entry, shaped like ``p``."""
     Q, _, Mono, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
     # a copy: a view would keep the whole monodromy alive with the chord
-    J = Mono[..., 0, 1:].copy()
-    bad = np.abs(J) < 1e-14
-    if bad.any():
-        J = J + np.where(bad, 1e-10, 0.0)
-    return Q, J
+    return Q, Mono[..., 0, 1:].copy()
 
 
-def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol, J=None):
+def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
     """Damped chord-Newton on ``Q_tau^t(q0, p) = q1`` for a batch.
 
     Residual evaluations integrate the state only; the ``dQ/dp`` Jacobian
     block is refreshed every three iterations and after a rejected step (it
-    varies slowly in p within the twist window).  A warm Jacobian from a
-    coarser grid can be passed in via ``J``.  Each row keeps its own refresh count and stall
-    test, only rows still above ``tol`` are refreshed, and the line search
-    integrates only the rows still backtracking, so a row's result does not
-    depend on the other rows of its batch.
+    varies slowly in p within the twist window).  Each row keeps its own
+    refresh count and stall test, only rows still above ``tol`` are
+    refreshed, and the line search integrates only the rows still
+    backtracking, so a row's result does not depend on the other rows of its
+    batch.  Returns the momenta and their residuals.
     """
-    if J is None:
-        Q, J = _jacobian(model, tau, t, Q0, p, n_steps)
-    else:
-        Q = integrate_batch(model, tau, t, Q0, p, n_steps)[0]
+    Q, J = _jacobian(model, tau, t, Q0, p, n_steps)
     F = Q - Q1
     res = np.linalg.norm(F, axis=-1)
     since_refresh = np.zeros(res.shape, int)
@@ -99,7 +92,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol, J=None):
             J = J.copy()
             J[stale] = _jacobian(model, tau, t, Q0[stale], p[stale], n_steps)[1]
             since_refresh[stale] = 0
-    return p, res, J
+    return p, res
 
 
 def _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init):
@@ -110,67 +103,27 @@ def _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init):
         raise SigmaExceeded(f"horizon {span:.6g} outside (0, {sig:.6g}]")
     Q0 = np.atleast_2d(np.asarray(Q0, float))
     Q1 = np.atleast_2d(np.asarray(Q1, float))
+    if not (np.isfinite(Q0).all() and np.isfinite(Q1).all()):
+        raise ConfigError("shooting endpoints must be finite")
     if p_init is None:
         _, p_init = legendre_batch(model, tau, (Q0 + Q1) / 2, (Q1 - Q0) / span)
     # a copy: the caller's p_init is never written to
     return Q0, Q1, shoot_tol(Q0, Q1), np.array(p_init, float, ndmin=2)
 
 
-def _presolve(model, tau, t, Q0, Q1, p, tol, n_fine):
-    """Newton on a coarse grid, or on the fine one when it has at most 16
-    steps; the coarse and fine solutions differ at quadrature order only.
-    Returns the momenta and the chord Jacobian."""
-    n_pre = max(8, n_fine // 8) if n_fine > 16 else n_fine
-    p, _, J = _newton_shoot(model, tau, t, Q0, Q1, p, n_pre, tol)
-    return p, J
-
-
-def _polish(model, tau, t, Q0, Q1, p, tol, J, step_target):
-    """Newton on the production grid from ``p``, warm from the chord ``J``.
-
-    Rows left above ``tol`` are re-solved by continuation in the horizon,
-    through ``tau + span/4`` and ``tau + span/2`` to ``t``; SolverDiverged
-    carries the worst residual of a row that still fails.
-    """
-    span = t - tau
-    p, res, _ = _newton_shoot(model, tau, t, Q0, Q1, p, _steps_for(span, step_target),
-                              tol, J=J)
-    bad = np.flatnonzero(res > tol)
-    if not len(bad):
-        return p, res
-    p_bad = None
-    for frac_prev, frac in ((None, 0.25), (0.25, 0.5), (0.5, 1.0)):
-        t_sub = tau + frac * span
-        if p_bad is None:
-            v = (Q1[bad] - Q0[bad]) / (frac * span)
-            _, p_sub = legendre_batch(model, tau, (Q0[bad] + Q1[bad]) / 2, v)
-        else:
-            p_sub = p_bad * (frac_prev / frac)
-        p_bad, res_bad, _ = _newton_shoot(model, tau, t_sub, Q0[bad], Q1[bad], p_sub,
-                                          _steps_for(frac * span, step_target), tol[bad])
-    if np.any(res_bad > tol[bad]):
-        raise SolverDiverged("shooting failed after horizon continuation",
-                             residual=float(np.max(res_bad)))
-    p, res = p.copy(), res.copy()
-    p[bad], res[bad] = p_bad, res_bad
-    return p, res
-
-
 def shoot_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
                 sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
     """Initial momenta joining ``Q0[i] -> Q1[i]`` over ``[tau, t]`` (batch).
 
-    Lands each row within ``shoot_tol`` on the production grid.  Raises
-    SigmaExceeded when the horizon leaves the working twist window and
-    SolverDiverged when Newton plus horizon continuation both fail.
+    Returns ``(rho0, residual)`` of ``generating_batch``: momenta corrected
+    for the landing error, whose orbits land on the production grid to about
+    1e-15, and the landing error corrected for.  Raises SigmaExceeded when
+    the horizon leaves the working twist window and SolverDiverged when a
+    row does not land.
     """
-    single = np.ndim(Q0) == 1
-    Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
-    p, J = _presolve(model, tau, t, Q0, Q1, p, tol, _steps_for(t - tau, step_target))
-    p, res = _polish(model, tau, t, Q0, Q1, p, tol, J, step_target)
-    if single:
-        return p[0], res[0]
-    return p, res
+    _, rho0, _, res, _ = generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma_eff,
+                                          p_init=p_init, step_target=step_target)
+    return rho0, res
 
 
 @dataclass
@@ -204,29 +157,32 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     ``rho1 = P + M11 dp`` (``dS/dq1 = rho1``); the error left is about
     ``|M11 / M01| e^2 / 2`` in ``S``.  Rows landing farther than
     ``LANDING_SLACK * shoot_tol`` take the Newton step ``p0 + dp`` and one
-    more pass; rows still that far are polished as ``shoot_batch`` polishes,
-    where a row that fails raises SolverDiverged with its residual, and take
-    one more pass.  ``residual`` is ``|e|``, the landing error that was
-    corrected for; ``Mono`` is the flow's differential, (..., 2, 2).
+    more pass, at most ``MAX_SHOOT_ITER`` times; a row still that far
+    raises SolverDiverged with the worst landing error.  ``residual`` is
+    ``|e|``, the landing error that was corrected for; ``Mono`` is the
+    flow's differential, (..., 2, 2).
     """
     single = np.ndim(Q0) == 1
     Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
     n_fine = _steps_for(t - tau, step_target)
-    p, J = _presolve(model, tau, t, Q0, Q1, p, PRESOLVE_SLACK * tol, n_fine)
+    # the pre-solve runs on a coarse grid, or on the fine one when it has at
+    # most 16 steps; the two grids' solutions differ at quadrature order only
+    n_pre = max(8, n_fine // 8) if n_fine > 16 else n_fine
+    p = _newton_shoot(model, tau, t, Q0, Q1, p, n_pre, PRESOLVE_SLACK * tol)[0]
     Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p, n_fine,
                                     want_monodromy=True, want_action=True)
-    # a pass carries its own Newton step: one more pass at p0 + dp lands
-    # nearly every far row, for less than a state-only polish and a pass
+    # a pass carries its own Newton step: a far row takes p0 + dp and one
+    # more pass, which lands nearly every one of them
     far = np.arange(len(Q0))
-    for polish in (False, True):
-        far = far[np.linalg.norm(Q1[far] - Q[far], axis=-1) > LANDING_SLACK * tol[far]]
+    for passes in range(MAX_SHOOT_ITER + 1):
+        miss = np.linalg.norm(Q1[far] - Q[far], axis=-1)
+        far = far[miss > LANDING_SLACK * tol[far]]
         if not len(far):
             break
-        if polish:
-            p[far] = _polish(model, tau, t, Q0[far], Q1[far], p[far], tol[far], J[far],
-                             step_target)[0]
-        else:
-            p[far] += (Q1[far] - Q[far]) / Mono[far, 0, 1:]
+        if passes == MAX_SHOOT_ITER:
+            raise SolverDiverged(f"{len(far)} shots off target after {passes} Newton passes",
+                                 residual=float(np.max(miss)))
+        p[far] += (Q1[far] - Q[far]) / Mono[far, 0, 1:]
         Q[far], P[far], Mono[far], W[far] = integrate_batch(
             model, tau, t, Q0[far], p[far], n_fine, want_monodromy=True, want_action=True)
     e = Q1 - Q
@@ -238,7 +194,7 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
 
 def shoot_rho0(model: HamiltonianModel, tau: float, t: float, q0, q1,
                sigma_eff=None) -> np.ndarray:
-    """Unique initial momentum whose orbit reaches ``q1`` at time ``t``."""
+    """Unique initial momentum whose orbit reaches ``q1`` at time ``t`` (to ~1e-15)."""
     q0 = np.atleast_1d(np.asarray(q0, float))
     q1 = np.atleast_1d(np.asarray(q1, float))
     p, _ = shoot_batch(model, tau, t, q0, q1, sigma_eff=sigma_eff)

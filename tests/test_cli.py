@@ -163,6 +163,15 @@ def test_nonpositive_step_or_cap_exits_1(tmp_path, argv):
                            "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", [["gen-s", "--t", "0.1"], ["action", "--t", "2"]])
+def test_non_finite_endpoint_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run_cli(command + ["--model", "pendulum", "--q0", "0.1", "--q1", "nan",
+                              "--sigma-eff", "0.2", "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "gen_s.csv").exists()
+
+
 def test_solver_errors_exit_2(tmp_path):
     # generating value requested past the twist window
     code = run_cli(["gen-s", "--model", "pendulum", "--t", "0.5", "--q0", "0",

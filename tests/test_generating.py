@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGMA_FREE, SIGMA_PEND
-from hjkam.errors import SigmaExceeded
+from hjkam.action import minimal_action
+from hjkam.errors import ConfigError, SigmaExceeded, SolverDiverged
 from hjkam.flow import TARGET_STEP, _steps_for, integrate_batch, integrate_flow
 from hjkam.generating import (KERNEL_STEP, generating_S, generating_batch,
                               second_diff_probe, shoot_rho0)
@@ -176,61 +177,76 @@ def test_line_search_integrates_only_backtracking_rows(pendulum, monkeypatch):
     p_conv = shoot_rho0(pendulum, 0.0, t, Q0, Q1, sigma_eff=SIGMA_PEND)
     p_start = p_conv.copy()
     p_start[20:] += 3.0
-    J = 0.6 * g._jacobian(pendulum, 0.0, t, Q0, p_start, n_steps)[1]
-    real = g.integrate_batch
+    jacobian, real = g._jacobian, g.integrate_batch
     rows = []
+
+    def small_chord(*args):
+        Q, J = jacobian(*args)
+        return Q, 0.6 * J
 
     def counted(model, tau, t, Q0, P0, n_steps, want_monodromy=False, **kw):
         if not want_monodromy:
             rows.append(len(Q0))
         return real(model, tau, t, Q0, P0, n_steps, want_monodromy=want_monodromy, **kw)
 
+    monkeypatch.setattr(g, "_jacobian", small_chord)
     monkeypatch.setattr(g, "integrate_batch", counted)
-    # with a warm J the first state-only call is the start residual
-    p_mixed, res_mixed, _ = g._newton_shoot(pendulum, 0.0, t, Q0, Q1, p_start,
-                                            n_steps, tol, J=J)
-    mixed = rows[1:]
+    p_mixed, res_mixed = g._newton_shoot(pendulum, 0.0, t, Q0, Q1, p_start, n_steps, tol)
+    mixed = rows.copy()
     rows.clear()
-    p_hard, res_hard, _ = g._newton_shoot(pendulum, 0.0, t, Q0[20:], Q1[20:],
-                                          p_start[20:], n_steps, tol[20:], J=J[20:])
-    assert mixed == rows[1:] and sum(mixed) > 0
+    p_hard, res_hard = g._newton_shoot(pendulum, 0.0, t, Q0[20:], Q1[20:], p_start[20:],
+                                       n_steps, tol[20:])
+    assert mixed == rows and sum(mixed) > 0
     assert np.array_equal(p_mixed[20:], p_hard) and np.array_equal(res_mixed[20:], res_hard)
     assert np.array_equal(p_mixed[:20], p_conv[:20])
 
 
-def test_horizon_continuation_rescues_failed_rows(pendulum, monkeypatch):
-    # shoot_batch re-solves the rows that its production-grid Newton solve
-    # leaves above tolerance by continuation through t/4 and t/2; here that
-    # solve is made to fail on every other row, leaving a wrong momentum
+def test_rows_that_never_land_raise_solver_diverged(pendulum, monkeypatch):
+    # the far rows' Newton passes stop after MAX_SHOOT_ITER; here every other
+    # row's pass is made to land a fixed distance off its target, whatever
+    # its momentum, and the error carries the worst of those landing errors
     import hjkam.generating as g
-    t = 0.15
     rng = np.random.default_rng(8)
     Q0 = rng.uniform(0, 1, (12, 1))
     Q1 = Q0 + rng.uniform(-0.4, 0.4, (12, 1))
-    p_direct, _ = g.shoot_batch(pendulum, 0.0, t, Q0, Q1, sigma_eff=SIGMA_PEND)
-    n_fine = g._steps_for(t)
-    real = g._newton_shoot
-    solves = []
+    off = np.where(np.arange(12) % 2 == 1, 1e-6 * np.arange(1, 13), 0.0)[:, None]
+    real = g.integrate_batch
+    passes = []
 
-    def fail_first_fine_solve(model, tau, t_, Q0_, Q1_, p, n_steps, tol, J=None):
-        p, res, J = real(model, tau, t_, Q0_, Q1_, p, n_steps, tol, J=J)
-        if n_steps == n_fine and all(n != n_fine for _, _, n in solves):
-            bad = np.arange(len(res)) % 2 == 1
-            p, res = np.where(bad[:, None], p + 1.0, p), np.where(bad, 1.0, res)
-        solves.append((t_, len(Q0_), n_steps))
-        return p, res, J
+    def never_land(model, tau, t, Q0_, P0, n_steps, want_monodromy=False, want_action=False):
+        Q, *rest = real(model, tau, t, Q0_, P0, n_steps, want_monodromy, want_action)
+        if want_action:
+            rows = [int(np.flatnonzero(Q0[:, 0] == q)[0]) for q in Q0_[:, 0]]
+            Q = np.where(off[rows] > 0, Q1[rows] - off[rows], Q)
+            passes.append(len(rows))
+        return (Q, *rest)
 
-    monkeypatch.setattr(g, "_newton_shoot", fail_first_fine_solve)
-    p, res = g.shoot_batch(pendulum, 0.0, t, Q0, Q1, sigma_eff=SIGMA_PEND)
-    # coarse pre-solve and polish on all rows, then three horizons on six rows
-    assert [(h, rows) for h, rows, _ in solves] == [(t, 12), (t, 12), (0.25 * t, 6),
-                                                    (0.5 * t, 6), (t, 6)]
-    tol = g.shoot_tol(Q0, Q1)
-    assert np.all(res <= tol)
-    Q = g.integrate_batch(pendulum, 0.0, t, Q0, p, n_fine)[0]
-    assert np.all(np.abs(Q - Q1)[:, 0] <= tol)
-    assert np.array_equal(p[::2], p_direct[::2])
-    assert np.max(np.abs(p - p_direct)) <= 1e-9
+    monkeypatch.setattr(g, "integrate_batch", never_land)
+    with pytest.raises(SolverDiverged) as err:
+        generating_batch(pendulum, 0.0, 0.15, Q0, Q1, sigma_eff=SIGMA_PEND)
+    assert len(passes) == g.MAX_SHOOT_ITER + 1 and passes[0] == 12 and passes[-1] == 6
+    assert err.value.residual == np.max(np.linalg.norm(Q1 - (Q1 - off), axis=-1))
+
+
+def test_shoot_rho0_lands_on_the_production_grid(pendulum):
+    # shoot_rho0 is rho0 of generating_batch, corrected for the landing
+    # error: its orbit lands far inside the shooting tolerance
+    rng = np.random.default_rng(12)
+    Q0 = rng.uniform(0, 1, (200, 1))
+    Q1 = Q0 + rng.uniform(-0.4, 0.4, (200, 1))
+    rho0 = shoot_rho0(pendulum, 0.0, 0.1, Q0, Q1, sigma_eff=SIGMA_PEND)
+    Q = integrate_batch(pendulum, 0.0, 0.1, Q0, rho0, _steps_for(0.1))[0]
+    assert np.max(np.abs(Q - Q1)) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: shoot_rho0(m, 0.0, 0.1, [np.nan], [0.3], sigma_eff=SIGMA_PEND),
+    lambda m: generating_S(m, 0.0, 0.1, [0.1], [np.inf], sigma_eff=SIGMA_PEND),
+    lambda m: minimal_action(m, 0.0, 2.0, [0.1], [np.nan], sigma_eff=SIGMA_PEND),
+], ids=["shoot_rho0", "generating_S", "minimal_action"])
+def test_non_finite_endpoints_are_refused(pendulum, call):
+    with pytest.raises(ConfigError):
+        call(pendulum)
 
 
 def _tight_reference(model, t, Q0, Q1, step):
@@ -284,13 +300,13 @@ def test_landing_correction_matches_tight_reference(request, monkeypatch, name, 
     assert np.max(np.abs(r1 - P)) <= 1e-12
 
 
-@pytest.mark.parametrize("slack", [None, 0])
+@pytest.mark.parametrize("slack", [None, 1])
 def test_far_rows_do_not_depend_on_their_batch(monkeypatch, slack):
     # rows that land beyond LANDING_SLACK tolerances after the coarse
     # pre-solve (here the wide displacements, |dq| >= 1 at t = 0.05) take a
-    # Newton step and one more pass as a sub-batch; with no slack every row
-    # takes the step, and each that does not then land exactly the polish and
-    # a third pass.  Every row equals its one-row call, and the values do not
+    # Newton step and one more pass as a sub-batch; with a slack of one
+    # tolerance most rows take the step, and every row is driven within one
+    # tolerance.  Every row equals its one-row call, and the values do not
     # depend on the route, to 1e-12
     import hjkam.generating as g
     model = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
@@ -300,29 +316,24 @@ def test_far_rows_do_not_depend_on_their_batch(monkeypatch, slack):
     Q1 = Q0 + np.where(wide[:, None], rng.uniform(1.0, 1.5, (24, 1)),
                        rng.uniform(-0.1, 0.1, (24, 1)))
     ref = generating_batch(model, 0.0, 0.05, Q0, Q1, sigma_eff=0.05)
-    integrate, polish = g.integrate_batch, g._polish
-    passes, polished = [], []
+    integrate = g.integrate_batch
+    passes = []
 
     def counted(model, tau, t, Q0_, P0, n_steps, want_monodromy=False, want_action=False):
         if want_action:
             passes.append(Q0_.copy())
         return integrate(model, tau, t, Q0_, P0, n_steps, want_monodromy, want_action)
 
-    def spy(model, tau, t, Q0_, *args):
-        polished.append(Q0_.copy())
-        return polish(model, tau, t, Q0_, *args)
-
     monkeypatch.setattr(g, "integrate_batch", counted)
-    monkeypatch.setattr(g, "_polish", spy)
     if slack is not None:
         monkeypatch.setattr(g, "LANDING_SLACK", slack)
     batch = generating_batch(model, 0.0, 0.05, Q0, Q1, sigma_eff=0.05)
+    assert len(passes) == 2 and len(passes[0]) == 24
     if slack is None:
-        assert len(passes) == 2 and not polished
         assert len(passes[1]) > 0 and np.isin(passes[1], Q0[wide]).all()
     else:
-        assert [len(x) for x in passes[:2]] == [24, 24]
-        assert len(passes) == 3 and len(passes[2]) == len(polished[0]) > 12
+        assert len(passes[1]) > 12
+        assert np.all(batch[3] <= g.shoot_tol(Q0, Q1))
     for a, b in zip(batch[:3], ref[:3]):
         assert np.max(np.abs(a - b)) <= 1e-12
     for i in range(24):
