@@ -7,7 +7,11 @@ relaxes a batch of chains: damped Newton on the chain action, with the
 tridiagonal Hessian assembled from each segment's monodromy blocks and an
 Armijo line search on the summed action.  Every evaluation is one
 warm-started ``generating_batch`` call that returns value, end momenta and
-monodromy together.  The Tonelli oracle is independent of this pipeline:
+monodromy together.  A production step finer than ``KERNEL_STEP`` is
+reached by nested iteration: the chains are swept at ``KERNEL_STEP``,
+where a sweep costs fewer RK4 steps, and then evaluated and corrected on
+the production grid, from which every returned value and jump comes.  The
+Tonelli oracle is independent of this pipeline:
 batched Newton on the midpoint-rule Lagrangian action of discrete curves,
 whose Hessian is tridiagonal too, extrapolated to fourth order in the step.
 """
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, MultistartExhausted, SolverDiverged
-from .flow import Trajectory, integrate_flow, resolve_sigma, write_csv
+from .flow import Trajectory, _steps_for, integrate_flow, resolve_sigma, write_csv
 from .generating import KERNEL_STEP, TARGET_STEP, generating_batch
 from .hamiltonian import HamiltonianModel, legendre_batch
 
@@ -62,7 +66,7 @@ class BrokenPath:
 
 def default_segments(tau: float, t: float, sigma: float) -> int:
     """Smallest segment count keeping horizons inside half the twist window."""
-    return max(1, int(np.ceil((t - tau) / (sigma / 2) - 1e-12)))
+    return _steps_for(t - tau, sigma / 2)
 
 
 def broken_action_value(model: HamiltonianModel, tau: float, t: float, q0, q1,
@@ -154,7 +158,12 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     """Damped Newton on the action of a batch of chains.
 
     ``pts`` is (B, n+1, 1) with endpoints included; it is updated in place.
-    Only chains whose largest momentum jump exceeds ``tol_crit`` are
+    A ``step_target`` finer than ``KERNEL_STEP`` is reached in two steps:
+    the sweeps run at ``KERNEL_STEP`` first, then every chain is evaluated
+    once at ``step_target``, warm-started from its coarse momenta, and only
+    the chains whose coarse jumps met ``tol_crit`` are swept there again;
+    the others are left where the coarse sweeps put them.  On each step,
+    only chains whose largest momentum jump exceeds ``tol_crit`` are
     iterated.  Where the regularized Hessian stays indefinite, or the Newton
     direction is not a descent direction, the chain steps along the
     gradient instead.  A step is damped along the ladder
@@ -166,44 +175,50 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     independently of its batch mates, so a chain takes the step that
     backtracking one halving per solve would take.  Returns
     ``(pts, jumps, S, rho0, rho1)``: the momentum-jump norms (B, n-1) and
-    the per-segment values and momenta of the last evaluation.
+    the per-segment values and momenta of the last evaluation, all at
+    ``step_target``.
     """
-    S, r0, r1, Mono = _segments(model, tau, t, pts, sigma_eff, step_target)
+    steps = (KERNEL_STEP, step_target) if step_target < KERNEL_STEP else (step_target,)
     stalled = np.zeros(len(pts), bool)
-    for _ in range(max_sweeps):
-        g = r1[:, :-1] - r0[:, 1:]
-        gmax = np.linalg.norm(g, axis=-1).max(axis=1, initial=0.0)
-        act = np.flatnonzero((gmax > tol_crit) & ~stalled)
-        if len(act) == 0:
-            break
-        ga = g[act]
-        delta, ok = _newton_direction(Mono[act], ga)
-        slope = np.sum(ga * delta, axis=(1, 2))
-        ascent = ~ok | ~(slope > 0)
-        delta[ascent] = ga[ascent]
-        slope[ascent] = np.sum(ga[ascent] ** 2, axis=(1, 2))
-        S_act = S[act].sum(axis=1)
-        todo = np.arange(len(act))   # active chains without a step yet
-        for rungs in LINE_SEARCH:
-            # row j of the batch is chain todo[j // m] at rungs[j % m]
-            m = len(rungs)
-            k = np.repeat(todo, m)
-            lam = np.tile(rungs, len(todo))
-            trial = pts[act[k]]
-            trial[:, 1:-1] -= lam[:, None, None] * delta[k]
-            St, r0t, r1t, Mt = _segments(model, tau, t, trial, sigma_eff, step_target,
-                                         p_init=r0[act[k]])
-            good = (St.sum(axis=1) <= S_act[k] - 1e-4 * lam * slope[k]).reshape(-1, m)
-            found = good.any(axis=1)
-            first = np.flatnonzero(found) * m + good.argmax(axis=1)[found]
-            i = act[todo[found]]
-            pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[first], St[first], r0t[first],
-                                                  r1t[first], Mt[first])
-            todo = todo[~found]
-            if not len(todo):
+    r0 = None
+    for step in steps:
+        S, r0, r1, Mono = _segments(model, tau, t, pts, sigma_eff, step, p_init=r0)
+        for _ in range(max_sweeps):
+            g = r1[:, :-1] - r0[:, 1:]
+            gmax = np.linalg.norm(g, axis=-1).max(axis=1, initial=0.0)
+            act = np.flatnonzero((gmax > tol_crit) & ~stalled)
+            if len(act) == 0:
                 break
-        stalled[act[todo]] = True
-    jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
+            ga = g[act]
+            delta, ok = _newton_direction(Mono[act], ga)
+            slope = np.sum(ga * delta, axis=(1, 2))
+            ascent = ~ok | ~(slope > 0)
+            delta[ascent] = ga[ascent]
+            slope[ascent] = np.sum(ga[ascent] ** 2, axis=(1, 2))
+            S_act = S[act].sum(axis=1)
+            todo = np.arange(len(act))   # active chains without a step yet
+            for rungs in LINE_SEARCH:
+                # row j of the batch is chain todo[j // m] at rungs[j % m]
+                m = len(rungs)
+                k = np.repeat(todo, m)
+                lam = np.tile(rungs, len(todo))
+                trial = pts[act[k]]
+                trial[:, 1:-1] -= lam[:, None, None] * delta[k]
+                St, r0t, r1t, Mt = _segments(model, tau, t, trial, sigma_eff, step,
+                                             p_init=r0[act[k]])
+                good = (St.sum(axis=1) <= S_act[k] - 1e-4 * lam * slope[k]).reshape(-1, m)
+                found = good.any(axis=1)
+                first = np.flatnonzero(found) * m + good.argmax(axis=1)[found]
+                i = act[todo[found]]
+                pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[first], St[first], r0t[first],
+                                                      r1t[first], Mt[first])
+                todo = todo[~found]
+                if not len(todo):
+                    break
+            stalled[act[todo]] = True
+        jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
+        # a chain that the coarse sweeps left above tol_crit is not swept again
+        stalled = jumps.max(axis=1, initial=0.0) > tol_crit
     return pts, jumps, S, r0, r1
 
 
@@ -240,9 +255,12 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
 
     Multistarts: straight-line interpolation, travel-hold-travel curves
     through a spread of waypoints (horizons past twice the window),
-    and ``restarts - 1`` seeded random perturbations.  Raises
-    MultistartExhausted when the restarts disagree beyond tolerance and
-    none meets the momentum-jump criterion.
+    and ``restarts - 1`` seeded random perturbations.  All starts relax in
+    one batch, at ``KERNEL_STEP`` first when ``step_target`` is finer (see
+    ``_relax_chain``); the values, chain and jumps returned, and the jump
+    criterion, are those of ``step_target``.  Raises MultistartExhausted
+    when the restarts disagree beyond tolerance and none meets the
+    momentum-jump criterion.
     """
     if t <= tau:
         raise ConfigError("minimal_action requires t > tau")

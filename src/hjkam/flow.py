@@ -204,15 +204,17 @@ def _escaped(Q, P) -> np.ndarray:
     return ~inside.all(axis=-1)
 
 
-def _checked_step(step: float) -> float:
-    if not 0 < step < np.inf:
-        raise ConfigError(f"step must be finite and > 0, got {step}")
-    return step
+def _checked_positive(value: float, name: str) -> float:
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _steps_for(span: float, target: float = TARGET_STEP) -> int:
     """Fewest uniform steps of at most ``target`` over ``|span|``; one at zero."""
-    return max(1, int(np.ceil(abs(span) / _checked_step(target) - 1e-12)))
+    if not np.isfinite(span):
+        raise ConfigError(f"time span must be finite, got {span}")
+    return max(1, int(np.ceil(abs(span) / _checked_positive(target, "step") - 1e-12)))
 
 
 def integrate_flow(model: HamiltonianModel, x0, tau: float, t: float,
@@ -312,6 +314,7 @@ class TwistWindow:
 def certify_sigma(model: HamiltonianModel, t: float, q=None, p_box=(-4.0, 4.0),
                   n_samples: int = 1000, seed: int = 0) -> TwistWindow:
     """Run a twist scan at horizon ``t``; raise if the margin is negative."""
+    _checked_positive(t, "twist window")
     if q is None:
         q = np.zeros(1)
     margins = []
@@ -343,4 +346,4 @@ def resolve_sigma(model: HamiltonianModel, sigma_eff) -> float:
     """Working twist window as a float: formula default, or explicit override."""
     if sigma_eff is None:
         return sigma_bound(model)
-    return float(sigma_eff)
+    return _checked_positive(float(sigma_eff), "twist window")

@@ -25,7 +25,8 @@ from .errors import (ConfigError, ExistenceHorizonExceeded, FoldDetected,
 from .flow import TARGET_STEP, _escaped, _steps_for, integrate_batch, resolve_sigma, write_csv
 from .hamiltonian import HamiltonianModel, legendre_batch
 
-# coarser step of the tabulated grid kernels and their batched pair actions
+# coarser step of the tabulated grid kernels and their batched pair actions,
+# and the step at which chains relax before a finer production step
 KERNEL_STEP = 5e-3
 MAX_SHOOT_ITER = 50
 # a generating row that lands within this many shooting tolerances after the
@@ -163,8 +164,9 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     flow's differential, (..., 2, 2).
     """
     single = np.ndim(Q0) == 1
-    Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
+    # before the window check: a non-finite horizon is a config error
     n_fine = _steps_for(t - tau, step_target)
+    Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
     # the pre-solve runs on a coarse grid, or on the fine one when it has at
     # most 16 steps; the two grids' solutions differ at quadrature order only
     n_pre = max(8, n_fine // 8) if n_fine > 16 else n_fine

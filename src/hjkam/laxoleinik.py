@@ -355,8 +355,8 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     """
     if not model.periodic:
         raise ConfigError("Lax-Oleinik operators need a periodic model")
-    if not t > tau:
-        raise ConfigError("need t > tau")
+    if not 0 < t - tau < np.inf:
+        raise ConfigError("need a finite t > tau")
     n = u.n_per_dim
     R = min(search_radius(model, t - tau, u.osc(), n),
             velocity_radius(model, tau, t, u.lip_estimate, n))

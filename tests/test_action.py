@@ -7,8 +7,8 @@ from hjkam.action import (TOL_CRIT_BASE, action_bounds, broken_action_value,
                           lagrangian_action, minimal_action, minimal_action_batch,
                           reconstruct_trajectory, tonelli_oracle, triangle_check)
 from hjkam.errors import ConfigError, MultistartExhausted, SigmaExceeded
-from hjkam.generating import generating_S
-from hjkam.hamiltonian import free_model
+from hjkam.generating import KERNEL_STEP, generating_S
+from hjkam.hamiltonian import free_model, mechanical_model
 
 
 def test_broken_value_examples(free, pendulum):
@@ -412,3 +412,88 @@ def test_ladder_matches_sequential_backtracking(model_name, amp, seed, chains, m
     calls.clear()
     act._relax_chain(*args, pts.copy(), SIGMA_PEND, 5e-3, 1, tol)
     assert calls[0] == chains and len(calls) <= 1 + len(act.LINE_SEARCH)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: minimal_action(m, 0.0, 1.0, [0.1], [0.5], sigma_eff=0.0),
+    lambda m: minimal_action(m, 0.0, np.inf, [0.1], [0.5], sigma_eff=SIGMA_PEND),
+    lambda m: minimal_action_batch(m, np.nan, 1.0, [0.1], [0.5], sigma_eff=SIGMA_PEND),
+], ids=["window-zero", "horizon-inf", "batch-tau-nan"])
+def test_non_finite_horizon_or_window_is_config_error(pendulum, call):
+    with pytest.raises(ConfigError):
+        call(pendulum)
+
+
+@pytest.mark.parametrize("model_name", ["pendulum", "multi", "forced"])
+@pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+def test_two_steps_match_one_step_relaxation(model_name, t, pendulum, forced, monkeypatch):
+    # chains relaxed at KERNEL_STEP and then corrected at the production step
+    # reach the least value that relaxing at the production step alone reaches
+    import hjkam.action as act
+    model, sigma, tau = {"pendulum": (pendulum, SIGMA_PEND, 0.0),
+                         "multi": (mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15]), 0.15, 0.0),
+                         "forced": (forced, SIGMA_PEND, 0.1)}[model_name]
+    starts = []
+    relax = act._relax_chain
+
+    def spy(model, tau, t, pts, *rest):
+        starts.append((pts.copy(),) + rest)
+        return relax(model, tau, t, pts, *rest)
+
+    monkeypatch.setattr(act, "_relax_chain", spy)
+    A, path = minimal_action(model, tau, tau + t, [0.1], [0.6], sigma_eff=sigma)
+    pts, sig, step, max_sweeps, tol = starts[0]
+    assert step == 2e-3 and np.max(path.momentum_jumps) <= tol
+    (_, jumps, S, _, _), _, _ = _sequential_relax(model, tau, tau + t, pts, sig, step,
+                                                  max_sweeps, tol)
+    ref = S.sum(axis=1)[jumps.max(axis=1) <= tol].min()
+    assert abs(A - ref) <= 1e-12 * (1 + abs(A))
+
+
+def test_sweeps_run_at_kernel_step_and_unconverged_chains_freeze(pendulum, monkeypatch):
+    import hjkam.action as act
+    t, n = 1.2, 6
+    lam = np.linspace(0, 1, n + 1)
+    # the chains start from different points, so a solve's rows name their chain
+    pts = np.stack([q0 + (0.6 - q0) * lam for q0 in (0.1, 0.15)])[..., None]
+    pts[:, 1:-1, 0] += 0.3 * np.sin(np.pi * lam[1:-1])
+    # a zero tolerance leaves chain 0 above it after the coarse sweeps
+    tol = np.array([0.0, 1e-6])
+    calls = []
+    segments = act._segments
+
+    def spy(*a, **kw):
+        calls.append((a[5], set(a[3][:, 0, 0])))
+        return segments(*a, **kw)
+
+    monkeypatch.setattr(act, "_segments", spy)
+    _, jumps, _, _, _ = act._relax_chain(pendulum, 0.0, t, pts.copy(), SIGMA_PEND, 2e-3, 12, tol)
+    steps = [step for step, _ in calls]
+    coarse = steps.count(KERNEL_STEP)
+    # sweeps at KERNEL_STEP, then one evaluation of every chain at 2e-3, then
+    # sweeps at 2e-3 for the chains that met their tolerance only
+    assert coarse > 1 and steps == [KERNEL_STEP] * coarse + [2e-3] * (len(steps) - coarse)
+    assert calls[coarse][1] == {0.1, 0.15}
+    assert all(0.1 not in rows for _, rows in calls[coarse + 1:])
+    assert jumps[1].max() <= tol[1]
+    for step in (KERNEL_STEP, 1e-2):
+        calls.clear()
+        act._relax_chain(pendulum, 0.0, t, pts.copy(), SIGMA_PEND, step, 12, tol)
+        assert len(calls) > 1 and {s for s, _ in calls} == {step}
+
+
+def test_batch_rows_equal_one_row_calls_at_production_step(pendulum):
+    # the freeze after the coarse sweeps is decided per chain
+    rng = np.random.default_rng(5)
+    Q0 = rng.uniform(0, 1, (4, 1))
+    Q1 = rng.uniform(0, 1, (4, 1))
+    n = 10
+    lam = np.arange(1, n) / n
+    init = (Q0 + lam * (Q1 - Q0) + rng.normal(0, 0.3, (4, 1)) * np.sin(np.pi * lam))[..., None]
+    kw = dict(sigma_eff=SIGMA_PEND, n=n, step_target=2e-3)
+    batch = minimal_action_batch(pendulum, 0.0, 1.0, Q0, Q1, init_nodes=init, **kw)
+    for i in range(4):
+        one = minimal_action_batch(pendulum, 0.0, 1.0, Q0[i:i + 1], Q1[i:i + 1],
+                                   init_nodes=init[i:i + 1], **kw)
+        for a, b in zip(batch, one):
+            assert a[i:i + 1].tobytes() == b.tobytes()

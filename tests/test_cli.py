@@ -172,6 +172,21 @@ def test_non_finite_endpoint_exits_1(tmp_path, capsys, command):
     assert not (out / "gen_s.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["action", "--t", "inf", "--q0", "0.1", "--q1", "0.5", "--sigma-eff", "0.2"],
+    ["gen-s", "--t", "nan", "--q0", "0.1", "--q1", "0.3", "--sigma-eff", "0.2"],
+    ["gen-s", "--t", "0.1", "--q0", "0.1", "--q1", "0.3", "--sigma-eff", "nan"],
+    ["gen-s", "--t", "0.1", "--q0", "0.1", "--q1", "0.3", "--sigma-eff", "inf"],
+    ["lax", "--t", "inf", "--grid", "16", "--sigma-eff", "0.2"],
+], ids=["action-t-inf", "gen-s-t-nan", "gen-s-sigma-nan", "gen-s-sigma-inf", "lax-t-inf"])
+def test_non_finite_horizon_or_window_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run_cli(command + ["--model", "pendulum", "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    for name in ("gen_s.csv", "minimizer.csv", "u_out.gridfn"):
+        assert not (out / name).exists()
+
+
 def test_solver_errors_exit_2(tmp_path):
     # generating value requested past the twist window
     code = run_cli(["gen-s", "--model", "pendulum", "--t", "0.5", "--q0", "0",

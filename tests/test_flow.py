@@ -6,7 +6,7 @@ import pytest
 from conftest import SIGMA_PEND
 from hjkam.errors import ConfigError, TrajectoryEscape
 from hjkam.flow import (_steps_for, certify_sigma, check_twist, integrate_flow, monodromy,
-                        sigma_bound)
+                        resolve_sigma, sigma_bound)
 from hjkam.hamiltonian import custom_model
 
 
@@ -129,6 +129,20 @@ def test_twist_scan_uses_the_uniform_step_rule(pendulum):
     assert _steps_for(0.07, 0.005) == _steps_for(0.07, 0.0052) == 14
     assert check_twist(pendulum, [0.0], 0.07) == check_twist(pendulum, [0.0], 0.07,
                                                               step=0.0052)
+
+
+@pytest.mark.parametrize("span", [np.inf, -np.inf, np.nan])
+def test_non_finite_span_is_config_error(span):
+    with pytest.raises(ConfigError, match="span"):
+        _steps_for(span)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.2, np.inf, np.nan])
+def test_window_not_finite_and_positive_is_config_error(pendulum, sigma):
+    with pytest.raises(ConfigError, match="twist window"):
+        resolve_sigma(pendulum, sigma)
+    with pytest.raises(ConfigError, match="twist window"):
+        certify_sigma(pendulum, sigma)
 
 
 def _runaway():
