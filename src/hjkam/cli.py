@@ -127,10 +127,6 @@ def _sigma_policy(model, config: RunConfig):
     return window.t, {"mode": "certified-default", **window.to_dict()}
 
 
-def _fvec(text: str) -> np.ndarray:
-    return np.array([float(x) for x in str(text).split(",")], float)
-
-
 def dispatch(config: RunConfig) -> int:
     """Run one command, writing a JSON summary plus datasets and meta.json;
     a file that cannot be made, written or read is a ConfigError."""
@@ -158,7 +154,7 @@ def _run_command(config: RunConfig) -> int:
         log_lines.append(f"passes: {report.passes}  m_emp={report.m_emp:.6g} "
                          f"M_emp={report.M_emp:.6g}")
     elif config.command == "flow":
-        x0 = PhaseState(_fvec(opts["q0"]), _fvec(opts["p0"]))
+        x0 = PhaseState(float(opts["q0"]), float(opts["p0"]))
         traj = integrate_flow(model, x0, float(opts.get("tau", 0.0)),
                               float(opts["t"]), step=opts.get("step"))
         files.append(export_dataset(traj, "csv", out("trajectory.csv")))
@@ -168,7 +164,7 @@ def _run_command(config: RunConfig) -> int:
         log_lines.append(f"terminal q={traj.Q[-1]} p={traj.P[-1]} "
                          f"drift={traj.energy_drift():.3e}")
     elif config.command == "monodromy":
-        x0 = PhaseState(_fvec(opts["q0"]), _fvec(opts["p0"]))
+        x0 = PhaseState(float(opts["q0"]), float(opts["p0"]))
         mono = monodromy(model, x0, float(opts.get("tau", 0.0)), float(opts["t"]))
         summary["blocks"] = {"dqQ": mono.dqQ, "dpQ": mono.dpQ,
                              "dqP": mono.dqP, "dpP": mono.dpP}
@@ -179,7 +175,7 @@ def _run_command(config: RunConfig) -> int:
         log_lines.append(f"deviation={mono.deviation:.6g}")
     elif config.command == "gen-s":
         s = generating_S(model, float(opts.get("tau", 0.0)), float(opts["t"]),
-                         _fvec(opts["q0"]), _fvec(opts["q1"]), sigma_eff=sigma)
+                         float(opts["q0"]), float(opts["q1"]), sigma_eff=sigma)
         write_csv(out("gen_s.csv"), "tau,t,q0,q1,S,rho0,rho1,residual",
                   [[s.tau, s.t, s.q0[0], s.q1[0], s.S, s.rho0[0], s.rho1[0],
                     s.shoot_residual]])
@@ -190,7 +186,7 @@ def _run_command(config: RunConfig) -> int:
     elif config.command == "action":
         from .action import minimal_action
         A, path = minimal_action(model, float(opts.get("tau", 0.0)), float(opts["t"]),
-                                 _fvec(opts["q0"]), _fvec(opts["q1"]),
+                                 float(opts["q0"]), float(opts["q1"]),
                                  sigma_eff=sigma, seed=config.seed)
         files.append(export_dataset(path, "csv", out("minimizer.csv")))
         summary.update({"A": A, "segments": path.n,
@@ -316,29 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", default=[],
                        metavar="NAME=VALUE", help="tolerance override")
 
+    def required_floats(p, *names):
+        for name in names:
+            p.add_argument(name, type=float, required=True)
+
     p = sub.add_parser("check"); common(p)
     p.add_argument("--samples", type=int, default=400)
 
-    p = sub.add_parser("flow"); common(p)
-    p.add_argument("--q0", required=True); p.add_argument("--p0", required=True)
+    p = sub.add_parser("flow"); common(p); required_floats(p, "--q0", "--p0")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--step", type=float, default=None)
 
-    p = sub.add_parser("monodromy"); common(p)
-    p.add_argument("--q0", required=True); p.add_argument("--p0", required=True)
+    p = sub.add_parser("monodromy"); common(p); required_floats(p, "--q0", "--p0")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
 
-    p = sub.add_parser("gen-s"); common(p)
+    p = sub.add_parser("gen-s"); common(p); required_floats(p, "--q0", "--q1")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--q0", required=True); p.add_argument("--q1", required=True)
 
-    p = sub.add_parser("action"); common(p)
+    p = sub.add_parser("action"); common(p); required_floats(p, "--q0", "--q1")
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--q0", required=True); p.add_argument("--q1", required=True)
 
     p = sub.add_parser("lax"); common(p)
     p.add_argument("--t", type=float, required=True)
@@ -360,16 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--t-step", type=float, default=0.1)
 
-    p = sub.add_parser("mane"); common(p)
-    p.add_argument("--a", type=float, required=True)
+    p = sub.add_parser("mane"); common(p); required_floats(p, "--a")
     p.add_argument("--q-base", type=float, default=0.0)
 
     p = sub.add_parser("aubry"); common(p)
 
-    p = sub.add_parser("calibrate"); common(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--q0", type=float, required=True)
-    p.add_argument("--q1", type=float, required=True)
+    p = sub.add_parser("calibrate"); common(p); required_floats(p, "--a", "--q0", "--q1")
     p.add_argument("--cap", type=float, default=4.0)
 
     p = sub.add_parser("accept"); common(p, model_required=False)

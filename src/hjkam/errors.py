@@ -46,8 +46,8 @@ class FoldDetected(HjkamError):
 
 
 class MultistartExhausted(HjkamError):
-    """Restarts disagree and none satisfies the optimality criterion; the
-    residual is the worst momentum jump."""
+    """No start of a minimal-action solve meets the momentum-jump criterion;
+    the residual is the worst momentum jump."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -131,13 +131,14 @@ def _stage(model, t, Y, K, mono, action, work):
 def _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action):
     """Closed-form flow for ``H = a p^2 / 2``: straight lines."""
     a = model.params[0]
-    span = t - tau
-    Q = np.asarray(Q0, float) + span * a * np.asarray(P0, float)
+    span = np.asarray(t - tau, float)
+    Q = np.asarray(Q0, float) + (span * a)[..., None] * np.asarray(P0, float)
     P = np.array(P0, float, copy=True)
-    shape = Q.shape[:-1]
     Mono = None
     if want_monodromy:
-        Mono = np.broadcast_to([[1.0, span * a], [0.0, 1.0]], shape + (2, 2)).copy()
+        Mono = np.zeros(Q.shape[:-1] + (2, 2))
+        Mono[..., 0, 0] = Mono[..., 1, 1] = 1.0
+        Mono[..., 0, 1] = span * a
     W = 0.5 * a * span * np.sum(P * P, axis=-1) if want_action else None
     return Q, P, Mono, W
 
@@ -147,14 +148,16 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
                     want_action: bool = False):
     """Integrate a batch of initial conditions from ``tau`` to ``t``.
 
-    ``Q0`` and ``P0`` are ``(..., 1)``.  Returns ``(Q, P, Mono, W)``: ``Q``
-    and ``P`` shaped like ``Q0``; ``Mono`` of shape ``(..., 2, 2)`` and
-    ``W`` the accumulated action, of shape ``(...)``, when requested, else
-    None.  No row is guarded: one that blows up runs on to inf or NaN and
-    leaves the other rows' bits alone.  The state is integrated packed (see
-    ``_stage``), with the stage buffers allocated once per call and every
-    step updated in place; the per-element arithmetic is the plain RK4 of
-    each component.
+    ``Q0`` and ``P0`` are ``(..., 1)``; ``tau`` and ``t`` are numbers, or
+    arrays of shape ``(...)`` that give every row its own ``n_steps`` steps.
+    Returns ``(Q, P, Mono, W)``: ``Q`` and ``P`` shaped like ``Q0``;
+    ``Mono`` of shape ``(..., 2, 2)`` and ``W`` the accumulated action, of
+    shape ``(...)``, when requested, else None.  No row is guarded: one that
+    blows up runs on to inf or NaN and leaves the other rows' bits alone.
+    The state is integrated packed (see ``_stage``), with the stage buffers
+    allocated once per call and every step updated in place; the
+    per-element arithmetic is the plain RK4 of each component, so a row's
+    bits are those of a call with its own times as numbers.
     """
     if model.family in ("free", "quadratic"):
         return _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action)
@@ -174,22 +177,23 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     work = np.empty((2,) + shape) if want_monodromy else None
 
     h = (t - tau) / n_steps
+    hk = h[..., None] if getattr(h, "ndim", 0) else h   # scales the packed components
     s = tau
     for _ in range(n_steps):
         _stage(model, s, Y, K1, want_monodromy, want_action, work)
-        np.add(Y, np.multiply(h / 2, K1, out=Z), out=Z)
+        np.add(Y, np.multiply(hk / 2, K1, out=Z), out=Z)
         _stage(model, s + h / 2, Z, K2, want_monodromy, want_action, work)
-        np.add(Y, np.multiply(h / 2, K2, out=Z), out=Z)
+        np.add(Y, np.multiply(hk / 2, K2, out=Z), out=Z)
         _stage(model, s + h / 2, Z, K3, want_monodromy, want_action, work)
-        np.add(Y, np.multiply(h, K3, out=Z), out=Z)
+        np.add(Y, np.multiply(hk, K3, out=Z), out=Z)
         _stage(model, s + h, Z, K4, want_monodromy, want_action, work)
         # (K1 + 2 K2 + 2 K3 + K4) h / 6, summed left to right
         np.add(K1, np.multiply(2, K2, out=K2), out=K2)
         K2 += np.multiply(2, K3, out=K3)
         K2 += K4
-        K2 *= h / 6
+        K2 *= hk / 6
         Y += K2
-        s += h
+        s = s + h   # not in place: an array tau is the caller's
     Mono = None
     if want_monodromy:
         Mono = np.ascontiguousarray(

@@ -43,6 +43,11 @@ def shoot_tol(q0, q1) -> np.ndarray:
     return 1e-9 * (1.0 + np.linalg.norm(np.asarray(q1, float) - np.asarray(q0, float), axis=-1))
 
 
+def _times(tau, t, rows):
+    """``(tau, t)`` at ``rows``: a per-row array's entries, a number as it is."""
+    return tuple(x[rows] if getattr(x, "ndim", 0) else x for x in (tau, t))
+
+
 def _jacobian(model, tau, t, Q0, p, n_steps):
     """End positions and the ``dQ/dp`` monodromy entry, shaped like ``p``."""
     Q, _, Mono, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
@@ -58,8 +63,9 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
     varies slowly in p within the twist window).  Each row keeps its own
     refresh count and stall test, only rows still above ``tol`` are
     refreshed, and the line search integrates only the rows still
-    backtracking, so a row's result does not depend on the other rows of its
-    batch.  Returns the momenta and their residuals.
+    backtracking, each subset at its rows' own ``tau`` and ``t`` (numbers or
+    per-row arrays), so a row's result does not depend on the other rows of
+    its batch.  Returns the momenta and their residuals.
     """
     Q, J = _jacobian(model, tau, t, Q0, p, n_steps)
     F = Q - Q1
@@ -76,8 +82,8 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
         trying = np.flatnonzero(active)
         for _bt in range(12):
             p_try[trying] = p[trying] + lam[trying, None] * step[trying]
-            Ft[trying] = integrate_batch(model, tau, t, Q0[trying], p_try[trying],
-                                         n_steps)[0] - Q1[trying]
+            Ft[trying] = integrate_batch(model, *_times(tau, t, trying), Q0[trying],
+                                         p_try[trying], n_steps)[0] - Q1[trying]
             rt[trying] = np.linalg.norm(Ft[trying], axis=-1)
             trying = trying[~(rt[trying] <= (1 - 0.25 * lam[trying]) * res[trying])]
             if not len(trying):
@@ -91,17 +97,18 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
         stale = (res > tol) & ((active & ~accept) | (since_refresh >= 3))
         if stale.any():
             J = J.copy()
-            J[stale] = _jacobian(model, tau, t, Q0[stale], p[stale], n_steps)[1]
+            J[stale] = _jacobian(model, *_times(tau, t, stale), Q0[stale], p[stale], n_steps)[1]
             since_refresh[stale] = 0
     return p, res
 
 
 def _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init):
-    """Checked horizon, ``(B, 1)`` endpoints, their tolerance and start momenta."""
-    span = t - tau
+    """Checked horizons, ``(B, 1)`` endpoints, their tolerance and start momenta."""
+    span = np.asarray(t - tau)[..., None]
     sig = resolve_sigma(model, sigma_eff)
-    if not (0 < span <= sig * (1 + 1e-12)):
-        raise SigmaExceeded(f"horizon {span:.6g} outside (0, {sig:.6g}]")
+    lo, hi = span.min(), span.max()
+    if not (0 < lo and hi <= sig * (1 + 1e-12)):
+        raise SigmaExceeded(f"horizon {hi if lo > 0 else lo:.6g} outside (0, {sig:.6g}]")
     Q0 = np.atleast_2d(np.asarray(Q0, float))
     Q1 = np.atleast_2d(np.asarray(Q1, float))
     if not (np.isfinite(Q0).all() and np.isfinite(Q1).all()):
@@ -149,23 +156,25 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
                      sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
     """Batched generating values; returns ``(S, rho0, rho1, residual, Mono)``.
 
-    The coarse pre-solve, stopped at ``PRESOLVE_SLACK`` shooting
-    tolerances (the correction below is exact to about 1e-13 within the
-    slack), then one pass on the production grid with action and
-    monodromy, whose orbit from ``rho0`` lands at ``Q``.  With the
-    landing error ``e = q1 - Q`` and ``dp = e / M01``, the values are
-    corrected to first order: ``S = W + P e``, ``rho0 = p0 + dp`` and
-    ``rho1 = P + M11 dp`` (``dS/dq1 = rho1``); the error left is about
-    ``|M11 / M01| e^2 / 2`` in ``S``.  Rows landing farther than
-    ``LANDING_SLACK * shoot_tol`` take the Newton step ``p0 + dp`` and one
-    more pass, at most ``MAX_SHOOT_ITER`` times; a row still that far
-    raises SolverDiverged with the worst landing error.  ``residual`` is
-    ``|e|``, the landing error that was corrected for; ``Mono`` is the
-    flow's differential, (..., 2, 2).
+    ``tau`` and ``t`` are numbers or per-row arrays, a time slot per row;
+    every row takes the step count of the longest span, so a row's bits are
+    those of its own call where its span needs as many.  The coarse
+    pre-solve, stopped at ``PRESOLVE_SLACK`` shooting tolerances (the
+    correction below is exact to about 1e-13 within the slack), then one
+    pass on the production grid with action and monodromy, whose orbit from
+    ``rho0`` lands at ``Q``.  With the landing error ``e = q1 - Q`` and
+    ``dp = e / M01``, the values are corrected to first order:
+    ``S = W + P e``, ``rho0 = p0 + dp`` and ``rho1 = P + M11 dp``
+    (``dS/dq1 = rho1``); the error left is about ``|M11 / M01| e^2 / 2`` in
+    ``S``.  Rows landing farther than ``LANDING_SLACK * shoot_tol`` take the
+    Newton step ``p0 + dp`` and one more pass, at most ``MAX_SHOOT_ITER``
+    times; a row still that far raises SolverDiverged with the worst landing
+    error.  ``residual`` is ``|e|``, the landing error that was corrected
+    for; ``Mono`` is the flow's differential, (..., 2, 2).
     """
     single = np.ndim(Q0) == 1
     # before the window check: a non-finite horizon is a config error
-    n_fine = _steps_for(t - tau, step_target)
+    n_fine = _steps_for(np.asarray(t - tau).max(), step_target)
     Q0, Q1, tol, p = _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init)
     # the pre-solve runs on a coarse grid, or on the fine one when it has at
     # most 16 steps; the two grids' solutions differ at quadrature order only
@@ -186,7 +195,8 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
                                  residual=float(np.max(miss)))
         p[far] += (Q1[far] - Q[far]) / Mono[far, 0, 1:]
         Q[far], P[far], Mono[far], W[far] = integrate_batch(
-            model, tau, t, Q0[far], p[far], n_fine, want_monodromy=True, want_action=True)
+            model, *_times(tau, t, far), Q0[far], p[far], n_fine, want_monodromy=True,
+            want_action=True)
     e = Q1 - Q
     dp = e / Mono[..., 0, 1:]
     out = (W + np.sum(P * e, axis=-1), p + dp, P + Mono[..., 1, 1:] * dp,

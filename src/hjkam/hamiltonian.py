@@ -36,14 +36,16 @@ class HamiltonianModel:
 
     ``value(t, q, p)`` and ``jet(t, q, p, action=False, hessian=False)``
     accept arrays ``q, p`` of shape ``(..., 1)``, the trailing axis holding
-    the one coordinate (``t`` scalar or broadcastable).  ``value`` returns
-    ``H`` of shape ``(...)``.  The jet returns ``(H_q, H_p, L, blocks)``:
-    the gradients, of shape ``(..., 1)`` each; with ``action``, the action
-    rate ``L = p H_p - H`` of shape ``(...)``, else None; with ``hessian``,
-    the second derivatives ``(H_qq, H_qp, H_pp)``, each an array or number
-    that broadcasts to ``(...)``, else None.  A term that is not asked for
-    is not computed.  ``H_p`` may be ``p`` itself.  Instances are immutable;
-    evaluation is pure and thread-safe.
+    the one coordinate, and ``t`` a number or an array of shape ``(...)``:
+    a non-autonomous jet gets one time per row where a batch spans several
+    time slots.  ``value`` returns ``H`` of shape ``(...)``.  The jet returns
+    ``(H_q, H_p, L, blocks)``: the gradients, of shape ``(..., 1)`` each;
+    with ``action``, the action rate ``L = p H_p - H`` of shape ``(...)``,
+    else None; with ``hessian``, the second derivatives ``(H_qq, H_qp,
+    H_pp)``, each an array or number that broadcasts to ``(...)``, else
+    None.  A term that is not asked for is not computed.  ``H_p`` may be
+    ``p`` itself.  Instances are immutable; evaluation is pure and
+    thread-safe.
     """
 
     value: Callable
@@ -102,8 +104,10 @@ def custom_model(value, m, M, grad=None, hessian=None, periodic=False,
     ``hessian(t, q, p)`` the second derivatives ``(H_qq, H_qp, H_pp)``,
     each broadcasting to ``q``'s shape without its coordinate axis (a
     constant block may be a number); either defaults to central
-    differences with step ``h_fd``.  The jet calls ``grad`` once, ``value``
-    only for the action rate and ``hessian`` only for the blocks.
+    differences with step ``h_fd``.  A non-autonomous model's callables may
+    get ``t`` as an array of that shape, one time per row.  The jet calls
+    ``grad`` once, ``value`` only for the action rate and ``hessian`` only
+    for the blocks.
     """
     if grad is None:
         grad = _fd_grad_factory(value, h_fd)

@@ -289,6 +289,8 @@ def _mane_star(model, a, n, sigma_eff):
     dropped, since at or above the critical level a cycle costs zero up to
     rounding.  Cached read-only per (model, a, n, sigma).
     """
+    if not np.isfinite(a):
+        raise ConfigError(f"energy level must be finite, got a = {a}")
     sig = resolve_sigma(model, sigma_eff)
     key = (model.cache_key(), round(a, 12), n, round(sig, 12))
     if key in _MANE_CACHE:
@@ -327,7 +329,8 @@ def mane_potential(model: HamiltonianModel, a: float, q_base: float,
     It is the base node's row of the kernel graph's shortest-path matrix
     (``_mane_star``); an off-grid base interpolates linearly between its two
     neighbouring nodes' rows.  ``t_argmin`` sums the edge horizons along each
-    shortest path.  Raises LevelBelowCritical below the critical value.
+    shortest path.  Raises LevelBelowCritical below the critical value and
+    ConfigError for a non-finite level.
     """
     _require_torus(model)
     S, T = _mane_star(model, a, grid_n, sigma_eff)
@@ -340,7 +343,8 @@ def mane_potential(model: HamiltonianModel, a: float, q_base: float,
 def mane_pair(model: HamiltonianModel, a: float, q0: float, q1: float,
               grid_n: int = 128, sigma_eff=None) -> float:
     """Mane potential between torus points: a bilinear read of the grid's
-    shortest-path matrix, the rows around ``q0`` first."""
+    shortest-path matrix, the rows around ``q0`` first; ConfigError for a
+    non-finite level."""
     _require_torus(model)
     S, _ = _mane_star(model, a, grid_n, sigma_eff)
     i, w = _cell(q0, grid_n)
@@ -381,10 +385,13 @@ def calibrated_curve(model: HamiltonianModel, a: float, q0: float, q1: float,
     ``(q0, p_a(q0))`` over ``t*`` at step 1e-3.  ``t*`` is infinite where
     ``min_p H >= a`` on the way (a hilltop at the critical level); then, and
     when ``t* >= horizon_cap``, the orbit is the minimal-action chain at the
-    cap, whose energy approaches ``a``.  ConfigError for equal endpoints or a
-    non-autonomous model (no energy level); NonConvergence if q1 is missed.
+    cap, whose energy approaches ``a``.  ConfigError for a non-finite level,
+    equal endpoints or a non-autonomous model (no energy level);
+    NonConvergence if q1 is missed.
     """
     from scipy.integrate import quad
+    if not np.isfinite(a):
+        raise ConfigError(f"energy level must be finite, got a = {a}")
     if not model.autonomous:
         raise ConfigError("energy level undefined: calibrated_curve needs an autonomous model")
     if abs(float(q1) - float(q0)) < 1e-14:

@@ -233,6 +233,59 @@ def test_multistart_exhausted(pendulum):
     assert f"worst jump {worst:.3e}" in str(exc.value)
 
 
+def test_agreeing_unconverged_starts_raise(pendulum, monkeypatch):
+    # starts that agree in value but miss the jump criterion are not accepted
+    import hjkam.action as act
+    relax = act._relax_chain
+
+    def agreeing(*args):
+        pts, jumps, S, r0, r1 = relax(*args)
+        return pts, jumps + 1e-3, np.broadcast_to(S[:1], S.shape).copy(), r0, r1
+
+    monkeypatch.setattr(act, "_relax_chain", agreeing)
+    with pytest.raises(MultistartExhausted) as exc:
+        minimal_action(pendulum, 0.0, 1.0, [0.1], [0.6], sigma_eff=SIGMA_PEND)
+    assert exc.value.residual >= 1e-3
+    assert f"worst jump {exc.value.residual:.3e}" in str(exc.value)
+
+
+def test_endpoints_of_two_coordinates_are_config_error(pendulum):
+    # the models have one coordinate; minimal_action_batch reads such input
+    # as a batch of pairs, minimal_action refuses it
+    with pytest.raises(ConfigError, match="length-1"):
+        minimal_action(pendulum, 0.0, 1.0, [0.1, 0.2], [0.3, 0.4], sigma_eff=SIGMA_PEND)
+
+
+@pytest.mark.parametrize("tau, t", [(1.0, 0.5), (0.5, 0.5)])
+def test_horizon_not_after_start_is_config_error(pendulum, tau, t):
+    with pytest.raises(ConfigError, match="t > tau"):
+        minimal_action_batch(pendulum, tau, t, [0.1], [0.4], sigma_eff=SIGMA_PEND)
+    with pytest.raises(ConfigError, match="t > tau"):
+        minimal_action(pendulum, tau, t, [0.1], [0.4], sigma_eff=SIGMA_PEND)
+
+
+def test_forced_chain_evaluation_is_one_generating_call(forced, monkeypatch):
+    # every segment of every chain shoots in one generating_batch call, each
+    # row over its own time slot
+    import hjkam.action as act
+    chains, calls = [], []
+    segments, generating = act._segments, act.generating_batch
+
+    def count_chains(*a, **kw):
+        chains.append(len(a[3]))
+        return segments(*a, **kw)
+
+    def count_calls(model, tau, t, Q0, *a, **kw):
+        calls.append((np.shape(tau), np.shape(t), len(Q0)))
+        return generating(model, tau, t, Q0, *a, **kw)
+
+    monkeypatch.setattr(act, "_segments", count_chains)
+    monkeypatch.setattr(act, "generating_batch", count_calls)
+    _, path = minimal_action(forced, 0.1, 1.3, [0.2], [0.7], sigma_eff=SIGMA_PEND)
+    assert len(calls) == len(chains) > 1
+    assert calls == [((c * path.n,), (c * path.n,), c * path.n) for c in chains]
+
+
 @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0])
 def test_segment_count_below_one_is_config_error(pendulum, n):
     with pytest.raises(ConfigError, match="segment"):

@@ -187,6 +187,34 @@ def test_non_finite_horizon_or_window_exits_1(tmp_path, capsys, command):
         assert not (out / name).exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-s", "--t", "0.1", "--q0", "0.1,0.2", "--q1", "0.3,0.4"],
+    ["monodromy", "--t", "0.3", "--q0", "0.1,0.2", "--p0", "0.5,0.1"],
+    ["flow", "--t", "1", "--q0", "0.1,0.2", "--p0", "0.5,0.1"],
+    ["action", "--t", "2", "--q0", "0.1,0.2", "--q1", "0.3,0.4"],
+    ["flow", "--t", "1", "--q0", "abc", "--p0", "0.5"],
+], ids=["gen-s-pair", "monodromy-pair", "flow-pair", "action-pair", "flow-text"])
+def test_point_option_not_one_number_exits_1(tmp_path, capsys, command):
+    # the models have one coordinate: a point option is one float
+    out = tmp_path / "o"
+    assert run_cli(command + ["--model", "pendulum", "--sigma-eff", "0.2",
+                              "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["mane"], ["calibrate", "--q0", "0.15", "--q1", "0.45"]],
+                         ids=["mane", "calibrate"])
+def test_non_finite_level_exits_1(tmp_path, capsys, command, level):
+    out = tmp_path / "o"
+    assert run_cli(command + ["--a", level, "--model", "pendulum", "--grid", "16",
+                              "--sigma-eff", "0.2", "--out", str(out)]) == 1
+    assert "config error: energy level must be finite" in capsys.readouterr().err
+    for name in ("phi.gridfn", "calibrated.csv"):
+        assert not (out / name).exists()
+
+
 def test_solver_errors_exit_2(tmp_path):
     # generating value requested past the twist window
     code = run_cli(["gen-s", "--model", "pendulum", "--t", "0.5", "--q0", "0",

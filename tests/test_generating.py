@@ -228,6 +228,62 @@ def test_rows_that_never_land_raise_solver_diverged(pendulum, monkeypatch):
     assert err.value.residual == np.max(np.linalg.norm(Q1 - (Q1 - off), axis=-1))
 
 
+@pytest.mark.parametrize("hard", ["backtracking", "far-rows"])
+def test_per_row_times_equal_one_call_per_slot(forced, monkeypatch, hard):
+    # rows over four time slots of the forced model in one call give the bits
+    # of one call per slot, and take the same rows of work, also where rows
+    # backtrack (a chord Jacobian 0.6 times too small and starts 3 off, as in
+    # test_line_search_integrates_only_backtracking_rows) or land too far
+    # off for the first-order correction and take Newton passes (a pre-solve
+    # stopped 1e4 times farther out than the landing slack)
+    import hjkam.generating as g
+    B, n, tau, dt = 6, 4, 0.1, 0.15
+    rng = np.random.default_rng(21)
+    Q0 = rng.uniform(0, 1, (B, n, 1))
+    Q1 = Q0 + rng.uniform(-0.3, 0.3, (B, n, 1))
+    ta, tb = tau + np.arange(n) * dt, tau + np.arange(1, n + 1) * dt
+    p_init = None
+    if hard == "backtracking":
+        jacobian = g._jacobian
+
+        def small_chord(*args):
+            Q, J = jacobian(*args)
+            return Q, 0.6 * J
+
+        monkeypatch.setattr(g, "_jacobian", small_chord)
+        p_init = (Q1 - Q0) / dt
+        p_init[B // 2:] += 3.0
+    else:
+        monkeypatch.setattr(g, "PRESOLVE_SLACK", 1e4 * g.LANDING_SLACK)
+    real, rows = g.integrate_batch, []
+
+    def counted(model, tau, t, Q0, P0, n_steps, want_monodromy=False, want_action=False):
+        rows.append((want_monodromy, want_action, len(Q0)))
+        return real(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action)
+
+    def work():
+        per_kind = {}
+        for *kind, k in rows:
+            per_kind[tuple(kind)] = per_kind.get(tuple(kind), 0) + k
+        rows.clear()
+        return per_kind
+
+    monkeypatch.setattr(g, "integrate_batch", counted)
+    flat = lambda x: None if x is None else x.reshape(B * n, 1)
+    whole = generating_batch(forced, np.tile(ta, B), np.tile(tb, B), flat(Q0), flat(Q1),
+                             sigma_eff=SIGMA_PEND, p_init=flat(p_init))
+    whole_work = work()
+    for i in range(n):
+        slot = generating_batch(forced, ta[i], tb[i], Q0[:, i], Q1[:, i], sigma_eff=SIGMA_PEND,
+                                p_init=None if p_init is None else p_init[:, i])
+        for a, b in zip(whole, slot):
+            a = a.reshape((B, n) + a.shape[1:])[:, i]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert work() == whole_work
+    if hard == "far-rows":   # every row's first pass with action, then the far rows'
+        assert whole_work[(True, True)] > B * n
+
+
 def test_shoot_rho0_lands_on_the_production_grid(pendulum):
     # shoot_rho0 is rho0 of generating_batch, corrected for the landing
     # error: its orbit lands far inside the shooting tolerance

@@ -482,6 +482,17 @@ def test_calibrated_non_autonomous_raises(forced):
         calibrated_curve(forced, 1.5, 0.15, 0.45, sigma_eff=SIGMA_PEND)
 
 
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda m, a: mane_potential(m, a, 0.0, grid_n=16, sigma_eff=SIGMA_PEND),
+    lambda m, a: mane_pair(m, a, 0.1, 0.4, grid_n=16, sigma_eff=SIGMA_PEND),
+    lambda m, a: calibrated_curve(m, a, 0.15, 0.45, sigma_eff=SIGMA_PEND),
+], ids=["mane_potential", "mane_pair", "calibrated_curve"])
+def test_non_finite_level_is_config_error(pendulum, call, a):
+    with pytest.raises(ConfigError, match="energy level must be finite"):
+        call(pendulum, a)
+
+
 def test_aubry_masks(free, pendulum):
     # the critical graph: every node is a zero-mean self-loop of the free
     # kernel; the pendulum's only critical cycle is the self-loop at 0
