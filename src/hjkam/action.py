@@ -12,9 +12,13 @@ are rows with their own time slots.  A production step finer than
 ``KERNEL_STEP`` is reached by nested iteration: the chains are swept at
 ``KERNEL_STEP``, where a sweep costs fewer RK4 steps, and then evaluated
 and corrected on the production grid, from which every returned value and
-jump comes.  The Tonelli oracle is independent of this pipeline: batched
-Newton on the midpoint-rule Lagrangian action of discrete curves, whose
-Hessian is tridiagonal too, extrapolated to fourth order in the step.
+jump comes.  Over long horizons the chains start from a Bellman pass: grid
+curves of least midpoint-rule action, forward and backward min-plus over
+a band of node displacements, one start per unit cell of the lifted line
+around the straight chain's middle node, so that each nearby route class
+gets its own chain.  The Tonelli oracle is independent of this pipeline:
+batched Newton on the midpoint-rule Lagrangian action of discrete curves,
+whose Hessian is tridiagonal too, extrapolated to fourth order in the step.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ MAX_ORACLE_ITER = 200
 # that one solve each tries: the full step, then the halvings that nearly
 # every rejected step needs, then the rest.
 LINE_SEARCH = (np.ones(1), np.ldexp(1.0, -np.arange(1, 4)), np.ldexp(1.0, -np.arange(4, 10)))
+# nodes per unit of q on the grid of the Bellman pass that picks chain starts
+GRID_NODES = 64
 
 
 @dataclass
@@ -208,24 +214,120 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     return pts, jumps, S, r0, r1
 
 
+def _check_count(value, least, name):
+    """Raise ConfigError unless ``value`` is an integer of at least ``least``."""
+    if not hasattr(type(value), "__index__") or value < least:  # the test of operator.index
+        raise ConfigError(f"need an integer {name} >= {least}, got {value!r}")
+
+
 def _straight_chains(model, tau, t, Q0, Q1, sigma_eff, n):
-    """The set-up of every chain solve: the checked horizon, window and
-    segment count ``n``, the straight chains (B, n+1, 1) from ``Q0`` to
-    ``Q1`` and their jump criteria ``tol_crit`` (B,), one per chain, so that
-    a chain's result does not depend on its batch."""
+    """The set-up of every chain solve: the checked horizon, window,
+    endpoints and segment count ``n``, the straight chains (B, n+1, 1) from
+    ``Q0`` to ``Q1`` and their jump criteria ``tol_crit`` (B,), one per
+    chain, so that a chain's result does not depend on its batch."""
     if t <= tau:
         raise ConfigError(f"minimal action requires t > tau, got tau = {tau}, t = {t}")
     sig = resolve_sigma(model, sigma_eff)
     Q0 = np.asarray(Q0, float).reshape(-1, 1)
     Q1 = np.asarray(Q1, float).reshape(-1, 1)
+    if not (np.isfinite(Q0).all() and np.isfinite(Q1).all()):
+        raise ConfigError("chain endpoints must be finite")
     if n is None:   # the fewest segments inside half the twist window
         n = _steps_for(t - tau, sig / 2)
-    elif not hasattr(type(n), "__index__") or n < 1:  # the test of operator.index
-        raise ConfigError(f"need an integer count of at least one segment, got n = {n!r}")
+    _check_count(n, 1, "segment count n")
     lam = np.linspace(0, 1, n + 1)
     pts = Q0[:, None, :] + lam[None, :, None] * (Q1 - Q0)[:, None, :]
     tol_crit = TOL_CRIT_BASE * (1.0 + np.linalg.norm(Q1 - Q0, axis=1) / max(t - tau, 1e-12))
     return sig, n, pts, tol_crit
+
+
+def _grid_starts(model, tau, t, q0, q1, n):
+    """Chain starts (K, n+1, 1) from a min-plus pass over a grid of nodes.
+
+    Interior node ``s`` of an ``n``-segment chain from ``q0`` to ``q1``
+    lies on the lifted line at ``k / GRID_NODES``, over ``[min(q0, q1) - 1,
+    max(q0, q1) + 1]`` and within 2 of the straight chain's node: a window
+    of at most ``4 GRID_NODES + 1`` nodes per slice, so that the pass does
+    not grow with the distance.  A segment costs its midpoint-rule action,
+    the rule of ``_midpoint_action``.  The first and last segments are
+    tabulated from ``q0`` and to ``q1`` exactly, the others in a band of
+    ``D`` nodes about the straight chain's displacement ``c``,
+    ``|k' - k - c| <= D``: a periodic model's table has one row per residue
+    class, another model's one per window node and segment, and a
+    non-autonomous model's one plane per segment.  A forward and a backward
+    pass give every middle node's least through-cost; in each unit cell of
+    the middle node's lift within one cell of the straight chain's, the
+    best node is backtracked into one start.  A start that reaches the
+    band's edge in a segment doubles the band and the pass runs again.  The
+    starts come in ascending through-cost.
+    """
+    G = GRID_NODES
+    line = q0 + (q1 - q0) * np.arange(1, n) / n   # the straight chain's interior nodes
+    a = np.ceil(np.maximum(min(q0, q1) - 1.0, line - 2.0) * G).astype(int)
+    size = np.floor(np.minimum(max(q0, q1) + 1.0, line + 2.0) * G).astype(int) + 1 - a
+    W, j = size.max(), np.arange(size.max())
+    K = a[:, None] + j   # slice s - 1 holds interior node s: its window's node numbers
+    live = j < size[:, None]
+    times = np.linspace(tau, t, n + 1)
+    ends = np.stack([np.stack(np.broadcast_arrays(q0, K[0] / G), -1),
+                     np.stack(np.broadcast_arrays(K[-1] / G, q1), -1)])
+    first, last = np.where(live[[0, -1]], _midpoint_action(
+        model, np.stack([times[:2], times[-2:]])[:, None], ends), np.inf)
+    # segment s runs from slice s - 1 to slice s; its table rows start from
+    # the residue classes of a periodic model, from slice s - 1 otherwise
+    src, rows = (np.arange(G)[None], K[:-1] % G) if model.periodic else (K[:-1], None)
+    slots = times[:2] if model.autonomous else np.stack([times[1:-2], times[2:-1]], -1)
+    slots = slots.reshape(-1, 1, 1, 2)
+    c = round(G * (q1 - q0) / n)
+    # node j of slice s reaches node j' of slice s + 1 by c + j' - j + shift[s]
+    shift = np.diff(a) - c
+    m = n // 2   # the middle node, in slice m - 1
+    D = -(-2 * G // n)   # first band: the two margins crossed once over the horizon
+    D_max = W - 1 + np.abs(shift).max(initial=0)
+
+    def inside(index):   # a window index, or -1 (the appended infinity) outside the window
+        return np.where((index >= 0) & (index < W), index, -1)
+
+    def least(cand, s):   # the least candidate of each node of slice s, and its column
+        arg = cand.argmin(axis=1)
+        return np.where(live[s], cand[j, arg], np.inf), arg
+
+    def cost(s):   # segment s from each node of slice s - 1 by each band column
+        plane = table[(s - 1) % len(table)]
+        return plane if rows is None else plane[rows[s - 1]]
+
+    while True:
+        e = np.arange(-D, D + 1)
+        seg = np.stack(np.broadcast_arrays(src[..., None], src[..., None] + c + e), -1) / G
+        table = _midpoint_action(model, slots, np.broadcast_to(
+            seg, (max(len(slots), len(seg)),) + seg.shape[1:]))   # (planes, rows, 2 D + 1)
+        fwd, bwd, f_arg, b_arg = first, last, {}, {}
+        for s in range(1, m):   # the least cost from q0 to each node of slice s
+            J = inside(j[:, None] + shift[s - 1] - e)
+            fwd, f_arg[s] = least(np.append(fwd, np.inf)[J] + cost(s)[J, e + D], s)
+        for s in range(n - 2, m - 1, -1):   # from each node of slice s - 1 to q1
+            J = inside(j[:, None] - shift[s - 1] + e)
+            bwd, b_arg[s] = least(cost(s) + np.append(bwd, np.inf)[J], s - 1)
+        through = fwd + bwd
+        cell = K[m - 1] // G - np.floor(line[m - 1])
+        best = []
+        for k in (-1, 0, 1):   # the cells within one of the straight chain's middle node
+            i = np.flatnonzero((cell == k) & np.isfinite(through))
+            if len(i):
+                best.append(i[np.argmin(through[i])])
+        path = np.empty((len(best), n - 1), int)   # window indices, slice by slice
+        path[:, m - 1] = sorted(best, key=through.__getitem__)
+        for s in range(m - 1, 0, -1):
+            path[:, s - 1] = path[:, s] + shift[s - 1] - e[f_arg[s][path[:, s]]]
+        for s in range(m, n - 1):
+            path[:, s] = path[:, s - 1] - shift[s - 1] + e[b_arg[s][path[:, s - 1]]]
+        nodes = K[np.arange(n - 1), path]
+        if D >= D_max or np.abs(np.diff(nodes, axis=1) - c).max(initial=0) < D:
+            break
+        D = min(2 * D, D_max)
+    chains = np.empty((len(best), n + 1, 1))
+    chains[:, 0], chains[:, -1], chains[:, 1:-1, 0] = q0, q1, nodes / G
+    return chains
 
 
 def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
@@ -245,19 +347,24 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
 
 
 def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
-                   sigma_eff=None, n: Optional[int] = None, restarts: int = 5,
+                   sigma_eff=None, n: Optional[int] = None, restarts: int = 1,
                    seed: int = 0, step_target: float = 2e-3, max_sweeps: int = 25):
     """Minimal action ``A_tau^t(q0, q1)`` with its reconstructed chain.
 
-    Multistarts: straight-line interpolation, travel-hold-travel curves
-    through a spread of waypoints (horizons past twice the window),
-    and ``restarts - 1`` seeded random perturbations.  All starts relax in
-    one batch, at ``KERNEL_STEP`` first when ``step_target`` is finer (see
+    Starts: the straight line first; on horizons past twice the window
+    with more than three segments, the grid starts of ``_grid_starts``, one
+    per unit cell of the middle node's lift within one cell of the straight
+    chain's, in ascending grid cost; then ``restarts - 1`` seeded random
+    perturbations of the straight line (``restarts`` is an integer of at
+    least 1; ConfigError otherwise).  All starts relax in one batch, at
+    ``KERNEL_STEP`` first when ``step_target`` is finer (see
     ``_relax_chain``); the values, chain and jumps returned, and the jump
     criterion, are those of ``step_target``.  The least value among the
-    starts that meet the momentum-jump criterion is returned; when none
-    does, MultistartExhausted is raised with the worst jump.
+    starts that meet the momentum-jump criterion is returned, the first
+    start deciding ties; when none does, MultistartExhausted is raised with
+    the worst jump.
     """
+    _check_count(restarts, 1, "restarts")
     q0, q1 = _point(q0), _point(q1)
     sig, n, chains, tol_crit = _straight_chains(model, tau, t, q0, q1, sigma_eff, n)
     straight, tol_crit = chains[0], tol_crit[0]
@@ -265,9 +372,7 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
 
     starts = [straight]
     if n > 3 and t - tau > 2 * sig:
-        lo, hi = sorted((q0[0], q1[0]))
-        starts += [c[:, None] for c in waypoint_curves(q0[0], q1[0], lam,
-                                                       np.linspace(lo - 1.0, hi + 1.0, 7))]
+        starts += list(_grid_starts(model, tau, t, q0[0], q1[0], n))
     rng = np.random.default_rng(seed)
     amp = 0.25 * (1.0 + float(np.linalg.norm(q1 - q0)))
     taper = np.sin(np.pi * lam[1:-1])[:, None]
@@ -346,14 +451,17 @@ def lagrangian_action(model: HamiltonianModel, times, curve) -> float:
 def _midpoint_action(model, times, X, derivs=False):
     """Midpoint-rule action (B,) of the curves ``X`` (B, n+1) at ``times``.
 
+    ``times`` (n+1,) may carry leading axes that broadcast against ``X``'s:
+    the Bellman tables of ``_grid_starts`` are (..., 2) curves of one segment.
+
     With ``derivs``, also the gradient (B, n-1) in the interior nodes and the
     tridiagonal Hessian's diagonal and off-diagonal, from the jet's blocks
     at the Legendre point: ``L_vv = 1/H_pp``, ``L_qv = -H_qp/H_pp``,
     ``L_qq = -H_qq + H_qp^2/H_pp``.
     """
     h = np.diff(times)
-    tt = 0.0 if model.autonomous else times[:-1] + h / 2
-    mid = ((X[:, 1:] + X[:, :-1]) / 2)[..., None]
+    tt = 0.0 if model.autonomous else times[..., :-1] + h / 2
+    mid = ((X[..., 1:] + X[..., :-1]) / 2)[..., None]
     L, p = legendre_batch(model, tt, mid, (np.diff(X) / h)[..., None])
     value = np.sum(L * h, axis=-1)
     if not derivs:
@@ -442,8 +550,8 @@ def tonelli_oracle(model: HamiltonianModel, tau: float, t: float, q0, q1,
     if t <= tau:
         raise ConfigError("tonelli oracle requires t > tau")
     n = n_segments
-    if not hasattr(type(n), "__index__") or n < 2:  # the test of operator.index
-        raise ConfigError(f"tonelli oracle needs an integer n_segments >= 2, got {n!r}")
+    _check_count(n, 2, "n_segments")
+    _check_count(restarts, 1, "restarts")
     q0, q1 = (float(np.ravel(q)[0]) for q in (q0, q1))
     lam = np.linspace(0, 1, n + 1)
     straight = q0 + lam * (q1 - q0)

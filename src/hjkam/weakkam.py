@@ -412,7 +412,7 @@ def calibrated_curve(model: HamiltonianModel, a: float, q0: float, q1: float,
         traj = integrate_flow(model, (q0, p0), 0.0, t_star)
     else:
         _, path = minimal_action(model, 0.0, horizon_cap, [q0], [target],
-                                 sigma_eff=resolve_sigma(model, sigma_eff), restarts=2)
+                                 sigma_eff=resolve_sigma(model, sigma_eff))
         traj = reconstruct_trajectory(model, path)
     miss = abs(float(traj.Q[-1, 0]) - target)
     if miss > 1e-5 * (1 + abs(target)):

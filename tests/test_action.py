@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import SIGMA_FREE, SIGMA_PEND
 from hjkam.action import (TOL_CRIT_BASE, action_bounds, broken_action_value,
                           lagrangian_action, minimal_action, minimal_action_batch,
-                          reconstruct_trajectory, tonelli_oracle, triangle_check)
+                          reconstruct_trajectory, tonelli_oracle, triangle_check,
+                          waypoint_curves)
 from hjkam.errors import ConfigError, MultistartExhausted, SigmaExceeded
 from hjkam.generating import KERNEL_STEP, generating_S
-from hjkam.hamiltonian import free_model, mechanical_model
+from hjkam.hamiltonian import forced_model, free_model, mechanical_model, pendulum_model
 
 
 def test_broken_value_examples(free, pendulum):
@@ -349,6 +350,7 @@ def test_near_tied_minimizers_pick_first_start(pendulum, monkeypatch):
 
     def relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_crit):
         B, n1, d = pts.shape
+        assert B >= 3
         S = np.ones((B, n1 - 1))
         S[0, 0] += 1e-11   # the straight start, above start 1 by noise only
         S[2:, 0] += 1.0
@@ -357,7 +359,7 @@ def test_near_tied_minimizers_pick_first_start(pendulum, monkeypatch):
 
     monkeypatch.setattr(act, "_relax_chain", relax)
     value, path = act.minimal_action(pendulum, 0.0, 0.4, [0.1], [0.5],
-                                     sigma_eff=SIGMA_PEND)
+                                     sigma_eff=SIGMA_PEND, restarts=3)
     assert abs(value - (4.0 + 1e-11)) < 1e-14
     assert np.allclose(path.nodes[:, 0], [0.2, 0.3, 0.4])
 
@@ -471,7 +473,10 @@ def test_ladder_matches_sequential_backtracking(model_name, amp, seed, chains, m
     lambda m: minimal_action(m, 0.0, 1.0, [0.1], [0.5], sigma_eff=0.0),
     lambda m: minimal_action(m, 0.0, np.inf, [0.1], [0.5], sigma_eff=SIGMA_PEND),
     lambda m: minimal_action_batch(m, np.nan, 1.0, [0.1], [0.5], sigma_eff=SIGMA_PEND),
-], ids=["window-zero", "horizon-inf", "batch-tau-nan"])
+    # endpoints are checked before the grid pass, which sizes its windows from them
+    lambda m: minimal_action(m, 0.0, 2.0, [0.1], [np.nan], sigma_eff=SIGMA_PEND),
+    lambda m: minimal_action(m, 0.0, 2.0, [-np.inf], [0.5], sigma_eff=SIGMA_PEND),
+], ids=["window-zero", "horizon-inf", "batch-tau-nan", "endpoint-nan", "endpoint-inf"])
 def test_non_finite_horizon_or_window_is_config_error(pendulum, call):
     with pytest.raises(ConfigError):
         call(pendulum)
@@ -550,3 +555,101 @@ def test_batch_rows_equal_one_row_calls_at_production_step(pendulum):
                                    init_nodes=init[i:i + 1], **kw)
         for a, b in zip(batch, one):
             assert a[i:i + 1].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("restarts", [0, -3, 2.5, None])
+def test_restarts_not_positive_integer_is_config_error(pendulum, restarts):
+    with pytest.raises(ConfigError, match="restarts"):
+        minimal_action(pendulum, 0.0, 1.0, [0.1], [0.4], sigma_eff=SIGMA_PEND, restarts=restarts)
+    with pytest.raises(ConfigError, match="restarts"):
+        tonelli_oracle(pendulum, 0.0, 1.0, [0.1], [0.4], restarts=restarts)
+
+
+def test_grid_start_finds_the_long_route(pendulum):
+    # the chains from the straight line and from travel-hold-travel curves
+    # settle in a route that is 0.028 too high
+    A, path = minimal_action(pendulum, 0.0, 6.0, [0.01453628036381327], [0.9332239002254337],
+                             sigma_eff=SIGMA_PEND)
+    assert abs(A - -4.740053952153257) <= 1e-9
+    traj = reconstruct_trajectory(pendulum, path)
+    assert abs(lagrangian_action(pendulum, traj.times, traj.Q[:, 0]) - A) <= 1e-5
+
+
+def test_grid_start_finds_the_forced_route(forced):
+    A, _ = minimal_action(forced, 0.3, 6.3, [0.982203888122707], [0.03225359142589068],
+                          sigma_eff=SIGMA_PEND)
+    assert abs(A - -1.1240961391289255) <= 1e-9
+
+
+def test_one_grid_start_per_cell_keeps_both_wells():
+    # the midpoint rule ranks the routes through the two wells wrongly by
+    # about 0.008, so the least through-cost alone picks the wrong one
+    two_well = mechanical_model([0.0, 0.3, 0.0, 0.5])
+    A, _ = minimal_action(two_well, 0.0, 2.0, [0.5], [0.5], sigma_eff=0.15)
+    assert abs(A - -0.40800921936281376) <= 1e-9
+
+
+def test_minimal_action_leaves_kernel_cache_untouched(pendulum):
+    from hjkam import laxoleinik
+    from hjkam.laxoleinik import GridFunction, apply_T
+    apply_T(pendulum, GridFunction.from_callable(np.zeros_like, 16), 0.0, 0.1,
+            sigma_eff=SIGMA_PEND)
+    before = {k: id(v) for k, v in laxoleinik._KERNEL_CACHE.items()}
+    minimal_action(pendulum, 0.0, 2.0, [0.3], [0.8], sigma_eff=SIGMA_PEND)
+    assert before and {k: id(v) for k, v in laxoleinik._KERNEL_CACHE.items()} == before
+
+
+_MODELS = {"pendulum": (pendulum_model(), SIGMA_PEND),
+           "multi": (mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15]), 0.15),
+           "forced": (forced_model([0.0, 0.3], epsilon=0.2), SIGMA_PEND)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(sorted(_MODELS)), t=st.floats(0.5, 3.0),
+       q0=st.floats(0.0, 1.0, exclude_max=True), q1=st.floats(0.0, 1.0, exclude_max=True))
+def test_grid_starts_do_no_worse_than_waypoint_curves(name, t, q0, q1):
+    # the travel-hold-travel curves through seven waypoints were the starts
+    # that the grid starts replace; relaxed alone, none of them reaches a
+    # value below the solve's
+    model, sigma = _MODELS[name]
+    A, path = minimal_action(model, 0.0, t, [q0], [q1], sigma_eff=sigma)
+    n = path.n
+    lo, hi = sorted((q0, q1))
+    curves = waypoint_curves(q0, q1, np.linspace(0, 1, n + 1), np.linspace(lo - 1, hi + 1, 7))
+    init = np.stack(curves)[:, 1:-1, None]
+    vals, _, jumps, _ = minimal_action_batch(model, 0.0, t, np.full((7, 1), q0),
+                                             np.full((7, 1), q1), sigma_eff=sigma,
+                                             init_nodes=init, step_target=2e-3, max_sweeps=25)
+    ok = jumps.max(axis=1) <= TOL_CRIT_BASE * (1 + abs(q1 - q0) / t)
+    assert A <= np.min(vals, where=ok, initial=np.inf) + 1e-9 * (1 + abs(A))
+
+
+@pytest.mark.parametrize("q1", [0.7, 50.0, 1e5])
+def test_grid_starts_one_per_cell_in_ascending_cost(pendulum, q1):
+    # a unit cell per start, within one cell of the straight chain's middle
+    # node, and every node within 2 of the straight chain's, however far
+    # apart the endpoints lie
+    import hjkam.action as act
+    starts = act._grid_starts(pendulum, 0.0, 4.0, 0.2, q1, 40)
+    assert starts.shape == (3, 41, 1)
+    assert np.all(starts[:, 0, 0] == 0.2) and np.all(starts[:, -1, 0] == q1)
+    assert np.all(np.abs(starts[..., 0] - np.linspace(0.2, q1, 41)) <= 2.0)
+    cells = np.floor(starts[:, 20, 0])
+    assert sorted(cells) == list(np.floor((0.2 + q1) / 2) + np.array([-1, 0, 1]))
+    costs = act._midpoint_action(pendulum, np.linspace(0.0, 4.0, 41), starts[..., 0])
+    assert np.all(np.diff(costs) >= -1e-12)
+
+
+def test_grid_starts_of_a_model_that_is_not_periodic(pendulum):
+    # a custom model tabulates one row per node, not per residue class, and
+    # finds the pendulum's starts
+    from hjkam.hamiltonian import custom_model
+    w = 2 * np.pi
+    flat = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(w * q[..., 0]),
+                        m=1.0, M=w ** 2, grad=lambda t, q, p: (-w * np.sin(w * q), p),
+                        hessian=lambda t, q, p: (-w ** 2 * np.cos(w * q[..., 0]), 0.0, 1.0))
+    import hjkam.action as act
+    for t, q0, q1 in ((2.0, 0.23, 0.71), (3.0, 0.9, 0.05)):
+        n = round(t / 0.1)
+        assert np.array_equal(act._grid_starts(flat, 0.0, t, q0, q1, n),
+                              act._grid_starts(pendulum, 0.0, t, q0, q1, n))
