@@ -361,8 +361,9 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     ``_relax_chain``); the values, chain and jumps returned, and the jump
     criterion, are those of ``step_target``.  The least value among the
     starts that meet the momentum-jump criterion is returned, the first
-    start deciding ties; when none does, MultistartExhausted is raised with
-    the worst jump.
+    start deciding ties.  When none does, the starts relax for another
+    ``max_sweeps`` from where they stopped; when none does then either,
+    MultistartExhausted is raised with the worst jump.
     """
     _check_count(restarts, 1, "restarts")
     q0, q1 = _point(q0), _point(q1)
@@ -381,10 +382,16 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
         pert[1:-1] += rng.normal(0.0, amp, (n - 1, 1)) * taper
         starts.append(pert)
     pts = np.stack(starts)
-    pts, jumps, S, rho0, rho1 = _relax_chain(model, tau, t, pts, sig, step_target,
-                                             max_sweeps, tol_crit)
+    # a transit between two near-equal hill tops can shift in time almost
+    # for free, and its chains relax slowly: when no start meets the
+    # criterion, every start sweeps once more from where it stopped
+    for _ in range(2):
+        pts, jumps, S, rho0, rho1 = _relax_chain(model, tau, t, pts, sig, step_target,
+                                                 max_sweeps, tol_crit)
+        ok = jumps.max(axis=1, initial=0.0) <= tol_crit
+        if ok.any():
+            break
     values = S.sum(axis=1)
-    ok = jumps.max(axis=1, initial=0.0) <= tol_crit
     if not ok.any():
         worst = float(jumps.max())
         raise MultistartExhausted(f"no start meets the jump criterion (worst jump {worst:.3e})",
