@@ -258,8 +258,9 @@ def _grid_starts(model, tau, t, q0, q1, n):
     pass give every middle node's least through-cost; in each unit cell of
     the middle node's lift within one cell of the straight chain's, the
     best node is backtracked into one start.  A start that reaches the
-    band's edge in a segment doubles the band and the pass runs again.  The
-    starts come in ascending through-cost.
+    band's edge in a segment doubles the band, which tabulates only its new
+    columns, and the pass runs again.  The starts come in ascending
+    through-cost.
     """
     G = GRID_NODES
     line = q0 + (q1 - q0) * np.arange(1, n) / n   # the straight chain's interior nodes
@@ -296,11 +297,14 @@ def _grid_starts(model, tau, t, q0, q1, n):
         plane = table[(s - 1) % len(table)]
         return plane if rows is None else plane[rows[s - 1]]
 
+    def tabulate(cols):   # the segment costs (planes, rows, len(cols)) of band columns cols
+        seg = np.stack(np.broadcast_arrays(src[..., None], src[..., None] + c + cols), -1) / G
+        return _midpoint_action(model, slots, np.broadcast_to(
+            seg, (max(len(slots), len(seg)),) + seg.shape[1:]))
+
+    table = tabulate(np.arange(-D, D + 1))
     while True:
         e = np.arange(-D, D + 1)
-        seg = np.stack(np.broadcast_arrays(src[..., None], src[..., None] + c + e), -1) / G
-        table = _midpoint_action(model, slots, np.broadcast_to(
-            seg, (max(len(slots), len(seg)),) + seg.shape[1:]))   # (planes, rows, 2 D + 1)
         fwd, bwd, f_arg, b_arg = first, last, {}, {}
         for s in range(1, m):   # the least cost from q0 to each node of slice s
             J = inside(j[:, None] + shift[s - 1] - e)
@@ -324,7 +328,10 @@ def _grid_starts(model, tau, t, q0, q1, n):
         nodes = K[np.arange(n - 1), path]
         if D >= D_max or np.abs(np.diff(nodes, axis=1) - c).max(initial=0) < D:
             break
-        D = min(2 * D, D_max)
+        # the grown band keeps its columns and tabulates only D_old < |e| <= D
+        D_old, D = D, min(2 * D, D_max)
+        grown = tabulate(np.r_[-D:-D_old, D_old + 1:D + 1])
+        table = np.concatenate([grown[..., :D - D_old], table, grown[..., D - D_old:]], axis=-1)
     chains = np.empty((len(best), n + 1, 1))
     chains[:, 0], chains[:, -1], chains[:, 1:-1, 0] = q0, q1, nodes / G
     return chains
@@ -494,6 +501,9 @@ def _tonelli_newton(model, tau, t, X):
     decreases strictly by the Armijo margin.  A row stops at the gradient
     sup ``TOL_ORACLE_GRAD``, or when its predicted decrease falls below the
     value's rounding.  Returns the values and final gradient sups (B,).
+    A row that has not converged is returned as it stands when another row
+    holds a lower value; SolverDiverged is raised, with its gradient sup,
+    only when the least value is its own.
     """
     times = np.linspace(tau, t, X.shape[1])
     A, g, diag, off = _midpoint_action(model, times, X, derivs=True)
@@ -521,9 +531,10 @@ def _tonelli_newton(model, tau, t, X):
             floored = lam[todo] * slope[todo] <= np.finfo(float).eps * (1.0 + np.abs(A[rows]))
             done[rows] = np.where(good, np.abs(gt).max(axis=1) <= TOL_ORACLE_GRAD, floored)
             todo = todo[~good & ~floored]
-    if not done.all():
+    least = np.argmin(A)
+    if not done[least]:
         raise SolverDiverged("tonelli oracle: Newton did not converge",
-                             residual=float(np.abs(g[~done]).max()))
+                             residual=float(np.abs(g[least]).max()))
     return A, np.abs(g).max(axis=1)
 
 

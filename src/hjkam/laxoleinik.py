@@ -27,9 +27,14 @@ only when the kernel is built or grown.  ``T`` and its dual share one
 min-plus routine: one strided window of the periodically extended operand
 (reversed for ``T``) plus (dual: minus) a kernel window, one
 ``(n, 2 D + 1)`` array reduced along its rows in both directions.  Its
-window is the smaller of two radii: ``search_radius`` from the a-priori
-action bounds, and ``velocity_radius``, the distance a minimizer can travel
-when its start momentum is bounded by the operand's Lipschitz constant.
+window is the smaller of two radii.  ``search_radius`` bounds the
+minimizer's reach by the operand's oscillation: for the built-in families,
+``sqrt(2 a dt (osc u + dt (1 + |eps|) osc V))`` from comparing each curve
+with the one that rests at its target, plus one cell.  Past the twist
+window, where the entries are relaxed chains, and for custom models, the
+bound by the Hessian constant ``M`` (``_hessian_radius``) takes its place.
+``velocity_radius`` is the distance a minimizer can travel when its start
+momentum is bounded by the operand's Lipschitz constant.
 For the built-in families that is the integral of the momentum envelope
 ``min(lip + s sup|H_q|, P_E)``, capped by energy conservation at ``P_E`` when
 the model is autonomous, with its sups sampled once per model and time
@@ -145,12 +150,40 @@ def second_difference_bound(u: GridFunction) -> float:
 
 
 def search_radius(model: HamiltonianModel, dt: float, osc: float, n: int) -> float:
-    """Kernel search radius from the a-priori action bounds.
+    """How far the grid argmin of a kernel of minimal actions can sit from
+    its target node, for an operand of oscillation ``osc``.
 
-    It holds for any operand, but it bounds the potential by the Hessian
-    constant ``M``, so it is far wider than the minimizer's travel; the
-    operators take the smaller of it and ``velocity_radius``.
+    The built-in families are ``H = a p^2 / 2 + g(t) V(q)`` with ``g = 1 +
+    eps sin 2 pi t`` (``V = 0`` for the kinetic ones, ``eps = 0`` when
+    autonomous), so ``L = v^2 / (2 a) - g V``.  A curve from ``theta`` to
+    ``q`` over ``dt`` has kinetic action at least ``|q - theta|^2 / (2 a
+    dt)``, and the curve resting at ``q`` bounds ``A(q, q)`` above, so
+    ``A(theta, q) - A(q, q) >= |q - theta|^2 / (2 a dt) - dt (1 + |eps|) osc
+    V``.  At the argmin ``theta*`` of ``u(theta) + A(theta, q)``, the
+    candidate ``theta = q`` gives ``A(theta*, q) - A(q, q) <= osc u``.  Hence
+    ``|q - theta*| <= sqrt(2 a dt (osc u + dt (1 + |eps|) osc V))``, with
+    ``osc V <= 2 sum_k (|a_k| + |b_k|)`` from the coefficients; the dual
+    operator's argmax obeys the same bound (Fathi, *The Weak KAM Theorem in
+    Lagrangian Dynamics*, ch. 4).  One cell of margin covers the kernel's
+    integrator error.  A custom model gets ``_hessian_radius``.  The
+    operators take the smaller of this and ``velocity_radius``.
     """
+    if model.family == "custom":
+        return _hessian_radius(model, dt, osc, n)
+    if model.q_homogeneous:   # params (a,)
+        return math.sqrt(2 * model.params[0] * dt * osc) + 1.0 / n
+    # params [c0, a1, b1, ...], then the forced eps
+    coeffs, eps = ((model.params[1:-1], model.params[-1]) if model.family == "forced"
+                   else (model.params[1:], 0.0))
+    osc_V = 2 * sum(map(abs, coeffs))
+    return math.sqrt(2 * dt * (osc + dt * (1 + abs(eps)) * osc_V)) + 1.0 / n
+
+
+def _hessian_radius(model, dt, osc, n):
+    """The search radius that bounds the potential by the Hessian constant
+    ``M``.  Custom models keep it, and so do kernels past the twist window:
+    their entries are relaxed chains that can sit above the minimal action,
+    so ``search_radius``'s comparison with the resting curve fails there."""
     return math.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n
 
 
@@ -245,13 +278,18 @@ def _kernel_key(model, tau, t, n, sigma):
     return (model.cache_key(), slot, round(t - tau, 12), n, round(sigma, 12))
 
 
+def _past_window(tau, t, sigma):
+    """Whether ``_pair_actions`` relaxes chains, past the twist window."""
+    return t - tau > sigma * (1 + 1e-12)
+
+
 def _pair_actions(model, tau, t, Q0, Q1, sigma):
     """``A_tau^t(Q0, Q1)`` for a batch of pairs (rows of ``Q0``, ``Q1``).
 
     Inside the twist window ``sigma`` this is the generating function;
     beyond it, the broken geodesic relaxed from the straight-line chain.
     """
-    if t - tau <= sigma * (1 + 1e-12):
+    if not _past_window(tau, t, sigma):
         return generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
                                 step_target=KERNEL_STEP)[0]
     return minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma)[0]
@@ -358,7 +396,9 @@ def _min_plus(model, u, tau, t, sigma_eff, dual):
     if not 0 < t - tau < np.inf:
         raise ConfigError("need a finite t > tau")
     n = u.n_per_dim
-    R = min(search_radius(model, t - tau, u.osc(), n),
+    # past the window the entries are chain values, not minima
+    chains = _past_window(tau, t, resolve_sigma(model, sigma_eff))
+    R = min((_hessian_radius if chains else search_radius)(model, t - tau, u.osc(), n),
             velocity_radius(model, tau, t, u.lip_estimate, n))
     D = _quantize(math.ceil(R * n))
     for attempt in range(2):

@@ -684,3 +684,59 @@ def test_grid_starts_of_a_model_that_is_not_periodic(pendulum):
         n = round(t / 0.1)
         assert np.array_equal(act._grid_starts(flat, 0.0, t, q0, q1, n),
                               act._grid_starts(pendulum, 0.0, t, q0, q1, n))
+
+
+def test_grid_starts_grow_the_band_by_new_columns(forced, monkeypatch):
+    # 60 segments: the band starts at D = 3 and doubles twice.  Each growth
+    # tabulates only D_old < |e| <= D, one plane per interior segment (58)
+    # and one row per residue class (64): 7, 6 and 12 columns, 92,800 segment
+    # costs in place of the 167,040 that rebuilding each band takes, after
+    # the first and last segments (160 window nodes each).  The starts dwell
+    # on the hill top q = 0 (one of them a node off at slice 30) or q = 1
+    import hjkam.action as act
+    rows, midpoint = [], act._midpoint_action
+
+    def counting(model, times, X, derivs=False):
+        rows.append(int(np.prod(np.broadcast_shapes(np.shape(times)[:-1], X.shape[:-1]))))
+        return midpoint(model, times, X, derivs)
+
+    monkeypatch.setattr(act, "_midpoint_action", counting)
+    starts = act._grid_starts(forced, 0.0, 6.0, 0.2, 0.7, 60)
+    assert rows == [2 * 160, 58 * 64 * 7, 58 * 64 * 6, 58 * 64 * 12]
+    descent, ascent = [9, 6, 4, 3, 2, 1], [1, 2, 3, 4, 5, 7, 10, 14, 19, 25, 32, 39]
+    nodes = [descent + [0] * 41 + ascent,
+             descent + [0] * 23 + [-1] + [0] * 17 + ascent,
+             [16, 21, 27, 33, 39, 45, 50, 54, 57, 59, 61, 62, 63] + [64] * 38
+             + [63, 62, 61, 60, 58, 56, 53, 49]]
+    assert np.array_equal(starts[:, 1:-1, 0], np.array(nodes) / 64)
+    assert np.all(starts[:, 0, 0] == 0.2) and np.all(starts[:, -1, 0] == 0.7)
+
+
+def test_oracle_drops_a_stalled_start_above_the_least(pendulum, monkeypatch):
+    # on the long pendulum route, two starts stall at -4.7116 with gradient
+    # sups of 1e-4 and 1e-6, above the converged ones at -4.7395: the oracle
+    # returns the converged least, close to minimal_action's
+    # -4.740053952153257 (5.8e-8 at 300 segments)
+    import hjkam.action as act
+    stalled, newton = [], act._tonelli_newton
+
+    def record(model, tau, t, X):
+        A, gsup = newton(model, tau, t, X)
+        stalled.append(A[gsup > 1e-6])
+        return A, gsup
+
+    monkeypatch.setattr(act, "_tonelli_newton", record)
+    value = tonelli_oracle(pendulum, 0.0, 6.0, [0.01453628036381327], [0.9332239002254337],
+                           n_segments=300)
+    assert len(stalled[0]) == 2 and stalled[0].min() > -4.72
+    assert abs(value - -4.740053952153257) <= 1e-7
+
+
+def test_oracle_raises_when_the_least_start_stalls(pendulum, monkeypatch):
+    # one Newton iteration: no start converges, and the least is among them
+    import hjkam.action as act
+    from hjkam.errors import SolverDiverged
+    monkeypatch.setattr(act, "MAX_ORACLE_ITER", 1)
+    with pytest.raises(SolverDiverged) as exc:
+        tonelli_oracle(pendulum, 0.0, 2.0, [0.3], [0.8], n_segments=200)
+    assert exc.value.residual > act.TOL_ORACLE_GRAD

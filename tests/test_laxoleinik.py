@@ -355,6 +355,49 @@ def test_velocity_radius_matches_wide_window(free, pendulum, forced, n, t, name,
     _assert_sized_window_is_wide(model, u, t, sig)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([16, 32, 64]), t=st.sampled_from([0.05, 0.1, 0.2]),
+       name=st.sampled_from(["free", "quad2", "pendulum", "multi", "forced"]),
+       rough=st.booleans(), data=st.data())
+def test_search_radius_matches_widest_window(request, n, t, name, rough, data):
+    # inside the twist window, the operators with the a-priori radius of the
+    # minimizer equal, bit for bit, those of the widest window: the
+    # Hessian-constant radius with no velocity bound.  On the one-row kinetic
+    # kernels (a = 1 and 2), the even pendulum, a potential with sine terms,
+    # and the forced model at eps = 0.2
+    import hjkam.laxoleinik as lx
+    sig = {"free": SIGMA_FREE, "quad2": SIGMA_FREE, "multi": 0.15}.get(name, SIGMA_PEND)
+    model = _multi_mode() if name == "multi" else request.getfixturevalue(name)
+    t = min(t, sig)
+    u = GridFunction(1, n, _draw_values(data, n) if rough else _trig_operand(data, n))
+    assert (lx.search_radius(model, t, u.osc(), n)
+            == _search_radius_written_out(model, t, u.osc(), n))
+    for op in (apply_T, apply_T_dual):
+        sized = op(model, u, 0.0, t, sigma_eff=sig).values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lx, "search_radius", _hessian_radius_written_out)
+            mp.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: np.inf)
+            widest = op(model, u, 0.0, t, sigma_eff=sig).values
+        assert np.array_equal(sized, widest)
+
+
+def test_search_radius_past_window_keeps_hessian_bound(pendulum, monkeypatch):
+    # at t = 0.3, past the window 0.2, the kernel holds relaxed chains, so the
+    # operators keep the Hessian-constant radius (3.96 here) and the velocity
+    # radius (1.84) sets the window, D = 32, where the minimizer's bound
+    # (0.91) would give D = 16
+    import hjkam.laxoleinik as lx
+    n, t = 16, 0.3
+    u = GridFunction.from_callable(lambda q: 0.3 * np.cos(6 * np.pi * q), n)
+    R = min(_hessian_radius_written_out(pendulum, t, u.osc(), n),
+            lx.velocity_radius(pendulum, 0.0, t, u.lip_estimate, n))
+    assert _search_radius_written_out(pendulum, t, u.osc(), n) < R / 2
+    widths = _record_widths(monkeypatch)
+    for op in (apply_T, apply_T_dual):
+        op(pendulum, u, 0.0, t, sigma_eff=SIGMA_PEND)
+    assert widths == [lx._quantize(math.ceil(R * n))] * 2 == [32, 32]
+
+
 def test_velocity_radius_energy_cap_matches_wide_window(pendulum):
     # at t = 0.6 the momentum envelope reaches the energy cap P_E by s* =
     # (P_E - lip) / 2 pi < 0.4: the capped window, past the twist window
@@ -510,7 +553,7 @@ def test_operators_never_alias_the_cache(request, name):
 
 
 def test_velocity_radius_narrows_window(pendulum):
-    from hjkam.laxoleinik import search_radius, velocity_radius
+    from hjkam.laxoleinik import _hessian_radius, velocity_radius
     n, t = 256, 0.2
     u = grid_cos(n)
     lip = u.lip_estimate
@@ -521,7 +564,9 @@ def test_velocity_radius_narrows_window(pendulum):
     s_star = (cap - lip) / (2 * np.pi)
     assert s_star < t
     assert vel == pytest.approx(t * cap - (cap - lip) ** 2 / (4 * np.pi) + 2.0 / n, rel=1e-12)
-    assert vel < search_radius(pendulum, t, u.osc(), n) / 2
+    # against the Hessian-constant radius, which the operators take past the
+    # twist window
+    assert vel < _hessian_radius(pendulum, t, u.osc(), n) / 2
 
 
 def test_aubry_set_kernel_width(pendulum, monkeypatch):
@@ -534,6 +579,23 @@ def test_aubry_set_kernel_width(pendulum, monkeypatch):
     widths = _record_widths(monkeypatch)
     aubry_set(pendulum, grid_n=256, sigma_eff=SIGMA_PEND)
     assert widths and max(widths) <= 64
+
+
+def test_weak_kam_kernel_width(pendulum, monkeypatch):
+    # weakkam_warm's widest operand (osc 1.83, lip 13.2): the velocity radius
+    # asks for D = 352, the minimizer's bound sqrt(2 dt (osc + 2 dt)) + 1/n,
+    # 0.64, for D = 176; the first application is the widest
+    from hjkam.laxoleinik import clear_kernel_cache
+    from hjkam.weakkam import weak_kam_solve
+    n, k = 256, np.arange(1, 5)[:, None]
+    x = 2 * np.pi * k * np.arange(n) / n
+    u = GridFunction(1, n, [0.25, 0.03, 0.15, 0.04, -0.92, 0.09, -0.15, 0.13]
+                     @ np.concatenate([np.cos(x), np.sin(x)]))
+    assert 1.8 < u.osc() < 1.85 and 13 < u.lip_estimate < 13.3
+    clear_kernel_cache()
+    widths = _record_widths(monkeypatch)
+    weak_kam_solve(pendulum, grid_n=n, alpha=1.0, t_step=0.1, sigma_eff=SIGMA_PEND, u0=u)
+    assert max(widths) == widths[0] == 176
 
 
 @pytest.mark.parametrize("t", [0.1, 0.3])
@@ -926,13 +988,40 @@ def _velocity_radius_sampled(model, tau, t, lip, n):
     return a * travel + 2.0 / n
 
 
+def _hessian_radius_written_out(model, dt, osc, n):
+    # the a-priori radius of any model: the potential bounded by the Hessian
+    # constant M
+    return math.sqrt(2 * model.m * dt * (osc + 2 * model.M * dt + 1.0)) + 1.0 / n
+
+
+def _search_radius_written_out(model, dt, osc, n):
+    # H = a p^2 / 2 + (1 + eps sin 2 pi t) V(q), V = c0 + sum_k a_k cos 2 pi k q
+    # + b_k sin 2 pi k q: params hold (a,) for the kinetic families, else
+    # [c0, a1, b1, ...] and then eps when forced.  The argmin sits within
+    # sqrt(2 a dt (osc u + dt (1 + |eps|) osc V)), osc V <= 2 sum (|a_k| + |b_k|),
+    # and one cell of margin is added
+    if model.family == "custom":
+        return _hessian_radius_written_out(model, dt, osc, n)
+    if model.family in ("free", "quadratic"):
+        a, eps, modes = model.params[0], 0.0, ()
+    elif model.family == "forced":
+        a, eps, modes = 1.0, model.params[-1], model.params[1:-1]
+    else:
+        a, eps, modes = 1.0, 0.0, model.params[1:]
+    osc_V = 2 * sum(abs(c) for c in modes)
+    return math.sqrt(2 * a * dt * (osc + dt * (1 + abs(eps)) * osc_V)) + 1.0 / n
+
+
 def _min_plus_sliding(model, u, tau, t, sigma_eff, dual):
     # _min_plus as it was before the strided window: sliding_window_view of
-    # the extended operand, reversed by a slice for T
+    # the extended operand, reversed by a slice for T; past the twist window
+    # the Hessian-constant radius
     from numpy.lib.stride_tricks import sliding_window_view
     import hjkam.laxoleinik as lx
     n = u.n_per_dim
-    R = min(lx.search_radius(model, t - tau, u.osc(), n),
+    past = t - tau > lx.resolve_sigma(model, sigma_eff) * (1 + 1e-12)
+    radius = _hessian_radius_written_out if past else _search_radius_written_out
+    R = min(radius(model, t - tau, u.osc(), n),
             _velocity_radius_sampled(model, tau, t, u.lip_estimate, n))
     D = lx._quantize(int(np.ceil(R * n)))
     for attempt in range(2):
