@@ -37,10 +37,6 @@ TOL_CRIT_BASE = 1e-6
 # the Tonelli oracle's Newton: the gradient sup that stops a curve, a safety cap
 TOL_ORACLE_GRAD = 1e-10
 MAX_ORACLE_ITER = 200
-# The chain line search's step lengths 1, 1/2, ..., 1/512, in the groups
-# that one solve each tries: the full step, then the halvings that nearly
-# every rejected step needs, then the rest.
-LINE_SEARCH = (np.ones(1), np.ldexp(1.0, -np.arange(1, 4)), np.ldexp(1.0, -np.arange(4, 10)))
 # nodes per unit of q on the grid of the Bellman pass that picks chain starts
 GRID_NODES = 64
 
@@ -158,14 +154,11 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     only chains whose largest momentum jump exceeds ``tol_crit`` are
     iterated.  Where the regularized Hessian stays indefinite, or the Newton
     direction is not a descent direction, the chain steps along the
-    gradient instead.  A step is damped along the ladder
-    ``lam = 1, 1/2, ..., 1/512`` and takes the first rung whose summed chain
-    action meets the Armijo condition; a chain with no such rung is left
-    where it is.  The rungs go in the three groups of ``LINE_SEARCH``, one
-    ``_segments`` solve per group for every chain still without a step, all
-    warm-started from the chain's current momenta.  A row shoots
-    independently of its batch mates, so a chain takes the step that
-    backtracking one halving per solve would take.  Returns
+    gradient instead.  A step is damped by halving, ``lam = 1, 1/2, ...,
+    1/512``, and taken at the first ``lam`` whose summed chain action meets
+    the Armijo condition; a chain with none is left where it is.  Each
+    halving is one ``_segments`` solve of the chains still without a step,
+    warm-started from their current momenta.  Returns
     ``(pts, jumps, S, rho0, rho1)``: the momentum-jump norms (B, n-1) and
     the per-segment values and momenta of the last evaluation, all at
     ``step_target``.
@@ -189,24 +182,20 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
             slope[ascent] = np.sum(ga[ascent] ** 2, axis=(1, 2))
             S_act = S[act].sum(axis=1)
             todo = np.arange(len(act))   # active chains without a step yet
-            for rungs in LINE_SEARCH:
-                # row j of the batch is chain todo[j // m] at rungs[j % m]
-                m = len(rungs)
-                k = np.repeat(todo, m)
-                lam = np.tile(rungs, len(todo))
-                trial = pts[act[k]]
-                trial[:, 1:-1] -= lam[:, None, None] * delta[k]
+            lam = 1.0
+            for _ in range(10):   # lam = 1, 1/2, ..., 1/512
+                trial = pts[act[todo]]
+                trial[:, 1:-1] -= lam * delta[todo]
                 St, r0t, r1t, Mt = _segments(model, tau, t, trial, sigma_eff, step,
-                                             p_init=r0[act[k]])
-                good = (St.sum(axis=1) <= S_act[k] - 1e-4 * lam * slope[k]).reshape(-1, m)
-                found = good.any(axis=1)
-                first = np.flatnonzero(found) * m + good.argmax(axis=1)[found]
-                i = act[todo[found]]
-                pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[first], St[first], r0t[first],
-                                                      r1t[first], Mt[first])
-                todo = todo[~found]
+                                             p_init=r0[act[todo]])
+                good = St.sum(axis=1) <= S_act[todo] - 1e-4 * lam * slope[todo]
+                i = act[todo[good]]
+                pts[i], S[i], r0[i], r1[i], Mono[i] = (trial[good], St[good], r0t[good],
+                                                      r1t[good], Mt[good])
+                todo = todo[~good]
                 if not len(todo):
                     break
+                lam *= 0.5
             stalled[act[todo]] = True
         jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
         # a chain that the coarse sweeps left above tol_crit is not swept again
@@ -355,7 +344,7 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
 
 def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
                    sigma_eff=None, n: Optional[int] = None, restarts: int = 1,
-                   seed: int = 0, step_target: float = 2e-3, max_sweeps: int = 25):
+                   seed: int = 0, max_sweeps: int = 25):
     """Minimal action ``A_tau^t(q0, q1)`` with its reconstructed chain.
 
     Starts: the straight line first; on horizons past twice the window
@@ -364,9 +353,9 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     chain's, in ascending grid cost; then ``restarts - 1`` seeded random
     perturbations of the straight line (``restarts`` is an integer of at
     least 1; ConfigError otherwise).  All starts relax in one batch, at
-    ``KERNEL_STEP`` first when ``step_target`` is finer (see
-    ``_relax_chain``); the values, chain and jumps returned, and the jump
-    criterion, are those of ``step_target``.  The least value among the
+    ``KERNEL_STEP`` first and then at the production step ``TARGET_STEP``
+    (see ``_relax_chain``); the values, chain and jumps returned, and the
+    jump criterion, are those of ``TARGET_STEP``.  The least value among the
     starts that meet the momentum-jump criterion is returned, the first
     start deciding ties.  When none does, the starts relax for another
     ``max_sweeps`` from where they stopped; when none does then either,
@@ -393,7 +382,7 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     # for free, and its chains relax slowly: when no start meets the
     # criterion, every start sweeps once more from where it stopped
     for _ in range(2):
-        pts, jumps, S, rho0, rho1 = _relax_chain(model, tau, t, pts, sig, step_target,
+        pts, jumps, S, rho0, rho1 = _relax_chain(model, tau, t, pts, sig, TARGET_STEP,
                                                  max_sweeps, tol_crit)
         ok = jumps.max(axis=1, initial=0.0) <= tol_crit
         if ok.any():
@@ -554,7 +543,7 @@ def waypoint_curves(q0, q1, lam, waypoints):
 
 
 def tonelli_oracle(model: HamiltonianModel, tau: float, t: float, q0, q1,
-                   n_segments: int = 200, restarts: int = 3, seed: int = 0) -> float:
+                   n_segments: int = 200, restarts: int = 3) -> float:
     """Brute-force minimal Lagrangian action over discrete Lipschitz curves.
 
     Deliberately independent of the generating/action pipeline: Newton on
@@ -573,7 +562,7 @@ def tonelli_oracle(model: HamiltonianModel, tau: float, t: float, q0, q1,
     q0, q1 = (float(np.ravel(q)[0]) for q in (q0, q1))
     lam = np.linspace(0, 1, n + 1)
     straight = q0 + lam * (q1 - q0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     X = np.stack([straight]
                  + waypoint_curves(q0, q1, lam, np.linspace(min(q0, q1) - 1, max(q0, q1) + 1, 9))
                  + [straight + rng.normal(0.0, 0.3 * (1 + abs(q1 - q0)), n + 1)

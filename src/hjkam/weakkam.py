@@ -109,12 +109,15 @@ def critical_value(model: HamiltonianModel, grid_n: int = 128, t_step: float = 0
     and reads ``alpha = -mean(increment) / t``, which is ``-lambda / t`` for
     the minimum cycle mean ``lambda`` of the kernel.  The result carries the
     eigenvector reached from zero in ``u_raw`` (and min-normalised in ``u``).
-    ``t_max`` caps the iteration: NonConvergence, with the partial result,
-    when the increment still spreads there, or when alpha leaves ``[-M, M]``;
+    The step is ``t_step`` cut to the twist window, so that every kernel
+    holds short-time generating values; ``t_probe`` records it.  ``t_max``
+    caps the iteration: NonConvergence, with the partial result, when the
+    increment still spreads there, or when alpha leaves ``[-M, M]``;
     ConfigError unless ``t_step`` and ``t_max`` are positive and finite.
     """
     _require_torus(model)
     _require_steps(t_step, t_max)
+    t_step = min(t_step, resolve_sigma(model, sigma_eff))
     zero = GridFunction(1, grid_n, np.zeros(grid_n))
     v, inc, history, converged = _eigen_iterate(model, zero, t_step, 0.0, t_max,
                                                 sigma_eff, TOL_ITER)
@@ -190,12 +193,14 @@ def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
     several static classes it is the one reached from the seed.  The
     fixed-point residual decides the result: off the critical level the
     increment settles at ``t (alpha - alpha_c)`` and the residual keeps it.
-    Raises NonConvergence, with the partial result, when the residual
-    exceeds ``tol_wk`` or the cap ``t_max`` is hit; ConfigError unless
-    ``t_step`` and ``t_max`` are positive and finite.
+    The step is cut to the twist window, as in ``critical_value``.  Raises
+    NonConvergence, with the partial result, when the residual exceeds
+    ``tol_wk`` or the cap ``t_max`` is hit; ConfigError unless ``t_step``
+    and ``t_max`` are positive and finite.
     """
     _require_torus(model)
     _require_steps(t_step, t_max)
+    t_step = min(t_step, resolve_sigma(model, sigma_eff))
     if u0 is not None and u0.n_per_dim != grid_n:
         raise ConfigError(f"u0 has {u0.n_per_dim} nodes, grid_n is {grid_n}")
     if alpha is None:
@@ -316,7 +321,10 @@ def _mane_star(model, a, n, sigma_eff):
 
 def _cell(q, n):
     """The two grid nodes around ``q`` and their linear interpolation weights,
-    applied as explicit two-term sums: a BLAS product rounds by its kernel."""
+    applied as explicit two-term sums: a BLAS product rounds by its kernel.
+    ConfigError for a non-finite ``q``."""
+    if not np.isfinite(q):
+        raise ConfigError(f"point must be finite, got q = {q}")
     x = (float(q) % 1.0) * n
     i = int(np.floor(x))
     return np.array([i % n, (i + 1) % n]), np.array([1.0 - (x - i), x - i])
@@ -330,11 +338,11 @@ def mane_potential(model: HamiltonianModel, a: float, q_base: float,
     (``_mane_star``); an off-grid base interpolates linearly between its two
     neighbouring nodes' rows.  ``t_argmin`` sums the edge horizons along each
     shortest path.  Raises LevelBelowCritical below the critical value and
-    ConfigError for a non-finite level.
+    ConfigError for a non-finite level or base point.
     """
     _require_torus(model)
-    S, T = _mane_star(model, a, grid_n, sigma_eff)
     i, w = _cell(q_base, grid_n)
+    S, T = _mane_star(model, a, grid_n, sigma_eff)
     phi = GridFunction(1, grid_n, w[0] * S[i[0]] + w[1] * S[i[1]])
     return ManeField(a=a, q_base=float(q_base), phi=phi,
                      t_argmin=w[0] * T[i[0]] + w[1] * T[i[1]])
@@ -344,11 +352,11 @@ def mane_pair(model: HamiltonianModel, a: float, q0: float, q1: float,
               grid_n: int = 128, sigma_eff=None) -> float:
     """Mane potential between torus points: a bilinear read of the grid's
     shortest-path matrix, the rows around ``q0`` first; ConfigError for a
-    non-finite level."""
+    non-finite level or endpoint."""
     _require_torus(model)
-    S, _ = _mane_star(model, a, grid_n, sigma_eff)
     i, w = _cell(q0, grid_n)
     j, v = _cell(q1, grid_n)
+    S, _ = _mane_star(model, a, grid_n, sigma_eff)
     row = w[0] * S[i[0], j] + w[1] * S[i[1], j]
     return float(v[0] * row[0] + v[1] * row[1])
 
@@ -437,15 +445,14 @@ def aubry_set(model: HamiltonianModel, grid_n: int = 128, sigma_eff=None,
     """Aubry mask: the critical graph of ``T^t`` on the grid.
 
     ``alpha`` and the eigenvector ``u_limit`` come from one ``critical_value``
-    call at ``t_step``.  The mask marks the nodes on cycles of the argmin
-    map of ``T^t`` at ``u_limit``; each such cycle is a cycle of minimum mean
-    ``-alpha t`` in the kernel.  With several static classes the eigenvector
+    call at ``t_step`` cut to the twist window, its ``t_probe``.  The mask
+    marks the nodes on cycles of the argmin map of ``T^t`` at ``u_limit``;
+    each such cycle is a cycle of minimum mean ``-alpha t`` in the kernel.  With several static classes the eigenvector
     reached from zero decides which critical cycles the argmin map keeps.
     """
     _require_torus(model)
-    t_step = min(t_step, resolve_sigma(model, sigma_eff))
     res = critical_value(model, grid_n=grid_n, t_step=t_step, sigma_eff=sigma_eff)
-    _, dd = _min_plus(model, res.u_raw, 0.0, t_step, sigma_eff, dual=False)
+    _, dd = _min_plus(model, res.u_raw, 0.0, res.t_probe, sigma_eff, dual=False)
     src = (np.arange(grid_n) - dd) % grid_n
     # after n steps every node sits on a cycle, and f^n maps onto the cycles
     for _ in range(int(np.ceil(np.log2(grid_n)))):

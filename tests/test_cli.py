@@ -4,8 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hjkam.cli import RunConfig, build_parser, config_from_args, export_dataset, main
-from hjkam.errors import ConfigError
+from hjkam.cli import main
 from hjkam.flow import sigma_bound
 from hjkam.hamiltonian import pendulum_model
 from hjkam.laxoleinik import GridFunction
@@ -203,6 +202,15 @@ def test_point_option_not_one_number_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q_base", ["nan", "inf"])
+def test_non_finite_base_point_exits_1(tmp_path, capsys, q_base):
+    out = tmp_path / "o"
+    assert run_cli(["mane", "--a", "1.0", "--q-base", q_base, "--model", "pendulum",
+                    "--grid", "16", "--sigma-eff", "0.2", "--out", str(out)]) == 1
+    assert "config error: point must be finite" in capsys.readouterr().err
+    assert not (out / "phi.gridfn").exists()
+
+
 @pytest.mark.parametrize("level", ["nan", "inf"])
 @pytest.mark.parametrize("command", [["mane"], ["calibrate", "--q0", "0.15", "--q1", "0.45"]],
                          ids=["mane", "calibrate"])
@@ -223,35 +231,54 @@ def test_solver_errors_exit_2(tmp_path):
     assert code == 2
 
 
-def test_runconfig_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(command="nope", model_source="free", out_dir=".")
-    with pytest.raises(ConfigError):
-        RunConfig(command="alpha", model_source="free", out_dir=".", grid_n=1)
-    with pytest.raises(ConfigError):
-        RunConfig(command="alpha", model_source="free", out_dir=".",
-                  tolerances={"tol_wk": -1.0})
+def test_invalid_invocation_exits_1(tmp_path, capsys):
+    # an unknown command, a grid of one node and a non-positive tolerance
+    for argv, message in [(["nope"], "invalid choice"),
+                          (["alpha", "--model", "free", "--grid", "1"],
+                           "grid_n must be at least 2"),
+                          (["alpha", "--model", "free", "--tol", "tol_wk=-1"],
+                           "tolerance 'tol_wk' must be positive")]:
+        out = tmp_path / "o"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
 
-def test_tol_flag_parsing():
-    parser = build_parser()
-    args = parser.parse_args(["alpha", "--model", "free", "--tol", "tol_wk=1e-3"])
-    config = config_from_args(args)
-    assert config.tolerances == {"tol_wk": 1e-3}
-    with pytest.raises(ConfigError):
-        config_from_args(parser.parse_args(["alpha", "--model", "free",
-                                            "--tol", "oops"]))
+def test_tol_flag_parsing(tmp_path, capsys):
+    # a given tolerance is recorded in meta.json; one that is left out is not
+    out = tmp_path / "o"
+    assert run_cli(["alpha", "--model", "free", "--grid", "16", "--tol", "tol_wk=1e-3",
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["tolerances"] == {"tol_wk": 1e-3}
+    assert run_cli(["alpha", "--model", "free", "--grid", "16", "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["tolerances"] == {}
+    assert run_cli(["alpha", "--model", "free", "--tol", "oops",
+                    "--out", str(tmp_path / "bad")]) == 1
+    assert "expected NAME=VALUE" in capsys.readouterr().err
 
 
 def test_unknown_tolerance_name_rejected(tmp_path, capsys):
     # only tol_alpha and tol_wk are read; a misspelt name would otherwise be
     # recorded in meta.json while the run used the default
-    with pytest.raises(ConfigError, match="tol_alpa"):
-        RunConfig(command="alpha", model_source="free", out_dir=".",
-                  tolerances={"tol_alpa": 1e-9})
     out = tmp_path / "o"
     assert run_cli(["alpha", "--model", "free", "--grid", "16",
                     "--tol", "tol_alpa=1e-9", "--out", str(out)]) == 1
+    assert "config error: unknown tolerance 'tol_alpa'" in capsys.readouterr().err
+    assert not (out / "meta.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["accept", "--criteria", "x"],
+    ["accept", "--criteria", "1,,2"],
+    ["accept", "--criteria", "99"],
+    ["check", "--model", "pendulum", "--seed", "-1"],
+], ids=["criteria-text", "criteria-empty", "criteria-unknown", "seed-negative"])
+def test_bad_criteria_or_seed_exits_1(tmp_path, capsys, argv):
+    # a criterion list that is not numbers of criteria, or a seed numpy's
+    # generator refuses, is a configuration error before anything runs
+    out = tmp_path / "o"
+    assert run_cli(argv + ["--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / "meta.json").exists()
 
@@ -279,15 +306,15 @@ def test_accept_byte_identical(tmp_path):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
-def test_export_dataset_gridfunction(tmp_path):
-    u = GridFunction(1, 4, np.zeros(4))
-    path = export_dataset(u, "csv", str(tmp_path / "u.csv"))
-    lines = open(path).read().strip().split("\n")
+def test_grid_function_csv(tmp_path):
+    # T^t of zero on the free model is zero: one "q,value" row per node
+    out = tmp_path / "o"
+    assert run_cli(["lax", "--model", "free", "--grid", "4", "--t", "0.1",
+                    "--sigma-eff", "0.25", "--out", str(out)]) == 0
+    lines = (out / "u_out.csv").read_text().strip().split("\n")
     assert lines[0] == "q,value"
     assert len(lines) == 5
     assert all(line.endswith(",0") for line in lines[1:])
-    with pytest.raises(ConfigError):
-        export_dataset(u, "yaml", str(tmp_path / "u.yaml"))
 
 
 def test_import_loads_no_scipy():

@@ -381,6 +381,27 @@ def test_search_radius_matches_widest_window(request, n, t, name, rough, data):
         assert np.array_equal(sized, widest)
 
 
+def test_custom_model_keeps_hessian_radius_inside_window(pendulum):
+    # a custom pendulum with exact derivatives searches the Hessian-constant
+    # radius (1.39 here, against the built-in family's 0.42) and reaches the
+    # built-in image to the shooting tolerance
+    import hjkam.laxoleinik as lx
+    from hjkam.hamiltonian import custom_model
+    tp = 2 * np.pi
+    custom = custom_model(lambda t, q, p: 0.5 * np.sum(p * p, -1) + np.cos(tp * q[..., 0]),
+                          m=1.0, M=tp ** 2, periodic=True,
+                          grad=lambda t, q, p: (-tp * np.sin(tp * q), p),
+                          hessian=lambda t, q, p: (-tp ** 2 * np.cos(tp * q[..., 0]), 0.0, 1.0))
+    n, t = 64, 0.1
+    u = GridFunction.from_callable(lambda q: 0.3 * np.sin(tp * q), n)
+    R = lx.search_radius(custom, t, u.osc(), n)
+    assert R == _hessian_radius_written_out(custom, t, u.osc(), n)
+    assert R > 3 * lx.search_radius(pendulum, t, u.osc(), n)
+    got = apply_T(custom, u, 0.0, t, sigma_eff=SIGMA_PEND).values
+    want = apply_T(pendulum, u, 0.0, t, sigma_eff=SIGMA_PEND).values
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_search_radius_past_window_keeps_hessian_bound(pendulum, monkeypatch):
     # at t = 0.3, past the window 0.2, the kernel holds relaxed chains, so the
     # operators keep the Hessian-constant radius (3.96 here) and the velocity

@@ -169,6 +169,25 @@ def test_tiny_cap_takes_one_step(free):
     assert res.converged and len(res.history) == 1 and res.alpha == 0.0
 
 
+def test_cap_before_constant_increment_raises_with_partial_result(pendulum):
+    # one step of 0.2 reaches the cap before the increment is constant
+    with pytest.raises(NonConvergence) as info:
+        critical_value(pendulum, grid_n=32, t_step=0.2, t_max=0.2, sigma_eff=SIGMA_PEND)
+    res = info.value.result
+    assert res.converged is False and len(res.history) == 1 and res.t_probe == 0.2
+
+
+def test_eigen_iterations_cut_the_step_to_the_window():
+    # a step past the twist window would need chain kernels: critical_value
+    # and weak_kam_solve both iterate at the window, and aubry_set reads it
+    # from the result
+    multi = mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15])
+    assert critical_value(multi, grid_n=32, t_step=0.2, sigma_eff=0.15).t_probe == 0.15
+    res = weak_kam_solve(multi, grid_n=32, t_step=0.2, sigma_eff=0.15)
+    assert res.t_probe == 0.15 and all(h[0] == pytest.approx(0.15 * k)
+                                       for k, h in enumerate(res.history, start=1))
+
+
 def test_weak_kam_default_alpha_iterates_once(pendulum, monkeypatch):
     # with alpha=None the solve starts from critical_value's eigenvector:
     # one more application to see the increment constant, one residual
@@ -491,6 +510,17 @@ def test_calibrated_non_autonomous_raises(forced):
 def test_non_finite_level_is_config_error(pendulum, call, a):
     with pytest.raises(ConfigError, match="energy level must be finite"):
         call(pendulum, a)
+
+
+@pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda m, q: mane_potential(m, 1.0, q, grid_n=16, sigma_eff=SIGMA_PEND),
+    lambda m, q: mane_pair(m, 1.0, q, 0.4, grid_n=16, sigma_eff=SIGMA_PEND),
+    lambda m, q: mane_pair(m, 1.0, 0.1, q, grid_n=16, sigma_eff=SIGMA_PEND),
+], ids=["mane_potential", "mane_pair-q0", "mane_pair-q1"])
+def test_non_finite_point_is_config_error(pendulum, call, q):
+    with pytest.raises(ConfigError, match="point must be finite"):
+        call(pendulum, q)
 
 
 def test_aubry_masks(free, pendulum):
