@@ -163,8 +163,7 @@ def _suite_minimal_actions():
         sigma, cases = _pendulum_suite()
         out = []
         for (t, a, b) in cases:
-            A, path = minimal_action(model, 0.0, float(t), [a], [b],
-                                     sigma_eff=sigma, restarts=3, seed=5)
+            A, path = minimal_action(model, 0.0, float(t), [a], [b], sigma_eff=sigma)
             out.append((float(t), float(a), float(b), A, path))
         _SUITE_CACHE["suite"] = out
     return _SUITE_CACHE["suite"]
@@ -194,8 +193,7 @@ def criterion_05_action_bounds() -> CriterionResult:
         lo, hi = action_bounds(model, 0.0, t, [a], [b])
         if not (lo - 1e-9 <= A <= hi + 1e-9):
             passed = False
-        A2, _ = minimal_action(model, 0.0, t, [a], [b], sigma_eff=sigma,
-                               n=2 * path.n, restarts=3, seed=5)
+        A2, _ = minimal_action(model, 0.0, t, [a], [b], sigma_eff=sigma, n=2 * path.n)
         rel = abs(A - A2) / (1.0 + abs(A))
         worst_n = max(worst_n, rel)
     tol_n = 1e-6

@@ -12,13 +12,16 @@ are rows with their own time slots.  A production step finer than
 ``KERNEL_STEP`` is reached by nested iteration: the chains are swept at
 ``KERNEL_STEP``, where a sweep costs fewer RK4 steps, and then evaluated
 and corrected on the production grid, from which every returned value and
-jump comes.  Over long horizons the chains start from a Bellman pass: grid
-curves of least midpoint-rule action, forward and backward min-plus over
-a band of node displacements, one start per unit cell of the lifted line
-around the straight chain's middle node, so that each nearby route class
-gets its own chain.  The Tonelli oracle is independent of this pipeline:
-batched Newton on the midpoint-rule Lagrangian action of discrete curves,
-whose Hessian is tridiagonal too, extrapolated to fourth order in the step.
+jump comes.  Over long horizons the chains start from a Bellman pass, in
+place of the straight chain: grid curves of least midpoint-rule action,
+forward and backward min-plus over a band of node displacements, one start
+per unit cell of the lifted line around the straight chain's middle node,
+so that each nearby route class gets its own chain.  The winning chain is
+polished by one full Newton step, which takes its momentum jumps from the
+jump criterion down to rounding.  The Tonelli oracle is independent of
+this pipeline: batched Newton on the midpoint-rule Lagrangian action of
+discrete curves, whose Hessian is tridiagonal too, extrapolated to fourth
+order in the step.
 """
 
 from __future__ import annotations
@@ -159,9 +162,9 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
     the Armijo condition; a chain with none is left where it is.  Each
     halving is one ``_segments`` solve of the chains still without a step,
     warm-started from their current momenta.  Returns
-    ``(pts, jumps, S, rho0, rho1)``: the momentum-jump norms (B, n-1) and
-    the per-segment values and momenta of the last evaluation, all at
-    ``step_target``.
+    ``(pts, jumps, S, rho0, rho1, Mono)``: the momentum-jump norms (B, n-1)
+    and the per-segment values, momenta and monodromy of the last
+    evaluation, all at ``step_target``.
     """
     steps = (KERNEL_STEP, step_target) if step_target < KERNEL_STEP else (step_target,)
     stalled = np.zeros(len(pts), bool)
@@ -200,7 +203,7 @@ def _relax_chain(model, tau, t, pts, sigma_eff, step_target, max_sweeps, tol_cri
         jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
         # a chain that the coarse sweeps left above tol_crit is not swept again
         stalled = jumps.max(axis=1, initial=0.0) > tol_crit
-    return pts, jumps, S, r0, r1
+    return pts, jumps, S, r0, r1, Mono
 
 
 def _check_count(value, least, name):
@@ -337,9 +340,23 @@ def minimal_action_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     sig, n, pts, tol_crit = _straight_chains(model, tau, t, Q0, Q1, sigma_eff, n)
     if init_nodes is not None and n > 1:
         pts[:, 1:-1, :] = init_nodes
-    pts, jumps, S, rho0, _ = _relax_chain(model, tau, t, pts, sig, step_target,
-                                          max_sweeps, tol_crit)
+    pts, jumps, S, rho0, _, _ = _relax_chain(model, tau, t, pts, sig, step_target,
+                                             max_sweeps, tol_crit)
     return S.sum(axis=1), pts, jumps, rho0[:, 0]
+
+
+def _relax_rounds(model, tau, t, pts, sigma_eff, max_sweeps, tol_crit):
+    """``_relax_chain`` at ``TARGET_STEP``, with a second round from where
+    the chains stopped when none meets ``tol_crit``: a transit between two
+    near-equal hill tops can shift in time almost for free, and its chains
+    relax slowly.  Returns ``_relax_chain``'s tuple and the mask of chains
+    that meet the criterion."""
+    for _ in range(2):
+        out = _relax_chain(model, tau, t, pts, sigma_eff, TARGET_STEP, max_sweeps, tol_crit)
+        ok = out[1].max(axis=1, initial=0.0) <= tol_crit
+        if ok.any():
+            break
+    return out, ok
 
 
 def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
@@ -347,19 +364,24 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
                    seed: int = 0, max_sweeps: int = 25):
     """Minimal action ``A_tau^t(q0, q1)`` with its reconstructed chain.
 
-    Starts: the straight line first; on horizons past twice the window
-    with more than three segments, the grid starts of ``_grid_starts``, one
-    per unit cell of the middle node's lift within one cell of the straight
-    chain's, in ascending grid cost; then ``restarts - 1`` seeded random
-    perturbations of the straight line (``restarts`` is an integer of at
-    least 1; ConfigError otherwise).  All starts relax in one batch, at
-    ``KERNEL_STEP`` first and then at the production step ``TARGET_STEP``
-    (see ``_relax_chain``); the values, chain and jumps returned, and the
-    jump criterion, are those of ``TARGET_STEP``.  The least value among the
-    starts that meet the momentum-jump criterion is returned, the first
-    start deciding ties.  When none does, the starts relax for another
-    ``max_sweeps`` from where they stopped; when none does then either,
-    MultistartExhausted is raised with the worst jump.
+    Starts: on horizons past twice the window with more than three
+    segments, the grid starts of ``_grid_starts``, one per unit cell of the
+    middle node's lift within one cell of the straight chain's, in
+    ascending grid cost; elsewhere the straight line.  Then ``restarts - 1``
+    seeded random perturbations of the straight line (``restarts`` is an
+    integer of at least 1; ConfigError otherwise).  All starts relax in one
+    batch, at ``KERNEL_STEP`` first and then at the production step
+    ``TARGET_STEP`` (see ``_relax_chain``); the values, chain and jumps
+    returned, and the jump criterion, are those of ``TARGET_STEP``.  When
+    no start meets the momentum-jump criterion, the starts relax for another
+    ``max_sweeps`` from where they stopped; when none of the grid starts
+    meets it then either, the straight line relaxes the same two rounds
+    alone; when no start meets it at the end, MultistartExhausted is raised
+    with the worst jump.  The least value among the starts that meet it
+    wins, the first start deciding ties.  The winner takes one full Newton
+    step from the monodromy of its last evaluation, which is kept only when
+    its largest jump falls and its value rises by no more than
+    ``1e-12 (1 + |A|)``.
     """
     _check_count(restarts, 1, "restarts")
     q0, q1 = _point(q0), _point(q1)
@@ -367,9 +389,8 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     straight, tol_crit = chains[0], tol_crit[0]
     lam = np.linspace(0, 1, n + 1)
 
-    starts = [straight]
-    if n > 3 and t - tau > 2 * sig:
-        starts += list(_grid_starts(model, tau, t, q0[0], q1[0], n))
+    past = n > 3 and t - tau > 2 * sig
+    starts = list(_grid_starts(model, tau, t, q0[0], q1[0], n)) if past else [straight]
     rng = np.random.default_rng(seed)
     amp = 0.25 * (1.0 + float(np.linalg.norm(q1 - q0)))
     taper = np.sin(np.pi * lam[1:-1])[:, None]
@@ -377,16 +398,11 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
         pert = straight.copy()
         pert[1:-1] += rng.normal(0.0, amp, (n - 1, 1)) * taper
         starts.append(pert)
-    pts = np.stack(starts)
-    # a transit between two near-equal hill tops can shift in time almost
-    # for free, and its chains relax slowly: when no start meets the
-    # criterion, every start sweeps once more from where it stopped
-    for _ in range(2):
-        pts, jumps, S, rho0, rho1 = _relax_chain(model, tau, t, pts, sig, TARGET_STEP,
-                                                 max_sweeps, tol_crit)
-        ok = jumps.max(axis=1, initial=0.0) <= tol_crit
-        if ok.any():
-            break
+    (pts, jumps, S, rho0, rho1, Mono), ok = _relax_rounds(model, tau, t, np.stack(starts), sig,
+                                                          max_sweeps, tol_crit)
+    if past and not ok.any():
+        (pts, jumps, S, rho0, rho1, Mono), ok = _relax_rounds(model, tau, t, straight[None], sig,
+                                                              max_sweeps, tol_crit)
     values = S.sum(axis=1)
     if not ok.any():
         worst = float(jumps.max())
@@ -396,11 +412,23 @@ def minimal_action(model: HamiltonianModel, tau: float, t: float, q0, q1,
     # a relative 1e-9 of the least value, the first start decides
     cand = np.where(ok, values, np.inf)
     low = cand.min()
-    best = int(np.flatnonzero(cand <= low + 1e-9 * (1.0 + abs(low)))[0])
-    path = BrokenPath(tau=tau, t=t, q0=q0, q1=q1, nodes=pts[best, 1:-1].copy(), n=n,
-                      value=float(values[best]), momentum_jumps=jumps[best],
-                      rho0=rho0[best, 0], p_minus=rho1[best, :-1], p_plus=rho0[best, 1:])
-    return float(values[best]), path
+    k = int(np.flatnonzero(cand <= low + 1e-9 * (1.0 + abs(low)))[0])
+    b = slice(k, k + 1)
+    chain, value, jump, r0, r1 = pts[b], values[k], jumps[b], rho0[b], rho1[b]
+    # one full Newton step polishes the winner's jumps below the criterion
+    if jump.max(initial=0.0) > 0:
+        delta, _ = _newton_direction(Mono[b], r1[:, :-1] - r0[:, 1:])
+        trial = chain.copy()
+        trial[:, 1:-1] -= delta
+        St, r0t, r1t, _ = _segments(model, tau, t, trial, sig, TARGET_STEP, p_init=r0)
+        jt = np.linalg.norm(r1t[:, :-1] - r0t[:, 1:], axis=-1)
+        vt = St.sum(axis=1)[0]
+        if jt.max() < jump.max() and vt <= value + 1e-12 * (1.0 + abs(value)):
+            chain, value, jump, r0, r1 = trial, vt, jt, r0t, r1t
+    path = BrokenPath(tau=tau, t=t, q0=q0, q1=q1, nodes=chain[0, 1:-1].copy(), n=n,
+                      value=float(value), momentum_jumps=jump[0],
+                      rho0=r0[0, 0], p_minus=r1[0, :-1], p_plus=r0[0, 1:])
+    return float(value), path
 
 
 def reconstruct_trajectory(model: HamiltonianModel, path: BrokenPath,

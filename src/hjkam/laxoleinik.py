@@ -451,6 +451,19 @@ def default_delta(model: HamiltonianModel, u: GridFunction, t: float,
     return 0.1 * min(1.0, model.m / (model.M * (3.0 + 2.0 * c_u)))
 
 
+def _delta_slot(model, u, t, delta, sigma_eff):
+    """The checked slot ``delta t`` of a regularization, ``delta`` defaulting
+    to ``default_delta``: ConfigError unless ``0 < t < 1`` and a given
+    ``delta`` is finite and positive."""
+    if not 0 < t < 1:
+        raise ConfigError("regularization horizon must lie in (0, 1)")
+    if delta is None:
+        delta = default_delta(model, u, t, sigma_eff=sigma_eff)
+    elif not 0 < delta < np.inf:
+        raise ConfigError(f"need a finite delta > 0, got delta = {delta!r}")
+    return delta * t
+
+
 def regularize_R(model: HamiltonianModel, u: GridFunction, t0: float, t: float,
                  delta: Optional[float] = None, sigma_eff=None) -> GridFunction:
     """Sup-inf-sup convolution smoother ``R^t`` around the time slot ``t0``.
@@ -458,11 +471,7 @@ def regularize_R(model: HamiltonianModel, u: GridFunction, t0: float, t: float,
     Composition (right to left): backward over ``[t0 - t, t0]``, forward
     over ``[t0 - t, t0 + delta t]``, backward over ``[t0, t0 + delta t]``.
     """
-    if not 0 < t < 1:
-        raise ConfigError("regularization horizon must lie in (0, 1)")
-    if delta is None:
-        delta = default_delta(model, u, t, sigma_eff=sigma_eff)
-    dt = delta * t
+    dt = _delta_slot(model, u, t, delta, sigma_eff)
     v = apply_T_dual(model, u, t0 - t, t0, sigma_eff=sigma_eff)
     v = apply_T(model, v, t0 - t, t0 + dt, sigma_eff=sigma_eff)
     return apply_T_dual(model, v, t0, t0 + dt, sigma_eff=sigma_eff)
@@ -471,11 +480,7 @@ def regularize_R(model: HamiltonianModel, u: GridFunction, t0: float, t: float,
 def regularize_R_dual(model: HamiltonianModel, u: GridFunction, t0: float, t: float,
                       delta: Optional[float] = None, sigma_eff=None) -> GridFunction:
     """Inf-sup-inf counterpart of ``regularize_R``."""
-    if not 0 < t < 1:
-        raise ConfigError("regularization horizon must lie in (0, 1)")
-    if delta is None:
-        delta = default_delta(model, u, t, sigma_eff=sigma_eff)
-    dt = delta * t
+    dt = _delta_slot(model, u, t, delta, sigma_eff)
     v = apply_T(model, u, t0, t0 + t, sigma_eff=sigma_eff)
     v = apply_T_dual(model, v, t0 - dt, t0 + t, sigma_eff=sigma_eff)
     return apply_T(model, v, t0 - dt, t0, sigma_eff=sigma_eff)

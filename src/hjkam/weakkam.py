@@ -196,10 +196,12 @@ def weak_kam_solve(model: HamiltonianModel, grid_n: int = 128,
     The step is cut to the twist window, as in ``critical_value``.  Raises
     NonConvergence, with the partial result, when the residual exceeds
     ``tol_wk`` or the cap ``t_max`` is hit; ConfigError unless ``t_step``
-    and ``t_max`` are positive and finite.
+    and ``t_max`` are positive and finite and a given ``alpha`` is finite.
     """
     _require_torus(model)
     _require_steps(t_step, t_max)
+    if alpha is not None and not np.isfinite(alpha):
+        raise ConfigError(f"need a finite alpha, got alpha = {alpha!r}")
     t_step = min(t_step, resolve_sigma(model, sigma_eff))
     if u0 is not None and u0.n_per_dim != grid_n:
         raise ConfigError(f"u0 has {u0.n_per_dim} nodes, grid_n is {grid_n}")

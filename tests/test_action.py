@@ -240,8 +240,8 @@ def test_agreeing_unconverged_starts_raise(pendulum, monkeypatch):
     relax = act._relax_chain
 
     def agreeing(*args):
-        pts, jumps, S, r0, r1 = relax(*args)
-        return pts, jumps + 1e-3, np.broadcast_to(S[:1], S.shape).copy(), r0, r1
+        pts, jumps, S, r0, r1, Mono = relax(*args)
+        return pts, jumps + 1e-3, np.broadcast_to(S[:1], S.shape).copy(), r0, r1, Mono
 
     monkeypatch.setattr(act, "_relax_chain", agreeing)
     with pytest.raises(MultistartExhausted) as exc:
@@ -355,7 +355,8 @@ def test_near_tied_minimizers_pick_first_start(pendulum, monkeypatch):
         S[0, 0] += 1e-11   # the straight start, above start 1 by noise only
         S[2:, 0] += 1.0
         r = np.zeros((B, n1 - 1, d))
-        return pts, np.zeros((B, n1 - 2)), S, r, r
+        # zero jumps: the winner takes no polishing step
+        return pts, np.zeros((B, n1 - 2)), S, r, r, np.zeros((B, n1 - 1, 2, 2))
 
     monkeypatch.setattr(act, "_relax_chain", relax)
     value, path = act.minimal_action(pendulum, 0.0, 0.4, [0.1], [0.5],
@@ -429,7 +430,7 @@ def _sequential_relax(model, tau, t, pts, sigma_eff, step_target, max_sweeps, to
             lam[todo] *= 0.5
         stalled[active[todo]] = True
     jumps = np.linalg.norm(r1[:, :-1] - r0[:, 1:], axis=-1)
-    return (pts, jumps, S, r0, r1), halvings, stalled
+    return (pts, jumps, S, r0, r1, Mono), halvings, stalled
 
 
 @pytest.mark.parametrize("model_name, amp, seed, chains, most_halvings",
@@ -490,8 +491,8 @@ def test_two_steps_match_one_step_relaxation(model_name, t, pendulum, forced, mo
     A, path = minimal_action(model, tau, tau + t, [0.1], [0.6], sigma_eff=sigma)
     pts, sig, step, max_sweeps, tol = starts[0]
     assert step == 2e-3 and np.max(path.momentum_jumps) <= tol
-    (_, jumps, S, _, _), _, _ = _sequential_relax(model, tau, tau + t, pts, sig, step,
-                                                  max_sweeps, tol)
+    (_, jumps, S, _, _, _), _, _ = _sequential_relax(model, tau, tau + t, pts, sig, step,
+                                                     max_sweeps, tol)
     ref = S.sum(axis=1)[jumps.max(axis=1) <= tol].min()
     assert abs(A - ref) <= 1e-12 * (1 + abs(A))
 
@@ -513,7 +514,8 @@ def test_sweeps_run_at_kernel_step_and_unconverged_chains_freeze(pendulum, monke
         return segments(*a, **kw)
 
     monkeypatch.setattr(act, "_segments", spy)
-    _, jumps, _, _, _ = act._relax_chain(pendulum, 0.0, t, pts.copy(), SIGMA_PEND, 2e-3, 12, tol)
+    _, jumps, _, _, _, _ = act._relax_chain(pendulum, 0.0, t, pts.copy(), SIGMA_PEND, 2e-3, 12,
+                                            tol)
     steps = [step for step, _ in calls]
     coarse = steps.count(KERNEL_STEP)
     # sweeps at KERNEL_STEP, then one evaluation of every chain at 2e-3, then
@@ -551,6 +553,77 @@ def test_restarts_not_positive_integer_is_config_error(pendulum, restarts):
         minimal_action(pendulum, 0.0, 1.0, [0.1], [0.4], sigma_eff=SIGMA_PEND, restarts=restarts)
     with pytest.raises(ConfigError, match="restarts"):
         tonelli_oracle(pendulum, 0.0, 1.0, [0.1], [0.4], restarts=restarts)
+
+
+def test_grid_starts_replace_the_straight_start(pendulum, monkeypatch):
+    # past twice the window the batch holds the grid starts and no straight
+    # row, then the seeded perturbations; inside it, the straight row alone
+    import hjkam.action as act
+    relax, batches = act._relax_chain, []
+
+    def spy(model, tau, t, pts, *rest):
+        batches.append(pts.copy())
+        return relax(model, tau, t, pts, *rest)
+
+    monkeypatch.setattr(act, "_relax_chain", spy)
+    minimal_action(pendulum, 0.0, 4.0, [0.2], [0.7], sigma_eff=SIGMA_PEND, restarts=2)
+    _, n, straight, _ = act._straight_chains(pendulum, 0.0, 4.0, [0.2], [0.7], SIGMA_PEND, None)
+    starts = act._grid_starts(pendulum, 0.0, 4.0, 0.2, 0.7, n)
+    assert len(starts) == 3 and np.array_equal(batches[0][:3], starts)
+    assert len(batches[0]) == 4
+    assert not any(np.array_equal(row, straight[0]) for row in batches[0])
+    batches.clear()
+    minimal_action(pendulum, 0.0, 0.3, [0.2], [0.7], sigma_eff=SIGMA_PEND)
+    straight = act._straight_chains(pendulum, 0.0, 0.3, [0.2], [0.7], SIGMA_PEND, None)[2]
+    assert np.array_equal(batches[0], straight)
+
+
+def test_straight_start_relaxes_when_no_grid_start_settles(pendulum, monkeypatch):
+    # a slow transit that the three grid starts do not settle in two rounds;
+    # the straight line, relaxed alone for two rounds more, does in its first
+    import hjkam.action as act
+    relax, calls = act._relax_chain, []
+
+    def spy(*args):
+        calls.append(len(args[3]))
+        return relax(*args)
+
+    monkeypatch.setattr(act, "_relax_chain", spy)
+    A, path = minimal_action(pendulum, 0.0, 5.649717233418146, [-0.35220804830952956],
+                             [1.2066273125199987], sigma_eff=SIGMA_PEND)
+    assert calls == [3, 3, 1]
+    assert abs(A - -3.895449869789147) <= 1e-9 and np.max(path.momentum_jumps) <= 1e-6
+
+
+def test_returned_chain_is_polished(pendulum):
+    # criterion 11's capped chain: the relaxed winner meets the criterion
+    # with jumps near 1e-9; one Newton step from its monodromy takes them to
+    # rounding, and its orbit rides the level H = 1 the closer for it
+    _, path = minimal_action(pendulum, 0.0, 3.0, [0.0], [0.3], sigma_eff=SIGMA_PEND)
+    assert np.max(path.momentum_jumps) <= 1e-12
+    traj = reconstruct_trajectory(pendulum, path)
+    assert np.max(np.abs(traj.energy - 1.0)) <= 9.93e-10
+
+
+def test_polish_that_raises_the_jumps_is_dropped(pendulum, monkeypatch):
+    # a polishing step that does not lower the largest jump leaves the
+    # relaxed winner as it was
+    import hjkam.action as act
+    relax, relaxed = act._relax_chain, []
+
+    def spy(*args):
+        out = relax(*args)
+        relaxed.append(out)
+        monkeypatch.setattr(act, "_newton_direction",
+                            lambda Mono, g: (np.full_like(g, 0.05), np.ones(len(g), bool)))
+        return out
+
+    monkeypatch.setattr(act, "_relax_chain", spy)
+    A, path = minimal_action(pendulum, 0.0, 3.0, [0.0], [0.3], sigma_eff=SIGMA_PEND)
+    pts, jumps, S, r0, _, _ = relaxed[-1]
+    k = [np.array_equal(row[1:-1], path.nodes) for row in pts].index(True)
+    assert A == S.sum(axis=1)[k] and np.array_equal(path.rho0, r0[k, 0])
+    assert np.array_equal(path.momentum_jumps, jumps[k]) and path.momentum_jumps.max() > 1e-12
 
 
 def test_grid_start_finds_the_long_route(pendulum):

@@ -245,6 +245,18 @@ def test_invalid_invocation_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_unchecked_library_inputs_exit_1(tmp_path, capsys):
+    # a regularization delta that is not positive and a non-finite alpha are
+    # refused by name before any operator apply
+    for argv, message in [(["regularize", "--t", "0.2", "--delta", "0"], "delta = 0.0"),
+                          (["regularize", "--t", "0.2", "--delta", "-1"], "delta = -1.0"),
+                          (["weakkam", "--alpha", "nan", "--grid", "16", "--sigma-eff", "0.2"],
+                           "alpha = nan")]:
+        assert run_cli(argv + ["--model", "pendulum", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: need a finite ") and message in err
+
+
 def test_tol_flag_parsing(tmp_path, capsys):
     # a given tolerance is recorded in meta.json; one that is left out is not
     out = tmp_path / "o"

@@ -161,6 +161,22 @@ def test_default_delta_grid_independent(free):
     assert np.ptp(vals) < 1e-12 and vals[0] > 0
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+def test_regularize_delta_not_positive_finite_is_config_error(free, delta, monkeypatch):
+    # delta is checked before the first operator apply
+    import hjkam.laxoleinik as lo
+
+    def no_apply(*args, **kwargs):
+        raise AssertionError("operator applied before delta was checked")
+
+    monkeypatch.setattr(lo, "apply_T", no_apply)
+    monkeypatch.setattr(lo, "apply_T_dual", no_apply)
+    u = GridFunction(1, 16, np.zeros(16))
+    for op in (regularize_R, regularize_R_dual):
+        with pytest.raises(ConfigError, match="delta"):
+            op(free, u, 0.0, 0.2, delta=delta, sigma_eff=SIGMA_FREE)
+
+
 def test_gridfunction_io_roundtrip(tmp_path):
     u = GridFunction.from_callable(lambda q: np.sin(2 * np.pi * q) + 0.123456789, 32)
     path = tmp_path / "u.gridfn"

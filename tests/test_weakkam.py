@@ -208,6 +208,19 @@ def test_weak_kam_default_alpha_iterates_once(pendulum, monkeypatch):
     assert res.converged and res.residual <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_weak_kam_non_finite_alpha_is_config_error(pendulum, alpha, monkeypatch):
+    # alpha is checked before the first operator apply
+    import hjkam.weakkam as wk
+
+    def no_apply(*args, **kwargs):
+        raise AssertionError("operator applied before alpha was checked")
+
+    monkeypatch.setattr(wk, "apply_T", no_apply)
+    with pytest.raises(ConfigError, match="alpha"):
+        weak_kam_solve(pendulum, grid_n=16, alpha=alpha, sigma_eff=SIGMA_PEND)
+
+
 def test_is_subsolution_examples(pendulum, free):
     n = 64
     zero = GridFunction(1, n, np.zeros(n))
