@@ -82,8 +82,30 @@ def _given(args, *names):
 
 
 def run(args) -> int:
-    """Run the parsed command, writing a JSON summary plus datasets and meta.json."""
+    """Run the parsed command, writing a JSON summary plus datasets and meta.json.
+
+    The output directory is made first, so an unwritable ``--out`` fails
+    before any computation.  A run that raises takes back the directories it
+    made while they are still empty; a directory that already existed stays.
+    """
+    made = []
+    head = os.path.abspath(args.out)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(args.out, exist_ok=True)
+    try:
+        return _run(args)
+    except BaseException:
+        for path in made:   # deepest first; one that holds a file stays, with its parents
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
+def _run(args) -> int:
     model, raw_desc = _load_model(args.model)
     sigma, sigma_meta = _sigma_policy(model, args)
     files = []

@@ -11,7 +11,12 @@ value and both momenta to first order in that landing error, through
 orbit that lands exactly, to about 1e-13, and the derivative identities
 ``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.  So a
 landing within ``LANDING_SLACK`` shooting tolerances suffices, and the
-coarse pre-solve stops at a tenth of that.
+coarse pre-solve stops at a tenth of that.  A caller that reads the values
+alone (the grid kernels, with ``want_momenta=False``) integrates no
+monodromy on the production grid: its pass carries state and action, and a
+row landing beyond ``LANDING_SLACK`` is corrected to second order, with
+``d2S/dq1^2 = dP/dp / dQ/dp`` from the pre-solve's chord, in place of a
+second pass, up to ``VALUE_SLACK`` tolerances.
 """
 
 from __future__ import annotations
@@ -37,6 +42,15 @@ LANDING_SLACK = 100
 # tolerances: its coarse orbit lands on the fine grid only to quadrature
 # order, so a tighter stop brings hardly a row more within the slack
 PRESOLVE_SLACK = LANDING_SLACK / 10
+# a values-only row that lands within this many tolerances takes the
+# second-order term in place of another pass.  The term leaves a third-order
+# remainder, |S3| (e^3 / 6 + d e^2 / 2), with S3 = d3S/dq1^3 and d the
+# distance from q1 at which the chord's orbit landed, since the chord's
+# ratio is read there.  |S3| d reached 0.67 (|S3| 25) on the kernels of the
+# pendulum at t = 0.2 and of a five-term potential at t = 0.15; at 1000
+# tolerances, e <= 1.75e-6 for |dq| <= 0.75, that bounds the remainder by
+# about 1e-12; against a tight reference, the largest error was 6.3e-13
+VALUE_SLACK = 1000
 
 
 def shoot_tol(q0, q1) -> np.ndarray:
@@ -49,10 +63,11 @@ def _times(tau, t, rows):
 
 
 def _jacobian(model, tau, t, Q0, p, n_steps):
-    """End positions and the ``dQ/dp`` monodromy entry, shaped like ``p``."""
+    """End positions and the chord: the monodromy's ``dQ/dp`` and ``dP/dp``
+    entries, ``(..., 2)``."""
     Q, _, Mono, _ = integrate_batch(model, tau, t, Q0, p, n_steps, want_monodromy=True)
     # a copy: a view would keep the whole monodromy alive with the chord
-    return Q, Mono[..., 0, 1:].copy()
+    return Q, Mono[..., :, 1].copy()
 
 
 def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
@@ -65,7 +80,8 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
     refreshed, and the line search integrates only the rows still
     backtracking, each subset at its rows' own ``tau`` and ``t`` (numbers or
     per-row arrays), so a row's result does not depend on the other rows of
-    its batch.  Returns the momenta and their residuals.
+    its batch.  Returns the momenta, their residuals and the chord (see
+    ``_jacobian``) at each row's last refresh.
     """
     Q, J = _jacobian(model, tau, t, Q0, p, n_steps)
     F = Q - Q1
@@ -75,7 +91,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
         active = res > tol
         if not active.any():
             break
-        step = -F / J
+        step = -F / J[..., :1]
         lam = np.ones_like(res)
         p_try, Ft, rt = p.copy(), F.copy(), res.copy()
         # only the rows still backtracking are integrated on each trial
@@ -99,7 +115,7 @@ def _newton_shoot(model, tau, t, Q0, Q1, p, n_steps, tol):
             J = J.copy()
             J[stale] = _jacobian(model, *_times(tau, t, stale), Q0[stale], p[stale], n_steps)[1]
             since_refresh[stale] = 0
-    return p, res
+    return p, res, J
 
 
 def _prepared(model, tau, t, Q0, Q1, sigma_eff, p_init):
@@ -153,7 +169,8 @@ class GeneratingSample:
 
 
 def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
-                     sigma_eff=None, p_init=None, step_target: float = TARGET_STEP):
+                     sigma_eff=None, p_init=None, step_target: float = TARGET_STEP,
+                     want_momenta: bool = True):
     """Batched generating values; returns ``(S, rho0, rho1, residual, Mono)``.
 
     ``tau`` and ``t`` are numbers or per-row arrays, a time slot per row;
@@ -161,16 +178,27 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     those of its own call where its span needs as many.  The coarse
     pre-solve, stopped at ``PRESOLVE_SLACK`` shooting tolerances (the
     correction below is exact to about 1e-13 within the slack), then one
-    pass on the production grid with action and monodromy, whose orbit from
-    ``rho0`` lands at ``Q``.  With the landing error ``e = q1 - Q`` and
-    ``dp = e / M01``, the values are corrected to first order:
-    ``S = W + P e``, ``rho0 = p0 + dp`` and ``rho1 = P + M11 dp``
+    pass on the production grid with action and monodromy, from the
+    momentum ``p0``, whose orbit lands at ``Q``.  With the landing error
+    ``e = q1 - Q`` and ``dp = e / M01``, the values are corrected to first
+    order: ``S = W + P e``, ``rho0 = p0 + dp`` and ``rho1 = P + M11 dp``
     (``dS/dq1 = rho1``); the error left is about ``|M11 / M01| e^2 / 2`` in
     ``S``.  Rows landing farther than ``LANDING_SLACK * shoot_tol`` take the
     Newton step ``p0 + dp`` and one more pass, at most ``MAX_SHOOT_ITER``
     times; a row still that far raises SolverDiverged with the worst landing
     error.  ``residual`` is ``|e|``, the landing error that was corrected
-    for; ``Mono`` is the flow's differential, (..., 2, 2).
+    for.  ``Mono`` is the flow's differential ``d(Q, P) / d(q0, p0)`` along
+    the last pass, (..., 2, 2): ``M01 = dQ/dp`` and ``M11 = dP/dp``.
+
+    ``want_momenta=False`` serves callers that read ``S`` alone; ``rho0``,
+    ``rho1`` and ``Mono`` are then None, and the passes integrate state and
+    action only.  A row within ``LANDING_SLACK`` keeps ``S = W + P e``, bit
+    for bit the value above.  A row landing farther, up to ``VALUE_SLACK``
+    tolerances, takes the ``d2S/dq1^2`` term in place of another pass,
+    ``S = W + P e + (M11 / M01) e^2 / 2``, with the ratio of the
+    pre-solve's chord (see ``_newton_shoot``); ``VALUE_SLACK`` bounds its
+    third-order remainder.  A row beyond it takes the chord's Newton step
+    and one more pass, and raises SolverDiverged as above.
     """
     single = np.ndim(Q0) == 1
     # before the window check: a non-finite horizon is a config error
@@ -179,29 +207,42 @@ def generating_batch(model: HamiltonianModel, tau: float, t: float, Q0, Q1,
     # the pre-solve runs on a coarse grid, or on the fine one when it has at
     # most 16 steps; the two grids' solutions differ at quadrature order only
     n_pre = max(8, n_fine // 8) if n_fine > 16 else n_fine
-    p = _newton_shoot(model, tau, t, Q0, Q1, p, n_pre, PRESOLVE_SLACK * tol)[0]
+    p, _, chord = _newton_shoot(model, tau, t, Q0, Q1, p, n_pre, PRESOLVE_SLACK * tol)
     Q, P, Mono, W = integrate_batch(model, tau, t, Q0, p, n_fine,
-                                    want_monodromy=True, want_action=True)
+                                    want_monodromy=want_momenta, want_action=True)
     # a pass carries its own Newton step: a far row takes p0 + dp and one
-    # more pass, which lands nearly every one of them
+    # more pass, which lands nearly every one of them.  dp divides by the
+    # pass's own dQ/dp, a view of Mono that each pass refreshes, or for
+    # values alone by the pre-solve's chord
+    dQdp = Mono[..., 0, 1:] if want_momenta else chord[..., :1]
+    slack = (LANDING_SLACK if want_momenta else VALUE_SLACK) * tol
     far = np.arange(len(Q0))
     for passes in range(MAX_SHOOT_ITER + 1):
         miss = np.linalg.norm(Q1[far] - Q[far], axis=-1)
-        far = far[miss > LANDING_SLACK * tol[far]]
+        far = far[miss > slack[far]]
         if not len(far):
             break
         if passes == MAX_SHOOT_ITER:
             raise SolverDiverged(f"{len(far)} shots off target after {passes} Newton passes",
                                  residual=float(np.max(miss)))
-        p[far] += (Q1[far] - Q[far]) / Mono[far, 0, 1:]
-        Q[far], P[far], Mono[far], W[far] = integrate_batch(
-            model, *_times(tau, t, far), Q0[far], p[far], n_fine, want_monodromy=True,
-            want_action=True)
+        p[far] += (Q1[far] - Q[far]) / dQdp[far]
+        shot = integrate_batch(model, *_times(tau, t, far), Q0[far], p[far], n_fine,
+                               want_monodromy=want_momenta, want_action=True)
+        for whole, part in zip((Q, P, Mono, W), shot):
+            if part is not None:
+                whole[far] = part
     e = Q1 - Q
-    dp = e / Mono[..., 0, 1:]
-    out = (W + np.sum(P * e, axis=-1), p + dp, P + Mono[..., 1, 1:] * dp,
-           np.linalg.norm(e, axis=-1), Mono)
-    return tuple(x[0] for x in out) if single else out
+    res = np.linalg.norm(e, axis=-1)
+    dS = P * e
+    rho0 = rho1 = None
+    if want_momenta:
+        dp = e / dQdp
+        rho0, rho1 = p + dp, P + Mono[..., 1, 1:] * dp
+    else:
+        beyond = res > LANDING_SLACK * tol
+        dS[beyond] += 0.5 * chord[beyond, 1:] / chord[beyond, :1] * e[beyond] ** 2
+    out = (W + np.sum(dS, axis=-1), rho0, rho1, res, Mono)
+    return tuple(x if x is None else x[0] for x in out) if single else out
 
 
 def shoot_rho0(model: HamiltonianModel, tau: float, t: float, q0, q1,

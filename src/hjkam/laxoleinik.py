@@ -286,12 +286,15 @@ def _past_window(tau, t, sigma):
 def _pair_actions(model, tau, t, Q0, Q1, sigma):
     """``A_tau^t(Q0, Q1)`` for a batch of pairs (rows of ``Q0``, ``Q1``).
 
-    Inside the twist window ``sigma`` this is the generating function;
-    beyond it, the broken geodesic relaxed from the straight-line chain.
+    Inside the twist window ``sigma`` this is the generating function at
+    ``KERNEL_STEP``, its values alone (``want_momenta=False``): one pass of
+    state and action, with a far landing corrected to second order in place
+    of another pass; beyond it, the broken geodesic relaxed from the
+    straight-line chain.
     """
     if not _past_window(tau, t, sigma):
         return generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma,
-                                step_target=KERNEL_STEP)[0]
+                                step_target=KERNEL_STEP, want_momenta=False)[0]
     return minimal_action_batch(model, tau, t, Q0, Q1, sigma_eff=sigma)[0]
 
 

@@ -257,6 +257,30 @@ def test_unchecked_library_inputs_exit_1(tmp_path, capsys):
         assert err.startswith("config error: need a finite ") and message in err
 
 
+def test_failed_run_takes_back_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    # a run that fails before writing a file leaves no directory that it
+    # made, nested ones included; a directory that already existed stays
+    import hjkam.cli as cli
+    for argv in (["weakkam", "--t-step", "0", "--grid", "16"],
+                 ["regularize", "--t", "0.2", "--delta", "0"],
+                 ["weakkam", "--alpha", "nan", "--grid", "16", "--sigma-eff", "0.2"]):
+        argv = argv + ["--model", "pendulum"]
+        assert run_cli(argv + ["--out", str(tmp_path / "a" / "b" / "c")]) == 1
+        assert os.listdir(tmp_path) == []
+        (tmp_path / "kept").mkdir()
+        assert run_cli(argv + ["--out", str(tmp_path / "kept")]) == 1
+        assert os.listdir(tmp_path) == ["kept"] and os.listdir(tmp_path / "kept") == []
+        (tmp_path / "kept").rmdir()
+    assert capsys.readouterr().err.count("config error") == 6
+    # an --out that cannot be made exits 1 before anything runs
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("ran past an unwritable --out"))
+    assert run_cli(["weakkam", "--model", "pendulum", "--grid", "16",
+                    "--out", str(tmp_path / "taken" / "o")]) == 1
+    assert "config error: file error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["taken"]
+
+
 def test_tol_flag_parsing(tmp_path, capsys):
     # a given tolerance is recorded in meta.json; one that is left out is not
     out = tmp_path / "o"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SIGMA_FREE, SIGMA_PEND
+from conftest import SIGMA_FREE, SIGMA_PEND, tight_reference
 from hjkam.action import minimal_action
 from hjkam.errors import ConfigError, SigmaExceeded, SolverDiverged
 from hjkam.flow import TARGET_STEP, _steps_for, integrate_batch, integrate_flow
@@ -191,20 +191,24 @@ def test_line_search_integrates_only_backtracking_rows(pendulum, monkeypatch):
 
     monkeypatch.setattr(g, "_jacobian", small_chord)
     monkeypatch.setattr(g, "integrate_batch", counted)
-    p_mixed, res_mixed = g._newton_shoot(pendulum, 0.0, t, Q0, Q1, p_start, n_steps, tol)
+    p_mixed, res_mixed, J_mixed = g._newton_shoot(pendulum, 0.0, t, Q0, Q1, p_start,
+                                                  n_steps, tol)
     mixed = rows.copy()
     rows.clear()
-    p_hard, res_hard = g._newton_shoot(pendulum, 0.0, t, Q0[20:], Q1[20:], p_start[20:],
-                                       n_steps, tol[20:])
+    p_hard, res_hard, J_hard = g._newton_shoot(pendulum, 0.0, t, Q0[20:], Q1[20:],
+                                               p_start[20:], n_steps, tol[20:])
     assert mixed == rows and sum(mixed) > 0
     assert np.array_equal(p_mixed[20:], p_hard) and np.array_equal(res_mixed[20:], res_hard)
+    assert np.array_equal(J_mixed[20:], J_hard)
     assert np.array_equal(p_mixed[:20], p_conv[:20])
 
 
 def test_rows_that_never_land_raise_solver_diverged(pendulum, monkeypatch):
     # the far rows' Newton passes stop after MAX_SHOOT_ITER; here every other
     # row's pass is made to land a fixed distance off its target, whatever
-    # its momentum, and the error carries the worst of those landing errors
+    # its momentum, and the error carries the worst of those landing errors.
+    # The distances, 2e-6 and more, lie beyond VALUE_SLACK too, so values
+    # alone take the same passes
     import hjkam.generating as g
     rng = np.random.default_rng(8)
     Q0 = rng.uniform(0, 1, (12, 1))
@@ -222,20 +226,26 @@ def test_rows_that_never_land_raise_solver_diverged(pendulum, monkeypatch):
         return (Q, *rest)
 
     monkeypatch.setattr(g, "integrate_batch", never_land)
-    with pytest.raises(SolverDiverged) as err:
-        generating_batch(pendulum, 0.0, 0.15, Q0, Q1, sigma_eff=SIGMA_PEND)
-    assert len(passes) == g.MAX_SHOOT_ITER + 1 and passes[0] == 12 and passes[-1] == 6
-    assert err.value.residual == np.max(np.linalg.norm(Q1 - (Q1 - off), axis=-1))
+    for want_momenta in (True, False):
+        passes.clear()
+        with pytest.raises(SolverDiverged) as err:
+            generating_batch(pendulum, 0.0, 0.15, Q0, Q1, sigma_eff=SIGMA_PEND,
+                             want_momenta=want_momenta)
+        assert len(passes) == g.MAX_SHOOT_ITER + 1 and passes[0] == 12 and passes[-1] == 6
+        assert err.value.residual == np.max(np.linalg.norm(Q1 - (Q1 - off), axis=-1))
 
 
-@pytest.mark.parametrize("hard", ["backtracking", "far-rows"])
-def test_per_row_times_equal_one_call_per_slot(forced, monkeypatch, hard):
+@pytest.mark.parametrize("hard, want_momenta", [
+    ("backtracking", True), ("far-rows", True), ("backtracking", False), ("far-rows", False),
+], ids=["backtracking", "far-rows", "backtracking-values", "far-rows-values"])
+def test_per_row_times_equal_one_call_per_slot(forced, monkeypatch, hard, want_momenta):
     # rows over four time slots of the forced model in one call give the bits
     # of one call per slot, and take the same rows of work, also where rows
     # backtrack (a chord Jacobian 0.6 times too small and starts 3 off, as in
     # test_line_search_integrates_only_backtracking_rows) or land too far
     # off for the first-order correction and take Newton passes (a pre-solve
-    # stopped 1e4 times farther out than the landing slack)
+    # stopped 1e4 times farther out than the landing slack, beyond the value
+    # slack too), with momenta or values alone
     import hjkam.generating as g
     B, n, tau, dt = 6, 4, 0.1, 0.15
     rng = np.random.default_rng(21)
@@ -271,17 +281,22 @@ def test_per_row_times_equal_one_call_per_slot(forced, monkeypatch, hard):
     monkeypatch.setattr(g, "integrate_batch", counted)
     flat = lambda x: None if x is None else x.reshape(B * n, 1)
     whole = generating_batch(forced, np.tile(ta, B), np.tile(tb, B), flat(Q0), flat(Q1),
-                             sigma_eff=SIGMA_PEND, p_init=flat(p_init))
+                             sigma_eff=SIGMA_PEND, p_init=flat(p_init),
+                             want_momenta=want_momenta)
     whole_work = work()
     for i in range(n):
         slot = generating_batch(forced, ta[i], tb[i], Q0[:, i], Q1[:, i], sigma_eff=SIGMA_PEND,
-                                p_init=None if p_init is None else p_init[:, i])
+                                p_init=None if p_init is None else p_init[:, i],
+                                want_momenta=want_momenta)
         for a, b in zip(whole, slot):
+            if a is None:
+                assert b is None and not want_momenta
+                continue
             a = a.reshape((B, n) + a.shape[1:])[:, i]
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert work() == whole_work
     if hard == "far-rows":   # every row's first pass with action, then the far rows'
-        assert whole_work[(True, True)] > B * n
+        assert whole_work[(want_momenta, True)] > B * n
 
 
 def test_shoot_rho0_lands_on_the_production_grid(pendulum):
@@ -303,21 +318,6 @@ def test_shoot_rho0_lands_on_the_production_grid(pendulum):
 def test_non_finite_endpoints_are_refused(pendulum, call):
     with pytest.raises(ConfigError):
         call(pendulum)
-
-
-def _tight_reference(model, t, Q0, Q1, step):
-    # full Newton on the landing from the straight-line momentum, with action
-    # and monodromy at every iterate, on the grid of the solve under test
-    n_steps = _steps_for(t, step)
-    p = (Q1 - Q0) / t
-    for _ in range(30):
-        Q, P, Mono, W = integrate_batch(model, 0.0, t, Q0, p, n_steps,
-                                        want_monodromy=True, want_action=True)
-        e = Q1 - Q
-        if np.max(np.abs(e)) < 1e-14:
-            return W, p, P
-        p = p + e / Mono[..., 0, 1:]
-    raise AssertionError(f"reference Newton stopped at |e| = {np.max(np.abs(e)):.1e}")
 
 
 @pytest.mark.parametrize("step", [KERNEL_STEP, TARGET_STEP])
@@ -350,7 +350,7 @@ def test_landing_correction_matches_tight_reference(request, monkeypatch, name, 
                                          step_target=step)
     monkeypatch.undo()
     assert far
-    W, p, P = _tight_reference(model, 0.1, Q0, Q1, step)
+    W, p, P = tight_reference(model, 0.0, 0.1, Q0, Q1, step)
     assert np.max(np.abs(S - W)) <= 1e-12
     assert np.max(np.abs(r0 - p)) <= 1e-12
     assert np.max(np.abs(r1 - P)) <= 1e-12
@@ -396,3 +396,57 @@ def test_far_rows_do_not_depend_on_their_batch(monkeypatch, slack):
         one = generating_batch(model, 0.0, 0.05, Q0[i:i + 1], Q1[i:i + 1], sigma_eff=0.05)
         for a, b in zip(batch, one):
             assert a[i:i + 1].tobytes() == b.tobytes()
+
+
+def test_values_alone_keep_the_near_rows_bits(pendulum):
+    # a row that lands within LANDING_SLACK after the production pass keeps
+    # S = W + P e bit for bit, with momenta or without; a row landing farther
+    # is corrected to second order in place of another pass and agrees with
+    # the momenta path to 1e-12.  At t = 0.2 and |dq| <= 0.3 no row lands
+    # beyond VALUE_SLACK, so the near rows are those of the first pass
+    import hjkam.generating as g
+    rng = np.random.default_rng(42)
+    Q0 = rng.uniform(0, 1, (300, 1))
+    Q1 = Q0 + rng.uniform(-0.3, 0.3, (300, 1))
+    S, r0, r1, res, Mono = generating_batch(pendulum, 0.0, 0.2, Q0, Q1, sigma_eff=SIGMA_PEND,
+                                            step_target=KERNEL_STEP, want_momenta=False)
+    assert r0 is None and r1 is None and Mono is None
+    full = generating_batch(pendulum, 0.0, 0.2, Q0, Q1, sigma_eff=SIGMA_PEND,
+                            step_target=KERNEL_STEP)
+    near = res <= g.LANDING_SLACK * g.shoot_tol(Q0, Q1)
+    assert 0 < near.sum() < len(near) and np.all(res <= g.VALUE_SLACK * g.shoot_tol(Q0, Q1))
+    assert S[near].tobytes() == full[0][near].tobytes()
+    assert res[near].tobytes() == full[3][near].tobytes()
+    assert np.max(np.abs(S - full[0])) <= 1e-12
+    one = generating_batch(pendulum, 0.0, 0.2, Q0[0], Q1[0], sigma_eff=SIGMA_PEND,
+                           step_target=KERNEL_STEP, want_momenta=False)
+    assert one[0].tobytes() == S[0].tobytes() and one[1:3] == (None, None)
+
+
+def test_values_alone_take_one_pass_without_monodromy(pendulum, monkeypatch):
+    # at the pendulum's t = 0.2 most rows land beyond LANDING_SLACK.  With
+    # momenta they take a second production pass, and both passes integrate
+    # the monodromy; values alone take the one production pass, of state and
+    # action, and integrate the monodromy only on the pre-solve's grid
+    import hjkam.generating as g
+    rng = np.random.default_rng(43)
+    Q0 = rng.uniform(0, 1, (300, 1))
+    Q1 = Q0 + rng.uniform(-0.3, 0.3, (300, 1))
+    n_fine = _steps_for(0.2, KERNEL_STEP)
+    real, calls = g.integrate_batch, []
+
+    def counted(model, tau, t, Q0_, P0, n_steps, want_monodromy=False, want_action=False):
+        calls.append((n_steps, want_monodromy, want_action, len(Q0_)))
+        return real(model, tau, t, Q0_, P0, n_steps, want_monodromy, want_action)
+
+    monkeypatch.setattr(g, "integrate_batch", counted)
+    passes = {}
+    for want_momenta in (True, False):
+        calls.clear()
+        generating_batch(pendulum, 0.0, 0.2, Q0, Q1, sigma_eff=SIGMA_PEND,
+                         step_target=KERNEL_STEP, want_momenta=want_momenta)
+        passes[want_momenta] = [c for c in calls if c[0] == n_fine]
+        assert all(c[2] == (c[0] == n_fine) for c in calls)
+    assert len(passes[True]) == 2 and all(c[1] for c in passes[True])
+    assert passes[True][1][3] > 150
+    assert passes[False] == [(n_fine, False, True, 300)]

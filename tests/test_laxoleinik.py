@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SIGMA_FREE, SIGMA_PEND
+from conftest import SIGMA_FREE, SIGMA_PEND, tight_reference
 from hjkam.errors import ConfigError
 from hjkam.laxoleinik import (GridFunction, apply_T, apply_T_dual, default_delta,
                               regularize_R, regularize_R_dual,
@@ -669,6 +669,42 @@ def test_kernel_grows_by_new_columns(pendulum, monkeypatch, t):
     lx.clear_kernel_cache()
     fresh = lx.action_kernel(pendulum, 0.0, t, n, 24, sigma_eff=SIGMA_PEND)
     assert np.array_equal(grown, fresh)
+
+
+@pytest.mark.parametrize("value_slack", [None, 1])
+@pytest.mark.parametrize("case", ["pendulum", "multi", "forced"])
+def test_pair_actions_match_tight_reference(request, monkeypatch, case, value_slack):
+    # _pair_actions reads values alone: a row landing beyond LANDING_SLACK
+    # takes the second-order term in place of another pass, and a row beyond
+    # VALUE_SLACK a chord Newton pass.  Either way an entry is the value of
+    # the orbit that lands exactly on the kernel grid, to 1e-12, here at wide
+    # displacements: the pendulum at t = 0.2 up to |dq| = 0.75 (most rows
+    # land beyond LANDING_SLACK, some beyond VALUE_SLACK), the multi-mode
+    # model, and a slot of the forced model.  With a value slack of one
+    # tolerance every far row takes passes; a row's bits never depend on
+    # its batch
+    import hjkam.generating as g
+    import hjkam.laxoleinik as lx
+    from hjkam.hamiltonian import mechanical_model
+    model, tau, t, sigma, wide = {
+        "pendulum": (request.getfixturevalue("pendulum"), 0.0, 0.2, SIGMA_PEND, 0.75),
+        "multi": (mechanical_model([0.1, 0.5, 0.3, 0.2, -0.15]), 0.0, 0.15, 0.15, 0.5),
+        "forced": (request.getfixturevalue("forced"), 0.1, 0.3, SIGMA_PEND, 0.75)}[case]
+    if value_slack is not None:
+        monkeypatch.setattr(g, "VALUE_SLACK", value_slack)
+    rng = np.random.default_rng(7)
+    Q0 = rng.uniform(0, 1, (400, 1))
+    Q1 = Q0 + rng.uniform(-wide, wide, (400, 1))
+    S = lx._pair_actions(model, tau, t, Q0, Q1, sigma)
+    res = g.generating_batch(model, tau, t, Q0, Q1, sigma_eff=sigma, step_target=g.KERNEL_STEP,
+                             want_momenta=False)[3]
+    slack = g.LANDING_SLACK if value_slack is None else value_slack
+    assert (res > slack * g.shoot_tol(Q0, Q1)).any() == (value_slack is None)
+    W = tight_reference(model, tau, t, Q0, Q1, g.KERNEL_STEP)[0]
+    assert np.max(np.abs(S - W)) <= 1e-12
+    for i in range(0, 400, 40):
+        one = lx._pair_actions(model, tau, t, Q0[i:i + 1], Q1[i:i + 1], sigma)
+        assert one.tobytes() == S[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("t", [0.1, 0.2])
