@@ -10,7 +10,7 @@ model family, is one warm-started ``generating_batch`` call that returns
 value, end momenta and monodromy together; a time-forced model's segments
 are rows with their own time slots.  A production step finer than
 ``KERNEL_STEP`` is reached by nested iteration: the chains are swept at
-``KERNEL_STEP``, where a sweep costs fewer RK4 steps, and then evaluated
+``KERNEL_STEP``, where a sweep costs fewer flow steps, and then evaluated
 and corrected on the production grid, from which every returned value and
 jump comes.  Over long horizons the chains start from a Bellman pass, in
 place of the straight chain: grid curves of least midpoint-rule action,

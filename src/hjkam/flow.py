@@ -1,17 +1,24 @@
 """Hamiltonian flow, variational (monodromy) equation, and twist checks.
 
-The integrator is a classical explicit 4th-order one-step method applied
-jointly to the state, the 2 x 2 monodromy matrix, and the running
-Hamiltonian action, so derivative and action estimates share the state's
-discretization.  Each stage takes the vector field, the Hessian blocks of
-the variational equation and the action rate from one evaluation of the
-model's jet, asking only for the terms it integrates.  The integrated
-components are packed into one component-major array, so that a stage
-input or the step's weighted sum is one numpy operation on the whole state
-whatever the batch size.  All internals are vectorized over the batch
-axes; the public API wraps single trajectories.  No row is guarded: its
-callers judge escapes from the result, by the one test ``_escaped``, and
-``integrate_flow`` and ``monodromy`` raise ``TrajectoryEscape`` on it.
+Every integrator here runs jointly on the state, the 2 x 2 monodromy matrix,
+and the running Hamiltonian action, so derivative and action estimates share
+the state's discretization.  The built-in families, all separable, ``H = a
+p^2/2 + g(t) V(q)``, are integrated by Blanes and Moan's SRKN6b splitting
+into kicks and drifts: each kick takes the force ``g V'`` (with ``g V`` for
+the action and ``g V''`` for the monodromy) from one evaluation, the
+monodromy is a product of shears, and the discrete action has ``dW = P dQ -
+p dq`` exactly.  The scheme is time-symmetric, and exact without a
+potential.  A custom model, whose ``H`` need not be separable, takes a
+classical explicit 4th-order Runge-Kutta method (RK4): each stage takes the
+vector field, the Hessian blocks of the variational equation and the action
+rate from one evaluation of the model's jet, asking only for the terms it
+integrates, and the integrated components are packed into one
+component-major array, so that a stage input or the step's weighted sum is
+one numpy operation on the whole state whatever the batch size.  All
+internals are vectorized over the batch axes; the public API wraps single
+trajectories.  No row is guarded: its callers judge escapes from the result,
+by the one test ``_escaped``, and ``integrate_flow`` and ``monodromy`` raise
+``TrajectoryEscape`` on it.
 """
 
 from __future__ import annotations
@@ -128,19 +135,90 @@ def _stage(model, t, Y, K, mono, action, work):
         K[-1, ..., 0] = L
 
 
-def _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action):
-    """Closed-form flow for ``H = a p^2 / 2``: straight lines."""
-    a = model.params[0]
-    span = np.asarray(t - tau, float)
-    Q = np.asarray(Q0, float) + (span * a)[..., None] * np.asarray(P0, float)
-    P = np.array(P0, float, copy=True)
+# Blanes & Moan's SRKN6b splitting, of order 4: a step is the kicks and
+# drifts b1 a1 b2 a2 b3 a3 b4 a3 b3 a2 b2 a1 b1, with the b's (kicks) and
+# the a's (drifts) each summing to 1
+_A1, _A2 = 0.245298957184271, 0.604872665711080
+_B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
+_DRIFTS = (_A1, _A2, 0.5 - _A1 - _A2)
+_DRIFTS += _DRIFTS[::-1]
+_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3), _B3, _B2, _B1)
+# the kicks' times within a step, as fractions of it; the last is 1 exactly,
+# so that it is the next step's first
+_KICK_TIMES = (0.0,) + tuple(map(float, np.cumsum(_DRIFTS)[:-1])) + (1.0,)
+# RK4 steps of a caller's request per splitting step: the splitting takes
+# ceil(n_steps / RK4_PER_SPLIT) steps, as few as keep its Q, P, monodromy
+# and action at least as accurate as RK4's at every request the layers make.
+# The float lies just above 10/3, so the quotient never rounds up past an
+# integer: it is ceil(3 n_steps / 10) exactly
+RK4_PER_SPLIT = 10 / 3
+
+
+def _drift(top, bottom, p, W, weights, work):
+    """A drift with ``weights = (d a, a/2 d)`` for the time ``d``: ``top +=
+    (d a) bottom``, and ``W += (a/2 d) p^2`` when ``W`` is not None."""
+    if W is not None:
+        W += weights[1] * (p * p)
+    top += np.multiply(weights[0], bottom, out=work)
+
+
+def _drift_weights(a, d):
+    return d * a, 0.5 * a * d
+
+
+def _split_flow(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action):
+    """``integrate_batch`` for ``H = a p^2/2 + g(t) V(q)``, by kicks and drifts.
+
+    The state is packed in two rows, ``top = (q, m00, m01)`` and ``bottom =
+    (p, m10, m11)``, each entry ``(...)``, the monodromy's only when asked
+    for.  A kick of weight ``b`` at time ``s`` takes ``F, G, K = g V', g V,
+    g V''`` at ``(s, q)`` and sets ``p -= (b h) F``, ``bottom[1:] -= (b h K)
+    top[1:]`` and ``W -= (b h) G``; a drift of weight ``c``, for the time
+    ``d = c h``, sets ``top += (d a) bottom`` and ``W += (a/2 d) p^2``.  The
+    discrete action has ``dW = P dQ - p dq`` exactly.  One force evaluation
+    serves a step's last kick and the next step's first, so a step costs
+    six.  Without a potential the flow is one drift over the whole span, in
+    closed form.
+    """
+    a, force = model.splitting
+    Q0 = np.asarray(Q0, float)
+    shape = Q0.shape[:-1]
+    top, bottom = X = np.empty((2, 1 + 2 * want_monodromy) + shape)
+    # views, also of a single row's 0-d entries, updated in place
+    q, p = top[0, ...], bottom[0, ...]
+    q[...] = Q0[..., 0]
+    p[...] = np.asarray(P0, float)[..., 0]
+    if want_monodromy:
+        X[:, 1:] = np.reshape([[1.0, 0.0], [0.0, 1.0]], (2, 2) + (1,) * len(shape))
+    # -0.0 adds as an exact zero, so a lone drift's action keeps its sign
+    W = np.full(shape, -0.0) if want_action else None
+    work = np.empty_like(top)
+    if force is None:
+        _drift(top, bottom, p, W, _drift_weights(a, np.asarray(t - tau, float)), work)
+    else:
+        n = math.ceil(n_steps / RK4_PER_SPLIT)
+        h = (t - tau) / n
+        kicks = [b * h for b in _KICKS]
+        drifts = [_drift_weights(a, c * h) for c in _DRIFTS]
+        s = tau
+        F, G, K = force(s, q, want_action, want_monodromy)
+        for _ in range(n):
+            for i, bh in enumerate(kicks):
+                p -= bh * F
+                if want_monodromy:
+                    bottom[1:] -= (bh * K) * top[1:]
+                if want_action:
+                    W -= bh * G
+                if i < len(drifts):
+                    _drift(top, bottom, p, W, drifts[i], work)
+                    # an autonomous force takes no time
+                    F, G, K = force(s if model.autonomous else s + _KICK_TIMES[i + 1] * h,
+                                    q, want_action, want_monodromy)
+            s = s + h   # not in place: an array tau is the caller's
     Mono = None
     if want_monodromy:
-        Mono = np.zeros(Q.shape[:-1] + (2, 2))
-        Mono[..., 0, 0] = Mono[..., 1, 1] = 1.0
-        Mono[..., 0, 1] = span * a
-    W = 0.5 * a * span * np.sum(P * P, axis=-1) if want_action else None
-    return Q, P, Mono, W
+        Mono = np.ascontiguousarray(np.moveaxis(X[:, 1:], (0, 1), (-2, -1)))
+    return q[..., None], p[..., None], Mono, W
 
 
 def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
@@ -149,18 +227,24 @@ def integrate_batch(model: HamiltonianModel, tau: float, t: float, Q0, P0,
     """Integrate a batch of initial conditions from ``tau`` to ``t``.
 
     ``Q0`` and ``P0`` are ``(..., 1)``; ``tau`` and ``t`` are numbers, or
-    arrays of shape ``(...)`` that give every row its own ``n_steps`` steps.
-    Returns ``(Q, P, Mono, W)``: ``Q`` and ``P`` shaped like ``Q0``;
-    ``Mono`` of shape ``(..., 2, 2)`` and ``W`` the accumulated action, of
-    shape ``(...)``, when requested, else None.  No row is guarded: one that
-    blows up runs on to inf or NaN and leaves the other rows' bits alone.
-    The state is integrated packed (see ``_stage``), with the stage buffers
-    allocated once per call and every step updated in place; the
-    per-element arithmetic is the plain RK4 of each component, so a row's
-    bits are those of a call with its own times as numbers.
+    arrays of shape ``(...)`` that give every row its own steps.  Returns
+    ``(Q, P, Mono, W)``: ``Q`` and ``P`` shaped like ``Q0``; ``Mono`` of
+    shape ``(..., 2, 2)`` and ``W`` the accumulated action, of shape
+    ``(...)``, when requested, else None.  No row is guarded: one that blows
+    up runs on to inf or NaN and leaves the other rows' bits alone.
+
+    ``n_steps`` is the caller's accuracy request, in RK4 steps.  A custom
+    model takes exactly that many RK4 steps, integrated packed (see
+    ``_stage``), with the stage buffers allocated once per call and every
+    step updated in place; the per-element arithmetic is the plain RK4 of
+    each component.  A built-in family takes ``ceil(n_steps /
+    RK4_PER_SPLIT)`` steps of the splitting (see ``_split_flow``), each of
+    six force evaluations where an RK4 step takes four jets, and a kinetic
+    one a single exact drift.  Either way a row's bits are those of a call
+    with its own times as numbers.
     """
-    if model.family in ("free", "quadratic"):
-        return _exact_quadratic_flow(model, tau, t, Q0, P0, want_monodromy, want_action)
+    if model.splitting is not None:
+        return _split_flow(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action)
     Q0 = np.asarray(Q0, float)
     shape = Q0.shape[:-1]
     C = 2 + 4 * want_monodromy + want_action

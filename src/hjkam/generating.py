@@ -4,14 +4,16 @@ Within the twist window the map ``p -> Q_tau^t(q0, p)`` is strongly
 monotone, with ``dQ/dp >= m t / 2``, so a damped Newton iteration with the
 ``dQ/dp`` monodromy block as Jacobian converges globally: every shot,
 ``shoot_batch``'s too, takes one pipeline and no fallback.  The generating
-value is an extra quadrature component of the same RK4 discretization.  A
-shot lands near its target, not on it; ``generating_batch`` corrects the
-value and both momenta to first order in that landing error, through
-``dS/dq1 = rho1`` and the monodromy.  They are then those of the discrete
-orbit that lands exactly, to about 1e-13, and the derivative identities
-``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator accuracy.  So a
-landing within ``LANDING_SLACK`` shooting tolerances suffices, and the
-coarse pre-solve stops at a tenth of that.  A caller that reads the values
+value is the action component of the same discretization (see ``flow``):
+for the built-in families the splitting's discrete action, whose ``dW = P
+dQ - p dq`` is exact, and for a custom model an extra RK4 quadrature
+component.  A shot lands near its target, not on it; ``generating_batch``
+corrects the value and both momenta to first order in that landing error,
+through ``dS/dq1 = rho1`` and the monodromy.  They are then those of the
+discrete orbit that lands exactly, to about 1e-13, and the derivative
+identities ``dS/dq1 = rho1``, ``dS/dq0 = -rho0`` hold to integrator
+accuracy.  So a landing within ``LANDING_SLACK`` shooting tolerances
+suffices, and the coarse pre-solve stops at a tenth of that.  A caller that reads the values
 alone (the grid kernels, with ``want_momenta=False``) integrates no
 monodromy on the production grid: its pass carries state and action, and a
 row landing beyond ``LANDING_SLACK`` is corrected to second order, with

@@ -5,8 +5,9 @@ gives the derivatives in ``(q, p)`` from one evaluation, the declared
 convexity/bound constants ``m`` and ``M``, and the periodicity/autonomy
 flags used downstream.  Built-in families (free kinetic, scaled quadratic,
 mechanical with a trigonometric-polynomial potential, and a time-forced
-variant) write their jets in closed form; models built from user callables
-fall back to central finite differences with step ``h_fd``.
+variant) write their jets in closed form, and carry their separable form
+``a p^2/2 + g(t) V(q)`` for the flow's splitting; models built from user
+callables fall back to central finite differences with step ``h_fd``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,6 +29,19 @@ TOL_HYP = 1e-6
 # identity tokens for custom models: unlike id(), never reused after
 # garbage collection, so a new model cannot inherit another's cache entries
 _MODEL_TOKENS = itertools.count()
+
+
+class Splitting(NamedTuple):
+    """``H = a p^2/2 + g(t) V(q)``: what a kick-drift flow needs.
+
+    ``force(t, q, value=False, second=False)`` takes ``q`` without its
+    coordinate axis, shape ``(...)``, and ``t`` a number or an array of that
+    shape, and returns ``(g V', g V, g V'')``, the last two None unless asked
+    for.  ``force`` is None for a kinetic ``H`` (no potential).
+    """
+
+    a: float
+    force: Optional[Callable]
 
 
 @dataclass(frozen=True)
@@ -44,8 +58,9 @@ class HamiltonianModel:
     else None; with ``hessian``, the second derivatives ``(H_qq, H_qp,
     H_pp)``, each an array or number that broadcasts to ``(...)``, else
     None.  A term that is not asked for is not computed.  ``H_p`` may be
-    ``p`` itself.  Instances are immutable; evaluation is pure and
-    thread-safe.
+    ``p`` itself.  ``splitting`` is the separable form of a built-in family
+    (see ``Splitting``), None for a custom model.  Instances are immutable;
+    evaluation is pure and thread-safe.
     """
 
     value: Callable
@@ -57,6 +72,7 @@ class HamiltonianModel:
     q_homogeneous: bool = False
     family: str = "custom"
     params: tuple = ()
+    splitting: Optional[Splitting] = None
     token: int = field(default_factory=lambda: next(_MODEL_TOKENS), init=False,
                        compare=False, repr=False)
 
@@ -143,6 +159,15 @@ def _separable_model(family, params, m, M, a=1.0, V=None, eps=None) -> Hamiltoni
         Vq = V(np.asarray(q, float)[..., 0])
         return H + (Vq if eps is None else g(t) * Vq)
 
+    def force(t, q, value=False, second=False):
+        dV, V0, d2V = V.jet(q, value, second)
+        if eps is not None:
+            gt = g(t)
+            dV = gt * dV
+            V0 = gt * V0 if value else None
+            d2V = gt * d2V if second else None
+        return dV, V0, d2V
+
     def jet(t, q, p, action=False, hessian=False):
         q = np.asarray(q, float)
         p = np.asarray(p, float)
@@ -150,18 +175,14 @@ def _separable_model(family, params, m, M, a=1.0, V=None, eps=None) -> Hamiltoni
         kinetic = half_a * (p * p)[..., 0] if action else None
         if V is None:
             return np.zeros_like(q), Hp, kinetic, (0.0, 0.0, a) if hessian else None
-        dV, V0, d2V = V.jet(q[..., 0], action, hessian)
-        if eps is not None:
-            gt = g(t)
-            dV = gt * dV
-            V0 = gt * V0 if action else None
-            d2V = gt * d2V if hessian else None
+        dV, V0, d2V = force(t, q[..., 0], action, hessian)
         L = kinetic - V0 if action else None
         return dV[..., None], Hp, L, (d2V, 0.0, a) if hessian else None
 
     return HamiltonianModel(value=value, jet=jet, m=m, M=M, periodic=True,
                             autonomous=eps is None, q_homogeneous=V is None,
-                            family=family, params=params)
+                            family=family, params=params,
+                            splitting=Splitting(a, None if V is None else force))
 
 
 def quadratic_model(a: float = 1.0) -> HamiltonianModel:

@@ -329,15 +329,33 @@ def _fd_pendulum():
                         m=1, M=4 * np.pi ** 2, periodic=True)
 
 
+def _as_custom(model):
+    # a built-in model's own callables behind a custom model, which RK4
+    # integrates: the built-in families take the splitting
+    def grad(t, q, p):
+        return model.jet(t, q, p)[:2]
+
+    def hessian(t, q, p):
+        return model.jet(t, q, p, hessian=True)[3]
+
+    return custom_model(model.value, m=model.m, M=model.M, grad=grad, hessian=hessian,
+                        periodic=model.periodic, autonomous=model.autonomous)
+
+
+def _multi():
+    from hjkam.hamiltonian import mechanical_model
+    return mechanical_model([0.1, 0.5, 0.2, 0.3, -0.1])
+
+
 @pytest.mark.parametrize("model_name", ["pendulum", "forced", "multi", "fd"])
 @pytest.mark.parametrize("want_monodromy, want_action",
                          [(False, False), (False, True), (True, False), (True, True)])
 def test_packed_kernel_matches_reference_bits(model_name, want_monodromy, want_action,
                                               pendulum, forced):
     from hjkam.flow import integrate_batch
-    from hjkam.hamiltonian import mechanical_model
-    model = {"pendulum": pendulum, "forced": forced, "fd": _fd_pendulum(),
-             "multi": mechanical_model([0.1, 0.5, 0.2, 0.3, -0.1])}[model_name]
+    model = {"pendulum": lambda: _as_custom(pendulum), "forced": lambda: _as_custom(forced),
+             "multi": lambda: _as_custom(_multi()), "fd": _fd_pendulum}[model_name]()
+    assert model.splitting is None
     rng = np.random.default_rng(7)
     for shape in [(7, 1), (3, 5, 1), (1,)]:
         Q0 = rng.uniform(-1.0, 1.0, shape)
@@ -350,3 +368,86 @@ def test_packed_kernel_matches_reference_bits(model_name, want_monodromy, want_a
             if a is not None:
                 a, b = np.asarray(a), np.asarray(b)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_splitting(model, tau, t, Q0, P0, n_steps, want_monodromy, want_action):
+    """Blanes and Moan's SRKN6b splitting of ``a p^2/2 + g(t) V(q)``, written
+    out per component: each of a step's seven kicks evaluates its own force,
+    at its own time, and the monodromy entries are updated one by one.
+
+    This is the arithmetic the splitting flow must reproduce bit for bit.
+    """
+    from hjkam.flow import RK4_PER_SPLIT
+    a1, a2 = 0.245298957184271, 0.604872665711080
+    b1, b2, b3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
+    drifts = [a1, a2, 0.5 - a1 - a2, 0.5 - a1 - a2, a2, a1]
+    kicks = [b1, b2, b3, 1.0 - 2.0 * (b1 + b2 + b3), b3, b2, b1]
+    a, force = model.splitting
+    q = np.array(Q0, float)[..., 0]
+    p = np.array(P0, float)[..., 0]
+    m00, m01, m10, m11 = (np.full(q.shape, x) for x in (1.0, 0.0, 0.0, 1.0))
+    W = np.full(q.shape, -0.0)
+    n = int(np.ceil(n_steps / RK4_PER_SPLIT))
+    h = (t - tau) / n
+    s = tau
+    for _ in range(n):
+        c = 0.0
+        for i, b in enumerate(kicks):
+            F, G, K = force(s + (1.0 if i == 6 else c) * h, q, True, True)
+            p = p - (b * h) * F
+            m10 = m10 - ((b * h) * K) * m00
+            m11 = m11 - ((b * h) * K) * m01
+            W = W - (b * h) * G
+            if i < 6:
+                d = drifts[i] * h
+                W = W + (0.5 * a * d) * (p * p)
+                q = q + (d * a) * p
+                m00 = m00 + (d * a) * m10
+                m01 = m01 + (d * a) * m11
+                c += drifts[i]
+        s = s + h
+    Mono = np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
+    return (q[..., None], p[..., None], Mono if want_monodromy else None,
+            W if want_action else None)
+
+
+@pytest.mark.parametrize("model_name", ["pendulum", "forced", "multi"])
+@pytest.mark.parametrize("want_monodromy, want_action",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_splitting_matches_reference_bits(model_name, want_monodromy, want_action,
+                                          pendulum, forced):
+    # the built-in families' flow, with merged kicks and packed rows, equals
+    # the written-out splitting bit for bit, with one time slot per row
+    from hjkam.flow import integrate_batch
+    model = {"pendulum": pendulum, "forced": forced, "multi": _multi()}[model_name]
+    rng = np.random.default_rng(7)
+    for shape, n_steps in [((7, 1), 13), ((3, 5, 1), 20), ((1,), 1)]:
+        Q0 = rng.uniform(-1.0, 1.0, shape)
+        P0 = rng.uniform(-3.0, 3.0, shape)
+        tau = rng.uniform(0.0, 1.0, shape[:-1])
+        new = integrate_batch(model, tau, tau + 0.2, Q0, P0, n_steps, want_monodromy,
+                              want_action)
+        ref = _reference_splitting(model, tau, tau + 0.2, Q0, P0, n_steps, want_monodromy,
+                                   want_action)
+        for a, b in zip(new, ref):
+            assert (a is None) == (b is None)
+            if a is not None:
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_splitting_force_budget(pendulum, monkeypatch):
+    # a 20-step request with action, the kernel's production pass at t = 0.1,
+    # takes 6 splitting steps of 6 force evaluations each, plus the first
+    # kick's: 37 per row, where RK4 takes 4 per step, 80
+    from hjkam.flow import integrate_batch
+    from hjkam.hamiltonian import TrigPolynomial
+    rows, real = [], TrigPolynomial.jet
+
+    def counted(self, q, value=False, second=False):
+        rows.append(np.size(q))
+        return real(self, q, value, second)
+
+    monkeypatch.setattr(TrigPolynomial, "jet", counted)
+    integrate_batch(pendulum, 0.0, 0.1, np.zeros((5, 1)), np.ones((5, 1)), 20, want_action=True)
+    assert sum(rows) == 37 * 5

@@ -424,14 +424,15 @@ def test_values_alone_keep_the_near_rows_bits(pendulum):
 
 
 def test_values_alone_take_one_pass_without_monodromy(pendulum, monkeypatch):
-    # at the pendulum's t = 0.2 most rows land beyond LANDING_SLACK.  With
-    # momenta they take a second production pass, and both passes integrate
-    # the monodromy; values alone take the one production pass, of state and
-    # action, and integrate the monodromy only on the pre-solve's grid
+    # at the pendulum's t = 0.2, 83 of these 300 rows, with |dq| up to 0.6,
+    # land beyond LANDING_SLACK.  With momenta they take a second production
+    # pass, and both passes integrate the monodromy; values alone take the
+    # one production pass, of state and action, and integrate the monodromy
+    # only on the pre-solve's grid
     import hjkam.generating as g
     rng = np.random.default_rng(43)
     Q0 = rng.uniform(0, 1, (300, 1))
-    Q1 = Q0 + rng.uniform(-0.3, 0.3, (300, 1))
+    Q1 = Q0 + rng.uniform(-0.6, 0.6, (300, 1))
     n_fine = _steps_for(0.2, KERNEL_STEP)
     real, calls = g.integrate_batch, []
 
@@ -448,5 +449,5 @@ def test_values_alone_take_one_pass_without_monodromy(pendulum, monkeypatch):
         passes[want_momenta] = [c for c in calls if c[0] == n_fine]
         assert all(c[2] == (c[0] == n_fine) for c in calls)
     assert len(passes[True]) == 2 and all(c[1] for c in passes[True])
-    assert passes[True][1][3] > 150
+    assert passes[True][1][3] > 75
     assert passes[False] == [(n_fine, False, True, 300)]

@@ -397,10 +397,13 @@ def test_search_radius_matches_widest_window(request, n, t, name, rough, data):
         assert np.array_equal(sized, widest)
 
 
-def test_custom_model_keeps_hessian_radius_inside_window(pendulum):
+def test_custom_model_keeps_hessian_radius_inside_window(pendulum, monkeypatch):
     # a custom pendulum with exact derivatives searches the Hessian-constant
-    # radius (1.39 here, against the built-in family's 0.42) and reaches the
-    # built-in image to the shooting tolerance
+    # radius (1.39 here, against the built-in family's 0.42).  With the
+    # velocity radius lifted, so that each search radius sets its window (D =
+    # 96 and 32), both windows give the custom image, argmin for argmin.  The
+    # custom model is integrated by RK4 and the built-in one by the
+    # splitting, so the two families' images differ by RK4's own error
     import hjkam.laxoleinik as lx
     from hjkam.hamiltonian import custom_model
     tp = 2 * np.pi
@@ -412,10 +415,18 @@ def test_custom_model_keeps_hessian_radius_inside_window(pendulum):
     u = GridFunction.from_callable(lambda q: 0.3 * np.sin(tp * q), n)
     R = lx.search_radius(custom, t, u.osc(), n)
     assert R == _hessian_radius_written_out(custom, t, u.osc(), n)
-    assert R > 3 * lx.search_radius(pendulum, t, u.osc(), n)
-    got = apply_T(custom, u, 0.0, t, sigma_eff=SIGMA_PEND).values
-    want = apply_T(pendulum, u, 0.0, t, sigma_eff=SIGMA_PEND).values
-    assert np.max(np.abs(got - want)) <= 1e-10
+    narrow = lx.search_radius(pendulum, t, u.osc(), n)
+    assert R > 3 * narrow
+    image = apply_T(custom, u, 0.0, t, sigma_eff=SIGMA_PEND).values
+    monkeypatch.setattr(lx, "velocity_radius", lambda model, tau, t, lip, n: 2.0)
+    widths = _record_widths(monkeypatch)
+    wide, wide_dd = lx._min_plus(custom, u, 0.0, t, SIGMA_PEND, False)
+    monkeypatch.setattr(lx, "search_radius", lambda model, dt, osc, n: narrow)
+    got, got_dd = lx._min_plus(custom, u, 0.0, t, SIGMA_PEND, False)
+    assert widths == [96, 32]
+    assert np.array_equal(wide_dd, got_dd)
+    assert np.max(np.abs(wide.values - got.values)) <= 1e-10
+    assert np.max(np.abs(wide.values - image)) <= 1e-10
 
 
 def test_search_radius_past_window_keeps_hessian_bound(pendulum, monkeypatch):
@@ -819,13 +830,13 @@ def test_kernel_symmetry_group_is_bitwise(request, name, t):
         assert np.array_equal(K[(j + dd) % n, D - dd], K)
 
 
-def _assert_kernel_matches_direct(model, t, n, D, sig):
-    # every entry, solved or copied, within 1e-8 of its own direct solve
+def _assert_kernel_matches_direct(model, t, n, D, sig, tol=1e-8):
+    # every entry, solved or copied, within tol of its own direct solve
     import hjkam.laxoleinik as lx
     K = lx.action_kernel(model, 0.0, t, n, D, sigma_eff=sig)
     j, c = np.nonzero(np.ones(K.shape, bool))
     direct = lx._pair_actions(model, 0.0, t, (j / n)[:, None], (j / n + (c - D) / n)[:, None], sig)
-    assert np.max(np.abs(K[j, c] - direct)) <= 1e-8
+    assert np.max(np.abs(K[j, c] - direct)) <= tol
 
 
 @pytest.mark.parametrize("t", [0.1, 0.3])
@@ -835,12 +846,17 @@ def test_kernel_copies_match_direct_solves(request, name, t):
     _assert_kernel_matches_direct(model, t, 32, 12, sig)
 
 
-@pytest.mark.parametrize("name", ["two_well", "multi"])
+@pytest.mark.parametrize("name", ["pendulum", "two_well", "multi", "forced"])
 def test_kernel_copies_match_direct_solves_wide(request, name):
     # |dd| / n up to 0.75: the momenta, and so the landing error's share
-    # P e of an uncorrected value, are largest here
+    # P e of an uncorrected value, are largest here.  The built-in families'
+    # flow is time-symmetric, so a copy by time reversal (pendulum, two-well,
+    # multi-mode) is its pair's direct solve to the landing correction, and a
+    # copy by reflection (forced) to rounding: the largest gaps are 8.9e-14,
+    # 1.2e-13, 1.2e-13 and 5.3e-15.  RK4, which is not time-symmetric,
+    # leaves its reversal copies 1.0e-9 to 2.8e-9 off
     model, sig = _kernel_model(request, name)
-    _assert_kernel_matches_direct(model, 0.1, 16, 12, sig)
+    _assert_kernel_matches_direct(model, 0.1, 16, 12, sig, tol=1e-12)
 
 
 @settings(max_examples=12, deadline=None)
